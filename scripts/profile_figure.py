@@ -25,7 +25,7 @@ if __name__ == "__main__":
     with open(csv_path, "w") as f:
         f.write("pair,x\n")
         for i, v in enumerate(x, start=1):
-            f.write(f"{i},{v!r}\n")
+            f.write(f"{i},{float(v)!r}\n")
     svg_path = os.path.join(OUT, "profile_n100.svg")
     with open(svg_path, "w") as f:
         f.write(

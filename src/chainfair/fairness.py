@@ -14,7 +14,7 @@ from scipy.linalg import solve_banded
 
 from .errors import ChainFairError, DomainError
 from .model import ChainParams, apply_F, entropy, grad_entropy, jacobian_bands
-from .solver import SolveOptions, newton_solve
+from .solver import newton_solve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -37,9 +37,8 @@ class AdjointState:
     lam: np.ndarray
 
 
-def _solve_x(n, alpha, x0=None):
-    params = ChainParams(n, alpha)
-    return newton_solve(params, SolveOptions(x0=x0))
+def _solve_x(n, alpha):
+    return newton_solve(ChainParams(n, alpha))
 
 
 def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
@@ -104,12 +103,10 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
     evals = 0
     signs = np.empty(len(grid))
-    xprev = None
     best_i, best_J = 0, -np.inf
     for i, a in enumerate(grid):
         a = float(a)
-        x = _solve_x(n, a, x0=xprev)
-        xprev = x
+        x = _solve_x(n, a)
         signs[i] = np.sign(J_prime(a, n, x=x))
         Ji = J(a, n, x=x)
         evals += 1
@@ -160,15 +157,13 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     """Evaluate J along a grid of alphas, in input order.
 
     A row whose solve fails is marked with J = nan instead of aborting the
-    sweep. Consecutive solves warm-start from the previous solution.
+    sweep.
     """
     rows = []
-    xprev = None
     for a in alphas:
         a = float(a)
         try:
-            x = _solve_x(n, a, x0=xprev)
-            xprev = x
+            x = _solve_x(n, a)
             rows.append((a, J(a, n, x=x)))
         except ChainFairError:
             rows.append((a, float("nan")))

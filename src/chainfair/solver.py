@@ -1,11 +1,16 @@
 """Fixed-point and Newton solvers for the chain system x = F_alpha(x).
 
-For alpha <= 3/4 the map is a contraction near the solution and plain
-successive approximation from all-ones converges. Past 3/4 the solution
-develops an alternating high/low pattern; the synchronous iteration can
-then lock into a period-2 cycle around the root, so the Newton path seeds
-itself from the alternating structure of the borderless (ring) model and
-falls back to branch continuation in alpha when a step is rejected.
+fixed_point_solve is plain successive approximation from all-ones, the
+reference. For alpha <= 3/4 the map is a contraction near the solution and
+it converges; past about 0.8 the synchronous iteration can lock into a
+period-2 cycle around the root instead.
+
+newton_solve is one Newton loop on the mirror half of the chain: the
+boundary conditions are mirror symmetric and so is the returned root,
+x_{n+1-i} = x_i. Steps are backtracked on ||x - F_alpha(x)||_2^2 from the
+ring model's root: its flat level up to alpha = 3/4, its alternating
+high/low pair past it. The root returned past 3/4 is the branch with both
+ends high, alternating inward, and a central defect when n is even.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, apply_F, jacobian_bands, jacobian_F
+from .model import ChainParams, apply_F, jacobian_bands
 
 _FP_MAX_ITER = 10 ** 6
 _NEWTON_MAX_ITER = 100
@@ -22,16 +27,14 @@ _NEWTON_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerance, iteration cap, and starting point for both solvers.
+    """Tolerance and iteration cap for both solvers.
 
     max_iter = None picks the per-method default: 10^6 sweeps for the
-    fixed-point iteration, 100 steps for Newton. x0 = None starts from
-    all-ones.
+    fixed-point iteration, 100 steps for Newton.
     """
 
     tol: float = 1e-12
     max_iter: int | None = None
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -58,21 +61,6 @@ def residual(params: ChainParams, x) -> float:
     return float(np.max(np.abs(np.asarray(x, float) - apply_F(params, x))))
 
 
-def _symmetrize(x):
-    # the boundary conditions are mirror symmetric, and so is the solution;
-    # averaging with the reversal costs nothing and pins the symmetry exactly
-    return 0.5 * (x + x[::-1])
-
-
-def _start_vector(params, opts):
-    if opts.x0 is None:
-        return np.ones(params.n)
-    x0 = np.asarray(opts.x0, dtype=float)
-    if x0.shape != (params.n,):
-        raise DomainError(f"x0 must have shape ({params.n},), got {x0.shape}")
-    return x0.copy()
-
-
 def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
     """Successive approximation x <- F_alpha(x) until the sweep moves less than tol.
 
@@ -81,7 +69,7 @@ def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) 
     dynamics settle on a period-2 orbit instead of the fixed point.
     """
     cap = opts.max_iter if opts.max_iter is not None else _FP_MAX_ITER
-    x = _start_vector(params, opts)
+    x = np.ones(params.n)
     for _ in range(cap):
         y = apply_F(params, x)
         if np.max(np.abs(y - x)) <= opts.tol:
@@ -95,130 +83,96 @@ def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) 
     )
 
 
-def _alternating_guess(params):
-    """Ends-high alternating pattern from the borderless model, alpha > 3/4.
+def _ring_start(alpha, m):
+    """Half-chain start from the borderless (ring) model, ends high.
 
-    On a ring the alternating levels a >= b solve a + b = 2 - 1/alpha and
-    ab = ((1 - alpha)/alpha)^2; the mirror-symmetric chain analogue repeats
-    (a, b) from both ends, which leaves a central defect when n is even.
+    Up to alpha = 3/4 the ring settles on the flat level c(alpha), the root
+    of c = alpha (1 - c)^2 in [0, 1]. Past it the ring alternates between
+    hi >= lo with hi + lo = 2 - 1/alpha and hi lo = ((1 - alpha)/alpha)^2.
+    Both levels equal c = 1/3 at alpha = 3/4, so this is one start rule.
+    The small roots are taken as quotients: the differences of the
+    quadratic formula cancel as alpha -> 0 and alpha -> 1.
     """
-    a_ = params.alpha
-    s = 2.0 - 1.0 / a_
-    d = np.sqrt(4.0 * a_ - 3.0) / a_
-    hi, lo = (s + d) / 2.0, (s - d) / 2.0
-    n = params.n
-    x = np.empty(n)
-    half = (n + 1) // 2
-    x[:half:2] = hi
-    x[1:half:2] = lo
-    x[n - half:] = x[:half][::-1]
-    return x
-
-
-class _Stall(Exception):
-    pass
-
-
-def _newton_core(params, x0, tol, max_iter, warmup=0):
-    n, a = params.n, params.alpha
-    x = _symmetrize(np.asarray(x0, dtype=float))
-    for _ in range(warmup):
-        if residual(params, x) < 1e-3:
-            break
-        x = _symmetrize(apply_F(params, x))
-    rescues = 0
-    it = 0
-    while it < max_iter:
-        G = x - apply_F(params, x)
-        r = float(np.max(np.abs(G)))
-        if r <= tol:
-            return x
-        it += 1
-        if n == 1:
-            x = np.full(1, a)
-            continue
-        sub, sup = jacobian_bands(params, x)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -sup
-        ab[1, :] = 1.0
-        ab[2, :-1] = -sub
-        try:
-            delta = solve_banded((1, 1), ab, G)
-        except (ValueError, np.linalg.LinAlgError):
-            delta = None
-        moved = False
-        if delta is not None and np.all(np.isfinite(delta)):
-            step = 1.0
-            for _ in range(31):
-                xn = x - step * delta
-                # keep iterates near the contraction domain and insist the
-                # residual actually drops before accepting the step
-                if (
-                    np.all(xn >= -0.5)
-                    and np.all(xn <= 1.5)
-                    and residual(params, xn) < r
-                ):
-                    x = _symmetrize(xn)
-                    moved = True
-                    break
-                step /= 2.0
-        if not moved:
-            # rejected step: sweep the (locally stable) map itself for a while
-            rescues += 1
-            if rescues > 8:
-                raise _Stall(r)
-            x = _symmetrize(np.clip(x, 0.0, 1.0))
-            for _ in range(100):
-                x = _symmetrize(apply_F(params, x))
-    raise _Stall(residual(params, x))
+    if alpha <= 0.75:
+        hi = lo = 2.0 * alpha / (2.0 * alpha + 1.0 + np.sqrt(4.0 * alpha + 1.0))
+    else:
+        hi = (2.0 - 1.0 / alpha + np.sqrt(4.0 * alpha - 3.0) / alpha) / 2.0
+        lo = ((1.0 - alpha) / alpha) ** 2 / hi
+    y = np.empty(m)
+    y[0::2] = hi
+    y[1::2] = lo
+    return y
 
 
 def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Damped Newton iteration on G(x) = x - F_alpha(x) with O(n) banded solves.
+    """Newton's method on the mirror half of G(x) = x - F_alpha(x).
 
-    The step is halved until the iterate stays in [-0.5, 1.5]^n and the
-    residual decreases. Beyond the alpha = 3/4 threshold the initial guess
-    uses the ring model's alternating levels; if a solve still stalls, the
-    solution branch is tracked from the contractive region upward in alpha.
+    The unknowns are y = x_1..x_m, m = ceil(n/2), with x_{n+1-i} = x_i.
+    Residual and Jacobian bands come from apply_F and jacobian_bands on y
+    padded with its mirror neighbour x_{m+1} (x_{m-1} for odd n, x_m for
+    even n), whose derivative folds into the last row of the banded system.
+    Each step is backtracked until ||G||_2^2 passes the Armijo test. The
+    start is the ring root (_ring_start), and the returned root keeps its
+    layout: past alpha = 3/4 the components alternate high/low inward from
+    both ends, with a central defect x_{n/2} = x_{n/2+1} for even n.
+    Raises ConvergenceError (with the last iterate and residual) when the
+    step cap is hit or the line search cannot reduce the merit.
     """
     cap = opts.max_iter if opts.max_iter is not None else _NEWTON_MAX_ITER
-    tol = opts.tol
-    if opts.x0 is not None:
-        try:
-            return _newton_core(params, _start_vector(params, opts), tol, cap)
-        except _Stall:
-            pass
-    try:
-        if params.alpha > 0.75:
-            g = _alternating_guess(params)
-            for _ in range(50):
-                g = _symmetrize(apply_F(params, np.clip(g, 0.0, 1.0)))
-            return _newton_core(params, g, tol, cap)
-        return _newton_core(params, np.ones(params.n), tol, cap, warmup=60)
-    except _Stall:
-        pass
-    # continuation rescue: ride the branch up from a tame alpha
-    a0 = min(params.alpha, 0.70)
-    x = _newton_core(ChainParams(params.n, a0), np.ones(params.n), tol, cap, warmup=60)
-    if params.alpha <= a0:
-        raise ConvergenceError(
-            f"newton_solve failed (n={params.n}, alpha={params.alpha})",
+    n = params.n
+    m = (n + 1) // 2
+    # 0-based index in y of the mirror neighbour x_{m+1}; -1 is the border
+    k = m - 1 - n % 2
+    half = ChainParams(m + 1, params.alpha)
+
+    def merit(y):
+        z = np.append(y, y[k] if k >= 0 else 0.0)
+        g = y - apply_F(half, z)[:m]
+        return z, g, float(g @ g)
+
+    def mirrored(y):
+        return np.concatenate((y, y[: k + 1][::-1]))
+
+    def failure(why, y):
+        x = mirrored(y)
+        r = residual(params, x)
+        return ConvergenceError(
+            f"newton_solve {why} (n={n}, alpha={params.alpha}, residual={r:.3e})",
             last=x,
-            residual=residual(params, x),
+            residual=r,
         )
-    for da in (0.01, 0.0025, 0.000625):
-        xw = x.copy()
+
+    y = _ring_start(params.alpha, m)
+    z, g, phi = merit(y)
+    steps = 0
+    while np.max(np.abs(g)) > opts.tol:
+        if steps == cap:
+            raise failure(f"did not converge in {cap} steps", y)
+        steps += 1
+        sub, sup = jacobian_bands(half, z)
+        ab = np.zeros((3, m))
+        ab[0, 1:] = -sup[:-1]
+        ab[1, :] = 1.0
+        ab[2, :-1] = -sub[:-1]
+        if k >= 0:
+            # dF_m/dx_{m+1} lands on the diagonal (even n) or sub-diagonal
+            ab[1 + n % 2, k] -= sup[-1]
         try:
-            for a in np.arange(a0 + da, params.alpha, da):
-                xw = _newton_core(ChainParams(params.n, float(a)), xw, tol, cap)
-            return _newton_core(params, xw, tol, cap)
-        except _Stall:
-            continue
-    raise ConvergenceError(
-        f"newton_solve continuation failed (n={params.n}, alpha={params.alpha})",
-        last=x,
-        residual=residual(params, x),
-    )
+            delta = solve_banded((1, 1), ab, g)
+        except (ValueError, np.linalg.LinAlgError):
+            raise failure("hit a singular Jacobian", y) from None
+        t = 1.0
+        while True:
+            yt = y - t * delta
+            zt, gt, phit = merit(yt)
+            # Armijo on phi = ||G||^2: the Newton slope is -2 phi
+            if phit <= (1.0 - 2e-4 * t) * phi:
+                break
+            t /= 2.0
+            if t < 2.0 ** -30:
+                raise failure("line search failed", y)
+        y, z, g, phi = yt, zt, gt, phit
+    return mirrored(y)
 
 
 def contraction_check(params: ChainParams, x) -> ContractionCertificate:
@@ -231,8 +185,12 @@ def contraction_check(params: ChainParams, x) -> ContractionCertificate:
     """
     x = np.asarray(x, dtype=float)
     domain_ok = bool(np.max(np.abs(x - 1.0)) < 1.0 / (2.0 * params.alpha))
-    jac = jacobian_F(params, x)
-    norm_bound = float(np.max(np.sum(np.abs(jac), axis=1)))
+    # row i of F' holds sup[i] right of the diagonal and sub[i-1] left of it
+    sub, sup = jacobian_bands(params, x)
+    rows = np.zeros(params.n)
+    rows[:-1] = np.abs(sup)
+    rows[1:] += np.abs(sub)
+    norm_bound = float(np.max(rows))
     return ContractionCertificate(
         domain_ok=domain_ok,
         norm_bound=norm_bound,

@@ -83,6 +83,12 @@ class TestMaximizeJ:
         res = maximize_J(4, tol_alpha=1e-2)
         assert res.bracket <= 1e-2
 
+    def test_long_chain_grid_crosses_three_quarters(self):
+        # the 99-point scan lands on alpha = 0.75 exactly
+        res = maximize_J(5000)
+        assert res.unimodal
+        assert 0.7445 <= res.alpha_hat <= 0.752
+
     @pytest.mark.parametrize("kw", [{"n": 0}, {"n": 3, "tol_alpha": 0.0}])
     def test_domain(self, kw):
         with pytest.raises(DomainError):

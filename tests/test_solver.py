@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from chainfair import (
     closed_form_n4,
     contraction_check,
     fixed_point_solve,
+    jacobian_F,
     newton_solve,
     residual,
 )
@@ -27,7 +30,7 @@ FP_SAFE = [
 class TestSolveOptions:
     def test_defaults(self):
         o = SolveOptions()
-        assert o.tol == 1e-12 and o.max_iter is None and o.x0 is None
+        assert o.tol == 1e-12 and o.max_iter is None
 
     @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}])
     def test_invalid(self, kw):
@@ -85,16 +88,6 @@ class TestNewton:
         p = ChainParams(100_000, 0.6)
         assert residual(p, x) <= 1e-12
 
-    def test_x0_honored(self):
-        p = ChainParams(5, 0.5)
-        x_ref = newton_solve(p)
-        x = newton_solve(p, SolveOptions(x0=x_ref))
-        assert residual(p, x) <= 1e-12
-
-    def test_x0_wrong_length(self):
-        with pytest.raises(DomainError):
-            newton_solve(ChainParams(5, 0.5), SolveOptions(x0=np.zeros(4)))
-
     @pytest.mark.parametrize(("n", "alpha"), FP_SAFE)
     def test_agrees_with_fixed_point(self, n, alpha):
         p = ChainParams(n, alpha)
@@ -111,14 +104,43 @@ class TestNewton:
         assert np.max(np.abs(x - x[::-1])) <= 1e-12
         assert np.all(x > 0.0) and np.all(x <= alpha + 1e-15)
 
-    @pytest.mark.parametrize("n", [5, 9, 15])
+    @pytest.mark.parametrize("n", [5, 9, 15, 6, 10, 16])
     @pytest.mark.parametrize("alpha", [0.8, 0.9])
     def test_odd_chain_parity_structure(self, n, alpha):
+        # the branch returned past 3/4: high at both ends, alternating inward;
+        # an even chain meets itself in a central pair x[n/2 - 1] == x[n/2]
         x = newton_solve(ChainParams(n, alpha))
-        for i in range(0, n - 1, 2):
-            assert x[i] > x[i + 1]
-            if i + 2 < n:
-                assert x[i + 2] > x[i + 1]
+        for end in (x, x[::-1]):
+            d = np.diff(end[: (n + 1) // 2])
+            assert np.all(d[0::2] < 0.0) and np.all(d[1::2] > 0.0)
+        if n % 2 == 0:
+            assert abs(x[n // 2 - 1] - x[n // 2]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 11, 1000, 1001, 2001, 3000, 5000, 10001, 100_000])
+    @pytest.mark.parametrize("alpha", [0.7495, 0.7499, 0.75, 0.7501, 0.7505, 0.8, 0.95])
+    def test_converges_through_three_quarters(self, n, alpha):
+        p = ChainParams(n, alpha)
+        x = newton_solve(p)
+        assert residual(p, x) <= 1e-12
+        assert np.max(np.abs(x - x[::-1])) <= 1e-12
+        assert np.all(x > 0.0) and np.all(x <= alpha)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    @pytest.mark.parametrize("alpha", [1e-12, 1.0 - 1e-12])
+    def test_positive_root_at_extreme_alpha(self, n, alpha):
+        # at alpha = 1e-12 the zero vector already meets tol; the root is ~alpha
+        p = ChainParams(n, alpha)
+        x = newton_solve(p)
+        assert residual(p, x) <= 1e-12
+        assert np.all(x > 0.0) and np.all(x <= alpha)
+
+    def test_failure_carries_last_iterate(self):
+        p = ChainParams(50, 0.9)
+        with pytest.raises(ConvergenceError) as exc:
+            newton_solve(p, SolveOptions(max_iter=1))
+        err = exc.value
+        assert err.last is not None and len(err.last) == 50
+        assert err.residual == pytest.approx(residual(p, err.last))
 
 
 class TestContractionCheck:
@@ -146,3 +168,22 @@ class TestContractionCheck:
     def test_n1_jacobian_vanishes(self):
         cert = contraction_check(ChainParams(1, 0.9), [0.4])
         assert cert.norm_bound == 0.0 and cert.contractive
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_matches_dense_row_sums(self, n):
+        p = ChainParams(n, 0.8)
+        x = np.linspace(0.1, 0.9, n)
+        ref = np.max(np.sum(np.abs(jacobian_F(p, x)), axis=1))
+        assert contraction_check(p, x).norm_bound == pytest.approx(ref, abs=1e-15)
+
+    def test_memory_linear_in_n(self):
+        n = 5000
+        p = ChainParams(n, 0.6826)
+        x = np.full(n, 0.4)
+        tracemalloc.start()
+        try:
+            contraction_check(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * 8
