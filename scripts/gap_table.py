@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Mean-field error table: exact Markov marginals vs the solved chain.
+"""Mean-field error table: exact stationary marginals vs the solved chain.
 
 The model drops the correlation between a pair's two neighbors; this
-script quantifies what that costs at small n, where the exact stationary
-law is still computable.
+script quantifies what that costs at small n (2 to 8) against the exact
+product-form marginals of the single-site chain.
 """
 
 import os

@@ -50,7 +50,6 @@ from .sim import (
     SimConfig,
     SlotState,
     exact_stationary,
-    independent_sets,
     meanfield_gap,
     sim_step,
     simulate,
@@ -109,7 +108,6 @@ __all__ = [
     "fixed_point_solve",
     "flat_value",
     "grad_entropy",
-    "independent_sets",
     "jacobian_F",
     "jacobian_bands",
     "maximize_J",

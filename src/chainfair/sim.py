@@ -1,4 +1,4 @@
-"""Slot-level simulation of the emission process and an exact small-chain oracle.
+"""Slot-level simulation of the emission process and its exact stationary law.
 
 The stationary model treats each pair's emission as a Bernoulli variable
 gated by its neighbors, y_i = z_i (1 - y_{i-1})(1 - y_{i+1}). That relation
@@ -6,15 +6,16 @@ fixes no dynamics, so the simulator resamples one uniformly chosen site per
 slot (with a synchronous random-order sweep available as a sensitivity
 check). States are independent sets on the path: no two adjacent emitters.
 
-For n <= 12 the single-site chain is small enough to solve exactly, which
-quantifies the correlation error of the mean-field system.
+Each update is a heat-bath step of the hard-core model, whose stationary
+law has a product form (idealized CSMA); its marginals are exact at any n
+in O(n), which quantifies the correlation error of the mean-field system.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .model import ChainParams
 from .solver import SolveOptions, newton_solve
 
@@ -186,57 +187,29 @@ def simulate(config: SimConfig) -> MarginalEstimate:
     return MarginalEstimate(x_hat=x_hat, stderr=stderr)
 
 
-_MAX_EXACT_N = 12
-
-
-def independent_sets(n: int) -> list[int]:
-    """Bitmasks of the independent sets of a path with n sites."""
-    return [m for m in range(1 << n) if not (m & (m << 1))]
-
-
 def exact_stationary(n: int, alpha: float) -> np.ndarray:
     """Exact per-site emission marginals of the single-site update chain.
 
-    Builds the transition kernel over independent sets (their number grows
-    like a Fibonacci sequence, 377 states at n = 12) and runs power
-    iteration until successive distributions differ by at most 1e-13.
+    The update is heat-bath dynamics for the hard-core model with activity
+    lam = alpha/(1 - alpha), so the stationary law is the product form
+    pi(I) ~ lam^|I| over independent sets I of the path. Occupying site i
+    splits the path into pieces of i - 1 and n - i sites, so the odds of
+    site i are w_i = lam r_{i-1} r_{n-i} with r_k = Z_{k-1}/Z_k the ratio of
+    the weighted independent-set counts of paths of k - 1 and k sites:
+    r_0 = 1 and r_k = 1/(1 + lam r_{k-1}). The ratios stay in (0, 1] and
+    the recursion contracts, so no Z_k (which overflows) is ever formed.
+    O(n) time and memory at any n.
     """
-    if n > _MAX_EXACT_N:
-        raise DomainError(f"exact_stationary supports n <= {_MAX_EXACT_N}, got {n}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    states = independent_sets(n)
-    index = {s: k for k, s in enumerate(states)}
-    size = len(states)
-    P = np.zeros((size, size))
-    for k, s in enumerate(states):
-        for i in range(n):
-            blocked = (i > 0 and (s >> (i - 1)) & 1) or (
-                i < n - 1 and (s >> (i + 1)) & 1
-            )
-            off = s & ~(1 << i)
-            if blocked:
-                P[k, index[off]] += 1.0 / n
-            else:
-                P[k, index[off]] += (1.0 - alpha) / n
-                P[k, index[off | (1 << i)]] += alpha / n
-    pi = np.full(size, 1.0 / size)
-    for _ in range(2 * 10 ** 6):
-        nxt = pi @ P
-        done = np.max(np.abs(nxt - pi)) <= 1e-13
-        pi = nxt
-        if done:
-            break
-    else:
-        raise ConvergenceError("power iteration did not reach 1e-13", last=pi)
-    marginals = np.zeros(n)
-    for k, s in enumerate(states):
-        for i in range(n):
-            if (s >> i) & 1:
-                marginals[i] += pi[k]
-    return marginals
+    p = ChainParams(n, alpha)
+    lam = p.alpha / (1.0 - p.alpha)
+    r = np.empty(p.n)
+    rk = 1.0
+    for k in range(p.n):
+        r[k] = rk
+        rk = 1.0 / (1.0 + lam * rk)
+    # product of the two ratios first, so the odds are exactly mirror symmetric
+    w = lam * (r * r[::-1])
+    return w / (1.0 + w)
 
 
 def meanfield_gap(n: int, alpha: float) -> float:

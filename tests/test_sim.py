@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from chainfair import (
     SlotState,
     closed_form_n3,
     exact_stationary,
-    independent_sets,
     meanfield_gap,
     sim_step,
     simulate,
@@ -31,6 +33,34 @@ def hardcore_marginals(n, alpha):
     return np.array(
         [lam * Z[i - 2] * Z[n - i - 1] / Z[n] for i in range(1, n + 1)]
     )
+
+
+def kernel_marginals(n, alpha):
+    """Stationary marginals of the single-site chain from its transition matrix.
+
+    The states are all 2^n bit vectors. From each one, a site i chosen with
+    probability 1/n is redrawn as y_i = z (1 - y_{i-1})(1 - y_{i+1}) with
+    z ~ Bernoulli(alpha); states with adjacent emitters are transient. The
+    stationary row vector solves pi (P - I) = 0 with sum(pi) = 1 in one
+    linear solve: the balance equations sum to zero, so one of them is
+    replaced by the normalisation. Checks that the product form is the law
+    of the simulated chain, not only a formula for the hard-core measure.
+    """
+    size = 1 << n
+    bits = (np.arange(size)[:, None] >> np.arange(n)) & 1
+    P = np.zeros((size, size))
+    for s in range(size):
+        for i in range(n):
+            left = bits[s, i - 1] if i > 0 else 0
+            right = bits[s, i + 1] if i < n - 1 else 0
+            p_on = alpha * (1 - left) * (1 - right)
+            P[s, s | (1 << i)] += p_on / n
+            P[s, s & ~(1 << i)] += (1.0 - p_on) / n
+    A = P.T - np.eye(size)
+    A[-1] = 1.0
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
+    return np.linalg.solve(A, rhs) @ bits
 
 
 class TestSimConfig:
@@ -130,6 +160,20 @@ class TestSimulate:
         )
         assert np.max(np.abs(a.x_hat - b.x_hat)) <= 0.05
 
+    def test_sweep_policy_shares_exact_law(self):
+        # every heat-bath update preserves the product form, so a sweep of
+        # them does too; same coverage gate as the acceptance oracle test
+        hits = cells = 0
+        for n in (3, 5):
+            exact = exact_stationary(n, 0.8)
+            for seed in range(4):
+                est = simulate(
+                    SimConfig(n=n, alpha=0.8, steps=40_000, seed=seed, policy="synchronous-random-order")
+                )
+                hits += int(np.sum(np.abs(est.x_hat - exact) <= 3.0 * est.stderr))
+                cells += n
+        assert hits / cells >= 0.95
+
     def test_marginals_within_unit_box(self):
         est = simulate(SimConfig(n=5, alpha=0.9, steps=20_000, seed=3))
         assert np.all(est.x_hat >= 0.0) and np.all(est.x_hat <= 1.0)
@@ -137,16 +181,6 @@ class TestSimulate:
     def test_short_run_stderr_nan(self):
         est = simulate(SimConfig(n=2, alpha=0.5, steps=2, burn_in=1, seed=0))
         assert np.all(np.isnan(est.stderr))
-
-
-class TestIndependentSets:
-    @pytest.mark.parametrize(("n", "count"), [(1, 2), (2, 3), (3, 5), (4, 8), (5, 13)])
-    def test_fibonacci_counts(self, n, count):
-        assert len(independent_sets(n)) == count
-
-    def test_no_adjacent_bits(self):
-        for mask in independent_sets(8):
-            assert mask & (mask << 1) == 0
 
 
 class TestExactStationary:
@@ -165,13 +199,57 @@ class TestExactStationary:
         want = hardcore_marginals(n, alpha)
         assert np.max(np.abs(got - want)) <= 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 0.95, 0.99])
+    def test_matches_transition_kernel(self, n, alpha):
+        got = exact_stationary(n, alpha)
+        want = kernel_marginals(n, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_reversal_symmetry(self):
         x = exact_stationary(7, 0.7)
         assert np.max(np.abs(x - x[::-1])) <= 1e-12
 
-    def test_size_cap(self):
+    def test_bulk_density_at_three_quarters(self):
+        x = exact_stationary(2001, 0.75)
+        assert x[1000] == pytest.approx((13 - math.sqrt(13)) / 26, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_bulk_density_matches_ring(self, alpha):
+        # the infinite path occupies a site with probability (mu-1)/(2mu-1),
+        # mu the larger root of mu^2 = mu + lam
+        lam = alpha / (1.0 - alpha)
+        mu = (1.0 + math.sqrt(1.0 + 4.0 * lam)) / 2.0
+        x = exact_stationary(4001, alpha)
+        assert x[2000] == pytest.approx((mu - 1.0) / (2.0 * mu - 1.0), abs=1e-12)
+
+    def test_long_chain(self):
+        x = exact_stationary(100_000, 0.7)
+        assert np.all((x > 0.0) & (x < 1.0))
+        assert np.array_equal(x, x[::-1])
+
+    def test_memory_linear_in_n(self):
+        n = 5000
+        tracemalloc.start()
+        try:
+            exact_stationary(n, 0.75)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * 8
+
+    @pytest.mark.parametrize(
+        ("n", "alpha"), [(0, 0.5), (2.5, 0.5), (3, 0.0), (3, 1.0), (3, float("nan"))]
+    )
+    def test_invalid(self, n, alpha):
         with pytest.raises(DomainError):
-            exact_stationary(13, 0.5)
+            exact_stationary(n, alpha)
+
+    def test_alpha_next_to_one(self):
+        x = exact_stationary(50, 1.0 - 2.0 ** -52)
+        assert np.all(np.isfinite(x))
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        assert np.array_equal(x, x[::-1])
 
 
 class TestMeanfieldGap:
@@ -184,6 +262,9 @@ class TestMeanfieldGap:
 
     def test_n3_pin(self):
         assert meanfield_gap(3, 0.5) == pytest.approx(0.0284271247, abs=1e-6)
+
+    def test_long_chain_at_three_quarters(self):
+        assert meanfield_gap(1000, 0.75) == pytest.approx(0.1576, abs=1e-3)
 
     def test_n3_gap_is_against_closed_form(self):
         gap = meanfield_gap(3, 0.862)
