@@ -6,16 +6,15 @@ can be fitted without knowing the proportionality constant.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChainFairError, DomainError, FitError
+from .fairness import _golden_min
 from .model import ChainParams
-from .solver import SolveOptions, newton_solve
+from .solver import newton_rows, newton_solve
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 33
 
 
@@ -55,18 +54,29 @@ def normalize(trace: ThroughputTrace, by: str = "first") -> np.ndarray:
     raise DomainError(f"by must be 'first' or 'max', got {by!r}")
 
 
-def model_ratios(alpha: float, n: int) -> np.ndarray:
-    """Solved chain normalized by its first component, x(alpha)/x_1(alpha)."""
-    x = newton_solve(ChainParams(n, alpha), SolveOptions())
-    return x / x[0]
+def model_ratios(alpha, n: int) -> np.ndarray:
+    """Solved chain normalized by its first component, x(alpha)/x_1(alpha).
+
+    Given an array of alphas, returns one row per alpha, solved as one
+    batch, with nan rows where the solve fails.
+    """
+    if np.ndim(alpha) == 0:
+        x = newton_solve(ChainParams(n, alpha))
+        return x / x[0]
+    rows = []
+    for X, errors in newton_rows(n, alpha):
+        X = X / X[:, :1]
+        X[list(errors)] = np.nan
+        rows.append(X)
+    return np.concatenate(rows) if rows else np.empty((0, n))
 
 
 def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)) -> FitResult:
     """Least-squares alpha for the trace's normalized shape.
 
-    Scans a coarse grid over bounds to bracket the minimum of
-    sum_i (x_i(alpha)/x_1(alpha) - rho_i)^2, then golden-sections the
-    bracket down to a width of 1e-4. Alphas where the solve fails are
+    Scans a coarse grid over bounds, solved as one batch, to bracket the
+    minimum of sum_i (x_i(alpha)/x_1(alpha) - rho_i)^2, then golden-sections
+    the bracket down to a width of 1e-4. Alphas where the solve fails are
     skipped with an infinite objective; if every alpha fails, FitError.
     """
     lo, hi = bounds
@@ -75,32 +85,27 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     rho = normalize(trace)
     n = len(rho)
 
-    def sse(a):
+    def sse(m):
+        s = float(np.sum((m - rho) ** 2))
+        return s if s == s else float("inf")
+
+    def sse_at(a):
         try:
-            m = model_ratios(a, n)
+            return sse(model_ratios(a, n))
         except ChainFairError:
             return float("inf")
-        return float(np.sum((m - rho) ** 2))
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = [sse(float(a)) for a in grid]
+    try:
+        vals = [sse(m) for m in model_ratios(grid, n)]
+    except ChainFairError:
+        vals = [float("inf")] * len(grid)
     if not np.isfinite(vals).any():
         raise FitError("model evaluation failed across the whole alpha grid")
     i = int(np.argmin(vals))
     b_lo = float(grid[max(0, i - 1)])
     b_hi = float(grid[min(len(grid) - 1, i + 1)])
-    c = b_hi - _INVPHI * (b_hi - b_lo)
-    d = b_lo + _INVPHI * (b_hi - b_lo)
-    fc, fd = sse(c), sse(d)
-    while b_hi - b_lo > 1e-4:
-        if fc < fd:
-            b_hi, d, fd = d, c, fc
-            c = b_hi - _INVPHI * (b_hi - b_lo)
-            fc = sse(c)
-        else:
-            b_lo, c, fc = c, d, fd
-            d = b_lo + _INVPHI * (b_hi - b_lo)
-            fd = sse(d)
+    b_lo, b_hi, _ = _golden_min(sse_at, b_lo, b_hi, 1e-4)
     alpha_fit = 0.5 * (b_lo + b_hi)
     resid = model_ratios(alpha_fit, n) - rho
     return FitResult(alpha_fit=alpha_fit, sse=float(np.sum(resid ** 2)), residuals=resid)

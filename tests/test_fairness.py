@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import chainfair.fairness as fairness_module
 from chainfair import (
     ChainParams,
+    ConvergenceError,
     DomainError,
     J,
     J_prime,
@@ -15,6 +17,26 @@ from chainfair import (
     newton_solve,
     sweep_J,
 )
+
+
+GRID = np.linspace(0.01, 0.99, 99)
+
+
+def force_failures(monkeypatch, bad):
+    """Make the batched solves in fairness fail for the alphas in bad."""
+    real = fairness_module.newton_rows
+
+    def rows(n, alphas, *args):
+        alphas = list(alphas)
+        start = 0
+        for X, errors in real(n, alphas, *args):
+            for i in range(len(X)):
+                if alphas[start + i] in bad:
+                    errors[i] = ConvergenceError("forced failure", last=X[i], residual=1.0)
+            start += len(X)
+            yield X, errors
+
+    monkeypatch.setattr(fairness_module, "newton_rows", rows)
 
 
 class TestJ:
@@ -94,6 +116,42 @@ class TestMaximizeJ:
         with pytest.raises(DomainError):
             maximize_J(**kw)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 51])
+    def test_scan_matches_pointwise_J_and_J_prime(self, n):
+        Js, signs = fairness_module._scan(n, GRID, slopes=True)
+        for a, j, s in zip(GRID, Js, signs):
+            assert j == J(float(a), n)
+            assert s == np.sign(J_prime(float(a), n))
+
+    def test_failed_scan_row_is_left_out(self, monkeypatch):
+        ref = maximize_J(10)
+        force_failures(monkeypatch, {GRID[19]})
+        res = maximize_J(10)
+        assert res == ref and res.unimodal
+
+    def test_failed_row_at_the_sign_change(self, monkeypatch):
+        # 0.55 and 0.56 bracket the optimum at n = 10; the bracket widens
+        ref = maximize_J(10)
+        force_failures(monkeypatch, {GRID[54]})
+        res = maximize_J(10)
+        assert res.unimodal
+        assert res.alpha_hat == pytest.approx(ref.alpha_hat, abs=2e-4)
+        assert res.bracket <= 1e-4
+
+    def test_best_solved_point_when_the_sign_test_fails(self, monkeypatch):
+        # only 0.2 and 0.3 solve, both left of the optimum: no sign change
+        force_failures(monkeypatch, set(GRID) - {GRID[19], GRID[29]})
+        res = maximize_J(10)
+        assert not res.unimodal
+        assert res.alpha_hat == GRID[29]
+        assert res.J_value == J(float(GRID[29]), 10)
+        assert res.evaluations == 99
+
+    def test_no_solved_grid_point_raises(self, monkeypatch):
+        force_failures(monkeypatch, set(GRID))
+        with pytest.raises(ConvergenceError):
+            maximize_J(10)
+
 
 class TestSweepJ:
     def test_values_match_pointwise(self):
@@ -109,3 +167,19 @@ class TestSweepJ:
         rows = sweep_J(5, [0.5, 1.5])
         assert rows[0][1] == pytest.approx(J(0.5, 5))
         assert np.isnan(rows[1][1])
+
+    def test_rows_equal_pointwise_J(self):
+        alphas = [0.7, 1.5, 0.2, -0.1, 0.75, float("nan"), 0.95]
+        rows = sweep_J(7, alphas)
+        assert [a for a, _ in rows[:5]] == alphas[:5]
+        for a, val in rows:
+            if 0.0 < a < 1.0:
+                assert val == J(a, 7)
+            else:
+                assert np.isnan(val)
+
+    def test_failed_solve_marked_nan(self, monkeypatch):
+        force_failures(monkeypatch, {0.5})
+        rows = sweep_J(5, [0.2, 0.5, 0.7])
+        assert np.isnan(rows[1][1])
+        assert rows[0][1] == J(0.2, 5) and rows[2][1] == J(0.7, 5)

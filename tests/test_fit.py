@@ -7,6 +7,7 @@ import chainfair.fit as fit_module
 from chainfair import (
     ChainFairError,
     ChainParams,
+    ConvergenceError,
     DomainError,
     FitError,
     ThroughputTrace,
@@ -174,3 +175,24 @@ class TestModelRatios:
     def test_matches_solver(self):
         x = newton_solve(ChainParams(6, 0.55))
         np.testing.assert_allclose(model_ratios(0.55, 6), x / x[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_array_of_alphas_gives_rows(self, n):
+        alphas = np.linspace(0.05, 0.99, 33)
+        rows = model_ratios(alphas, n)
+        assert rows.shape == (33, n)
+        for a, row in zip(alphas, rows):
+            assert np.array_equal(row, model_ratios(float(a), n))
+
+    def test_failed_rows_are_nan(self, monkeypatch):
+        real = fit_module.newton_rows
+
+        def fail_second(n, alphas, *args):
+            for X, errors in real(n, alphas, *args):
+                errors[1] = ConvergenceError("forced failure")
+                yield X, errors
+
+        monkeypatch.setattr(fit_module, "newton_rows", fail_second)
+        rows = model_ratios([0.3, 0.6, 0.9], 5)
+        assert np.all(np.isnan(rows[1]))
+        assert np.array_equal(rows[[0, 2]], [model_ratios(0.3, 5), model_ratios(0.9, 5)])

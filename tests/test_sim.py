@@ -85,6 +85,24 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"n": 2.5, "alpha": 0.5, "steps": 100},
+            {"n": 3.0, "alpha": 0.5, "steps": 100},
+            {"n": 3, "alpha": 0.5, "steps": 100.5},
+            {"n": 3, "alpha": 0.5, "steps": 100, "burn_in": 10.0},
+        ],
+    )
+    def test_non_integer_sizes(self, kw):
+        # these passed validation and then crashed simulate with a TypeError
+        with pytest.raises(DomainError):
+            SimConfig(**kw)
+
+    def test_numpy_integer_sizes(self):
+        cfg = SimConfig(n=np.int64(3), alpha=0.5, steps=np.int64(100), burn_in=np.int32(5))
+        assert simulate(cfg).x_hat.shape == (3,)
+
 
 class TestSlotState:
     def test_adjacent_ones_rejected(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from chainfair import (
     ChainParams,
@@ -17,6 +18,7 @@ from chainfair import (
     newton_solve,
     residual,
 )
+from chainfair.solver import _STACK_UNKNOWNS, newton_rows, solve_tridiagonal_rows
 
 # FP iteration converges on this sub-grid; past alpha ~ 0.8 at larger n the
 # map develops attracting period-2 cycles and fixed_point_solve raises.
@@ -187,3 +189,134 @@ class TestContractionCheck:
         finally:
             tracemalloc.stop()
         assert peak < 10 * n * 8
+
+
+ROW_NS = [1, 2, 3, 4, 5, 10, 51, 100, 1001, 5000]
+ROW_ALPHAS = [1e-300] + [round(0.05 * k, 2) for k in range(1, 16)] + [0.7501, 0.95, 1.0 - 2.0**-52]
+MIXED_ALPHAS = [0.05, 0.5, 0.7499, 0.75, 0.7501, 0.8, 0.95, 1.0 - 2.0**-52, 1e-300, 0.3]
+
+
+def all_rows(n, alphas, opts=SolveOptions()):
+    """Flatten newton_rows into one list of (root, error or None) per alpha."""
+    out = []
+    for X, errors in newton_rows(n, alphas, opts):
+        out += [(x, errors.get(i)) for i, x in enumerate(X)]
+    return out
+
+
+class TestNewtonRows:
+    @pytest.mark.parametrize("n", ROW_NS)
+    def test_rows_bit_identical_to_newton_solve(self, n):
+        rows = all_rows(n, ROW_ALPHAS)
+        assert len(rows) == len(ROW_ALPHAS)
+        for a, (x, err) in zip(ROW_ALPHAS, rows):
+            assert err is None
+            assert np.array_equal(x, newton_solve(ChainParams(n, a)))
+
+    @pytest.mark.parametrize("max_iter", range(1, 14))
+    @pytest.mark.parametrize("n", [10, 1001])
+    def test_failures_stay_in_their_rows(self, n, max_iter):
+        opts = SolveOptions(max_iter=max_iter)
+        for a, (x, err) in zip(MIXED_ALPHAS, all_rows(n, MIXED_ALPHAS, opts)):
+            try:
+                ref = newton_solve(ChainParams(n, a), opts)
+            except ConvergenceError as ref_err:
+                assert err is not None
+                assert str(err) == str(ref_err)
+                assert err.residual == ref_err.residual
+                assert np.array_equal(err.last, ref_err.last)
+            else:
+                assert err is None
+                assert np.array_equal(x, ref)
+
+    def test_step_caps_mix_failures_and_roots(self):
+        # the isolation test above is only telling if some stacks mix outcomes
+        mixed = 0
+        for max_iter in range(1, 14):
+            rows = all_rows(1001, MIXED_ALPHAS, SolveOptions(max_iter=max_iter))
+            mixed += 0 < sum(err is None for _, err in rows) < len(rows)
+        assert mixed >= 3
+
+    def test_blocks_respect_the_stack_cap(self):
+        n, m = 5000, 2500
+        alphas = np.linspace(0.01, 0.99, 99)
+        sizes = [len(X) for X, _ in newton_rows(n, alphas)]
+        assert sum(sizes) == 99
+        assert max(sizes) * m <= _STACK_UNKNOWNS
+        assert len(sizes) > 1
+        assert len(all_rows(10**6, [0.6])) == 1
+
+    def test_memory_bounded_by_the_stack_cap(self):
+        n = 5000
+        alphas = np.linspace(0.01, 0.99, 99)
+
+        def peak(alphas):
+            tracemalloc.start()
+            try:
+                for _ in newton_rows(n, alphas):
+                    pass
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top
+
+        one_block = peak(alphas[: _STACK_UNKNOWNS // ((n + 1) // 2)])
+        every_row = peak(alphas)
+        # the peak is that of one block, not of all the rows at once
+        assert every_row < 1.5 * one_block
+        assert every_row < 20 * _STACK_UNKNOWNS * 8
+        assert every_row < len(alphas) * n * 8
+
+    def test_invalid_alpha_is_refused(self):
+        with pytest.raises(DomainError):
+            next(newton_rows(5, [0.5, 1.5]))
+
+    def test_no_alphas_no_blocks(self):
+        assert list(newton_rows(5, [])) == []
+
+
+class TestSolveTridiagonalRows:
+    @staticmethod
+    def systems(r, m, seed=1):
+        rng = np.random.default_rng(seed)
+        dl = rng.uniform(-0.5, 0.5, (r, m))
+        du = rng.uniform(-0.5, 0.5, (r, m))
+        d = 2.0 + rng.random((r, m))
+        b = rng.standard_normal((r, m))
+        dl[:, -1] = du[:, -1] = 0.0
+        return dl, d, du, b
+
+    @staticmethod
+    def banded(dl, d, du, b):
+        ab = np.zeros((3, len(d)))
+        ab[0, 1:] = du[:-1]
+        ab[1] = d
+        ab[2, :-1] = dl[:-1]
+        return solve_banded((1, 1), ab, b)
+
+    @pytest.mark.parametrize(("r", "m"), [(1, 1), (4, 1), (1, 9), (6, 9)])
+    def test_rows_match_banded_solve(self, r, m):
+        dl, d, du, b = self.systems(r, m)
+        x, bad = solve_tridiagonal_rows(dl, d, du, b)
+        assert not bad.any()
+        for i in range(r):
+            assert np.array_equal(x[i], self.banded(dl[i], d[i], du[i], b[i]))
+
+    def test_singular_blocks_leave_the_others_alone(self):
+        dl, d, du, b = self.systems(6, 7)
+        clean = solve_tridiagonal_rows(dl, d, du, b)[0]
+        # row 1 is singular at its first pivot, rows 3 and 5 (the last
+        # block) at their last: a zero row decoupled from the rest
+        d[1, 0] = dl[1, 0] = 0.0
+        for i in (3, 5):
+            d[i, -1] = dl[i, -2] = du[i, -2] = 0.0
+        x, bad = solve_tridiagonal_rows(dl, d, du, b)
+        assert bad.tolist() == [False, True, False, True, False, True]
+        assert np.all(np.isnan(x[bad]))
+        assert np.array_equal(x[~bad], clean[~bad])
+
+    def test_all_singular(self):
+        dl, d, du, b = self.systems(3, 4)
+        d[:] = dl[:] = 0.0
+        x, bad = solve_tridiagonal_rows(dl, d, du, b)
+        assert bad.all() and np.all(np.isnan(x))
