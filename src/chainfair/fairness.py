@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, apply_F, entropy, grad_entropy, jacobian_bands, padded_bands, padded_F
+from .model import ChainParams, apply_F, check_count, entropy, grad_entropy, jacobian_bands, padded_bands, padded_F
 from .solver import newton_rows, newton_solve, solve_tridiagonal_rows
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -161,8 +161,7 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     returned with unimodal=False; if none solves, ConvergenceError.
     evaluations counts the alpha points evaluated.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    check_count("n", n)
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
@@ -206,8 +205,9 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     """Evaluate J along a grid of alphas, in input order, solved as one batch.
 
     A row whose alpha is invalid or whose solve fails is marked with
-    J = nan instead of aborting the sweep.
+    J = nan instead of aborting the sweep; an invalid n raises DomainError.
     """
+    check_count("n", n)
     alphas = [float(a) for a in alphas]
     valid = []
     for i, a in enumerate(alphas):

@@ -18,6 +18,12 @@ import numpy as np
 from .errors import DomainError
 
 
+def check_count(name, value, least=1):
+    """Refuse with DomainError a size, count or seed that is not an integer >= least."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Chain length and emission coefficient."""
@@ -26,8 +32,7 @@ class ChainParams:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        check_count("n", self.n)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 

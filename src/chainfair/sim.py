@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import ChainParams
+from .model import ChainParams, check_count
 from .solver import SolveOptions, newton_solve
 
 _POLICIES = ("random-single-site", "synchronous-random-order")
@@ -35,21 +35,17 @@ class SimConfig:
     policy: str = "random-single-site"
 
     def __post_init__(self):
-        for name in ("n", "steps", "burn_in"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n!r}")
+        check_count("n", self.n)
+        check_count("steps", self.steps)
+        check_count("seed", self.seed, least=0)
+        if self.burn_in is not None:
+            check_count("burn_in", self.burn_in, least=0)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps!r}")
         if self.policy not in _POLICIES:
             raise DomainError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
-        bi = self.effective_burn_in
-        if not 0 <= bi < self.steps:
-            raise DomainError(f"burn_in must lie in [0, steps), got {bi!r}")
+        if not self.effective_burn_in < self.steps:
+            raise DomainError(f"burn_in must lie in [0, steps), got {self.effective_burn_in!r}")
 
     @property
     def effective_burn_in(self) -> int:
@@ -104,90 +100,79 @@ def sim_step(state: SlotState, config: SimConfig, rng) -> SlotState:
     return SlotState(y=y)
 
 
-def _flush(bsum, i, val, t0, t1, start, blen):
-    # add site i's constant occupancy over slots [t0, t1) into batch sums
-    if not val or t1 <= t0:
-        return
-    b0 = (t0 - start) // blen
-    b1 = (t1 - 1 - start) // blen
-    for b in range(b0, b1 + 1):
-        lo = max(t0, start + b * blen)
-        hi = min(t1, start + (b + 1) * blen)
-        bsum[b, i] += hi - lo
+def _draws(config, rng):
+    """The run's draw stream, as draw(t0, t1) and the number of updates per slot.
 
+    draw(t0, t1) returns, as lists in update order, the 1-based sites and
+    the coins of the updates in slots [t0, t1).
+    """
+    n = config.n
+    if config.policy == "random-single-site":
+        sites = (rng.integers(0, n, size=config.steps) + 1).tolist()
+        coins = (rng.random(config.steps) < config.alpha).tolist()
+        return (lambda t0, t1: (sites[t0:t1], coins[t0:t1])), 1
 
-def _batch_layout(config):
-    # equal-length batches aligned to the end of the run; short runs get
-    # fewer than 32 batches rather than batches shorter than one slot
-    span = config.steps - config.effective_burn_in
-    nbat = min(_BATCHES, span)
-    blen = span // nbat
-    start = config.steps - blen * nbat
-    return nbat, blen, start
+    def sweeps(t0, t1):
+        # per slot a fresh permutation, then n coins; shuffling a fresh copy
+        # of 1..n consumes the stream exactly as rng.permutation(n) does
+        perms = np.empty((t1 - t0, n), dtype=np.int64)
+        perms[:] = np.arange(1, n + 1)
+        u = np.empty((t1 - t0, n))
+        for perm, row in zip(perms, u):
+            rng.shuffle(perm)
+            rng.random(out=row)
+        return perms.ravel().tolist(), (u < config.alpha).ravel().tolist()
 
-
-def _simulate_single_site(config):
-    n, steps = config.n, config.steps
-    rng = np.random.default_rng(config.seed)
-    sites = rng.integers(0, n, size=steps).tolist()
-    coins = (rng.random(steps) < config.alpha).tolist()
-    nbat, blen, start = _batch_layout(config)
-    bsum = np.zeros((nbat, n))
-    y = [0] * n
-    # a site's occupancy only changes when that site is updated, so track
-    # constant stretches instead of summing the whole state every slot
-    last_t = [start] * n
-    for t in range(steps):
-        i = sites[t]
-        left = y[i - 1] if i > 0 else 0
-        right = y[i + 1] if i < n - 1 else 0
-        nv = 1 if (coins[t] and not left and not right) else 0
-        if t >= start and nv != y[i]:
-            _flush(bsum, i, y[i], last_t[i], t, start, blen)
-            last_t[i] = t
-        y[i] = nv
-    for i in range(n):
-        _flush(bsum, i, y[i], max(last_t[i], start), steps, start, blen)
-    return bsum, blen
-
-
-def _simulate_sweeps(config):
-    n, steps = config.n, config.steps
-    rng = np.random.default_rng(config.seed)
-    nbat, blen, start = _batch_layout(config)
-    bsum = np.zeros((nbat, n))
-    y = np.zeros(n, dtype=np.int8)
-    for t in range(steps):
-        perm = rng.permutation(n)
-        coins = rng.random(n) < config.alpha
-        for k, i in enumerate(perm):
-            left = y[i - 1] if i > 0 else 0
-            right = y[i + 1] if i < n - 1 else 0
-            y[i] = 1 if (coins[k] and not left and not right) else 0
-        if t >= start:
-            bsum[(t - start) // blen] += y
-    return bsum, blen
+    return sweeps, n
 
 
 def simulate(config: SimConfig) -> MarginalEstimate:
     """Run the slot process and time-average the occupancy after burn-in.
 
-    Deterministic given the seed (numpy PCG64 with a pregenerated draw
-    stream). The standard error comes from 32 batch means; the averaging
-    window is the last 32*floor((steps - burn_in)/32) slots so batches have
-    equal length.
+    Deterministic given the seed (numpy PCG64). The standard error comes
+    from 32 batch means; the averaging window is the last
+    32*floor((steps - burn_in)/32) slots so batches have equal length. Both
+    policies run the same update loop, O(1) per site update, on a state
+    padded with the two silent border pairs.
     """
-    if config.policy == "random-single-site":
-        bsum, blen = _simulate_single_site(config)
-    else:
-        bsum, blen = _simulate_sweeps(config)
-    means = bsum / blen
-    nbat = means.shape[0]
+    n, steps = config.n, config.steps
+    # equal-length batches aligned to the end of the run; short runs get
+    # fewer than 32 batches rather than batches shorter than one slot
+    span = steps - config.effective_burn_in
+    nbat = min(_BATCHES, span)
+    blen = span // nbat
+    start = steps - blen * nbat
+    draw, per_slot = _draws(config, np.random.default_rng(config.seed))
+    y = [False] * (n + 2)
+    # each site is updated at most once per slot, so its on-time up to a
+    # batch end is its closed stretches (acc) plus the open one from since
+    since = [start] * (n + 2)
+    acc = [0] * (n + 2)
+    ontime = [[0] * n]
+    # the batch ends, continued back over the burn-in in batch-length
+    # segments, so that no segment draws more than one batch of updates
+    edges = [0, *range(start % blen or blen, steps + 1, blen)]
+    for t0, t1 in zip(edges, edges[1:]):
+        sites, coins = draw(t0, t1)
+        if t1 <= start:
+            for i, c in zip(sites, coins):
+                y[i] = c and not y[i - 1] and not y[i + 1]
+            continue
+        for k, i, c in zip(range(t0 * per_slot, t1 * per_slot), sites, coins):
+            v = c and not y[i - 1] and not y[i + 1]
+            if v is not y[i]:
+                y[i] = v
+                if v:
+                    since[i] = k // per_slot
+                else:
+                    acc[i] += k // per_slot - since[i]
+        ontime.append([acc[i] + (t1 - since[i] if y[i] else 0) for i in range(1, n + 1)])
+    means = np.diff(ontime, axis=0) / blen
     x_hat = means.mean(axis=0)
     if nbat >= 2:
         stderr = means.std(axis=0, ddof=1) / np.sqrt(nbat)
     else:
-        stderr = np.full(config.n, np.nan)
+        stderr = np.full(n, np.nan)
     return MarginalEstimate(x_hat=x_hat, stderr=stderr)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_banded  # noqa: F401
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, apply_F, jacobian_bands, padded_bands, padded_F
+from .model import ChainParams, apply_F, check_count, jacobian_bands, padded_bands, padded_F
 
 _FP_MAX_ITER = 10 ** 6
 _NEWTON_MAX_ITER = 100
@@ -51,8 +51,8 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if self.max_iter is not None:
+            check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ class TestOptimalAlphaCurve:
         with pytest.raises(DomainError):
             optimal_alpha_curve([1])
 
+    def test_non_integer_length(self):
+        # 2.5 used to be truncated to the row (2, 0.58196)
+        with pytest.raises(DomainError):
+            optimal_alpha_curve([4, 2.5])
+
 
 class TestCircleBackoffMC:
     def test_three_pairs_partition_unity(self):
@@ -127,12 +133,34 @@ class TestCircleBackoffMC:
         assert not np.array_equal(a, c)
 
     def test_chunking_invisible(self):
-        # result depends only on the seed, not on internal chunk boundaries
-        small = circle_backoff_mc(4, 99_999, seed=9)
-        assert small.shape == (4,)
-        assert np.all((small >= 0.0) & (small <= 1.0))
+        # result depends only on the seed, not on internal block boundaries:
+        # it equals one np.roll pass over the whole (trials, n_pairs) draw
+        for n_pairs, trials in [(4, 99_999), (101, 5_001), (3, 1)]:
+            u = np.random.default_rng(9).random((trials, n_pairs))
+            wins = ((u < np.roll(u, 1, axis=1)) & (u < np.roll(u, -1, axis=1))).sum(axis=0)
+            assert np.array_equal(circle_backoff_mc(n_pairs, trials, seed=9), wins / trials)
 
-    @pytest.mark.parametrize("kw", [{"n_pairs": 2, "trials": 10}, {"n_pairs": 5, "trials": 0}])
+    def test_memory_constant_in_trials(self):
+        tracemalloc.start()
+        try:
+            circle_backoff_mc(101, 1_000_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"n_pairs": 2, "trials": 10, "seed": 0},
+            {"n_pairs": 5, "trials": 0, "seed": 0},
+            # these raised TypeError or numpy's ValueError
+            {"n_pairs": 101, "trials": 2.5, "seed": 1},
+            {"n_pairs": 10.5, "trials": 100, "seed": 1},
+            {"n_pairs": 5, "trials": 10, "seed": -3},
+            {"n_pairs": 5, "trials": 10, "seed": 1.5},
+        ],
+    )
     def test_domain(self, kw):
         with pytest.raises(DomainError):
-            circle_backoff_mc(seed=0, **kw)
+            circle_backoff_mc(**kw)

@@ -111,7 +111,7 @@ class TestMaximizeJ:
         assert res.unimodal
         assert 0.7445 <= res.alpha_hat <= 0.752
 
-    @pytest.mark.parametrize("kw", [{"n": 0}, {"n": 3, "tol_alpha": 0.0}])
+    @pytest.mark.parametrize("kw", [{"n": 0}, {"n": 2.5}, {"n": 3, "tol_alpha": 0.0}])
     def test_domain(self, kw):
         with pytest.raises(DomainError):
             maximize_J(**kw)
@@ -167,6 +167,12 @@ class TestSweepJ:
         rows = sweep_J(5, [0.5, 1.5])
         assert rows[0][1] == pytest.approx(J(0.5, 5))
         assert np.isnan(rows[1][1])
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_bad_length_refused(self, n):
+        # a wrong n used to come back as all-nan rows, read as failed solves
+        with pytest.raises(DomainError):
+            sweep_J(n, [0.5])
 
     def test_rows_equal_pointwise_J(self):
         alphas = [0.7, 1.5, 0.2, -0.1, 0.75, float("nan"), 0.95]

@@ -63,6 +63,58 @@ def kernel_marginals(n, alpha):
     return np.linalg.solve(A, rhs) @ bits
 
 
+def reference_batch_sums(config):
+    """Per-batch on-time sums of simulate's run, from the earlier two loops.
+
+    The single-site loop adds each site's constant stretches into the
+    batches they overlap; the sweep loop adds the whole state every slot.
+    Returns the (batches x n) sums and the batch length, for the
+    bit-identity check of simulate's one update loop.
+    """
+    n, steps = config.n, config.steps
+    span = steps - config.effective_burn_in
+    nbat = min(32, span)
+    blen = span // nbat
+    start = steps - blen * nbat
+    rng = np.random.default_rng(config.seed)
+    bsum = np.zeros((nbat, n))
+
+    def flush(i, val, t0, t1):
+        if not val or t1 <= t0:
+            return
+        for b in range((t0 - start) // blen, (t1 - 1 - start) // blen + 1):
+            bsum[b, i] += min(t1, start + (b + 1) * blen) - max(t0, start + b * blen)
+
+    if config.policy == "random-single-site":
+        sites = rng.integers(0, n, size=steps).tolist()
+        coins = (rng.random(steps) < config.alpha).tolist()
+        y = [0] * n
+        last_t = [start] * n
+        for t in range(steps):
+            i = sites[t]
+            left = y[i - 1] if i > 0 else 0
+            right = y[i + 1] if i < n - 1 else 0
+            nv = 1 if (coins[t] and not left and not right) else 0
+            if t >= start and nv != y[i]:
+                flush(i, y[i], last_t[i], t)
+                last_t[i] = t
+            y[i] = nv
+        for i in range(n):
+            flush(i, y[i], max(last_t[i], start), steps)
+        return bsum, blen
+    y = np.zeros(n, dtype=np.int8)
+    for t in range(steps):
+        perm = rng.permutation(n)
+        coins = rng.random(n) < config.alpha
+        for k, i in enumerate(perm):
+            left = y[i - 1] if i > 0 else 0
+            right = y[i + 1] if i < n - 1 else 0
+            y[i] = 1 if (coins[k] and not left and not right) else 0
+        if t >= start:
+            bsum[(t - start) // blen] += y
+    return bsum, blen
+
+
 class TestSimConfig:
     def test_default_burn_in_is_ten_percent(self):
         assert SimConfig(n=3, alpha=0.5, steps=1000).effective_burn_in == 100
@@ -92,10 +144,13 @@ class TestSimConfig:
             {"n": 3.0, "alpha": 0.5, "steps": 100},
             {"n": 3, "alpha": 0.5, "steps": 100.5},
             {"n": 3, "alpha": 0.5, "steps": 100, "burn_in": 10.0},
+            {"n": 3, "alpha": 0.5, "steps": 10, "seed": -1},
+            {"n": 3, "alpha": 0.5, "steps": 10, "seed": 1.5},
         ],
     )
     def test_non_integer_sizes(self, kw):
         # these passed validation and then crashed simulate with a TypeError
+        # (a negative seed with numpy's ValueError)
         with pytest.raises(DomainError):
             SimConfig(**kw)
 
@@ -199,6 +254,33 @@ class TestSimulate:
     def test_short_run_stderr_nan(self):
         est = simulate(SimConfig(n=2, alpha=0.5, steps=2, burn_in=1, seed=0))
         assert np.all(np.isnan(est.stderr))
+
+
+POLICIES = ("random-single-site", "synchronous-random-order")
+
+
+class TestBitIdentity:
+    """simulate returns bit for bit what the earlier per-policy loops did."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("shape", [(200_000, 20_000), (37, 5), (40, None)])
+    def test_matches_reference(self, policy, n, alpha, shape):
+        steps, burn_in = shape
+        if policy == "synchronous-random-order" and steps > 1000:
+            # a sweep slot makes n updates: keep the long run near 20k updates
+            steps, burn_in = 20_000 // n, 2_000 // n
+        for seed in range(3):
+            config = SimConfig(n=n, alpha=alpha, steps=steps, burn_in=burn_in, seed=seed, policy=policy)
+            bsum, blen = reference_batch_sums(config)
+            means = bsum / blen
+            est = simulate(config)
+            assert np.array_equal(est.x_hat, means.mean(axis=0))
+            if len(means) >= 2:
+                assert np.array_equal(est.stderr, means.std(axis=0, ddof=1) / np.sqrt(len(means)))
+            else:
+                assert np.all(np.isnan(est.stderr))
 
 
 class TestExactStationary:

@@ -34,7 +34,7 @@ class TestSolveOptions:
         o = SolveOptions()
         assert o.tol == 1e-12 and o.max_iter is None
 
-    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}])
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}, {"max_iter": 2.5}])
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
             SolveOptions(**kw)
