@@ -38,11 +38,8 @@ from .fit import (
 from .model import (
     ChainParams,
     apply_F,
-    closed_form_n3,
-    closed_form_n4,
     entropy,
     grad_entropy,
-    jacobian_F,
     jacobian_bands,
 )
 from .sim import (
@@ -98,8 +95,6 @@ __all__ = [
     "alpha_of_packet",
     "apply_F",
     "circle_backoff_mc",
-    "closed_form_n3",
-    "closed_form_n4",
     "compare_normalized",
     "contraction_check",
     "entropy",
@@ -108,7 +103,6 @@ __all__ = [
     "fixed_point_solve",
     "flat_value",
     "grad_entropy",
-    "jacobian_F",
     "jacobian_bands",
     "maximize_J",
     "meanfield_gap",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fairness import maximize_J
-from .model import ChainParams, check_count
+from .model import ChainParams, check_count, ring_level
 from .solver import SolveOptions, newton_solve
 
 
@@ -28,13 +28,12 @@ def ring_fixed_point(alpha: float) -> RingSolution:
     """Root of x = alpha (1 - x)^2 in [0, 1).
 
     The quadratic has two roots; the minus branch is the physical one, the
-    plus branch exceeds 1.
+    plus branch exceeds 1. It is model.ring_level, the flat level the
+    solver starts from.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    a = float(alpha)
-    x = (2.0 * a + 1.0 - np.sqrt(4.0 * a + 1.0)) / (2.0 * a)
-    return RingSolution(x=float(x))
+    return RingSolution(x=float(ring_level(alpha)))
 
 
 def alpha_for_ring_prob(x: float) -> float:
@@ -51,8 +50,7 @@ def flat_value(n: int) -> tuple[float, float]:
     of the chain is flat to within about 1e-3, so the exact index choice is
     immaterial.
     """
-    if n < 3:
-        raise DomainError(f"flat_value needs n >= 3, got {n!r}")
+    check_count("n", n, least=3)
     alpha_hat = maximize_J(n).alpha_hat
     x = newton_solve(ChainParams(n, alpha_hat), SolveOptions())
     central = float(x[(n + 1) // 2 - 1])

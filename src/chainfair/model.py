@@ -85,18 +85,14 @@ def jacobian_bands(params: ChainParams, x):
     return padded_bands(params.alpha, _padded(_check_len(params, x)))
 
 
-def jacobian_F(params: ChainParams, x) -> np.ndarray:
-    """Dense tridiagonal derivative of apply_F at x, zero on the diagonal."""
-    x = _check_len(params, x)
-    n = params.n
-    jac = np.zeros((n, n))
-    if n == 1:
-        return jac
-    sub, sup = jacobian_bands(params, x)
-    idx = np.arange(n - 1)
-    jac[idx + 1, idx] = sub
-    jac[idx, idx + 1] = sup
-    return jac
+def ring_level(alpha):
+    """Root of c = alpha (1 - c)^2 in [0, 1): the flat level of the ring model.
+
+    Written as the quotient 2a / (2a + 1 + sqrt(4a + 1)). The textbook form
+    (2a + 1 - sqrt(4a + 1)) / (2a) cancels as alpha -> 0: it gives 1.11e-8
+    at alpha = 1e-8 and 0 at alpha = 1e-12.
+    """
+    return 2.0 * alpha / (2.0 * alpha + 1.0 + np.sqrt(4.0 * alpha + 1.0))
 
 
 def entropy(x) -> float:
@@ -115,39 +111,3 @@ def grad_entropy(x) -> np.ndarray:
     if np.any(x <= 0.0) or np.any(x > 1.0):
         raise DomainError("grad_entropy requires components in (0, 1]")
     return -(np.log(x) + 1.0)
-
-
-def closed_form_n3(alpha: float) -> np.ndarray:
-    """Exact fixed point for n = 3.
-
-    Eliminating x_2 from the symmetric system (x_1 = x_3) leaves a quadratic
-    in x_1 whose admissible root is
-
-        x_1 = (2a^2 - 1 + sqrt((1 - 2a^2)^2 - 4a^3(a - 1))) / (2a^2),
-
-    and back-substitution gives x_2 = a (1 - x_1)^2.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    a = float(alpha)
-    disc = (1.0 - 2.0 * a * a) ** 2 - 4.0 * a ** 3 * (a - 1.0)
-    x1 = (2.0 * a * a - 1.0 + np.sqrt(disc)) / (2.0 * a * a)
-    x2 = a * (1.0 - x1) ** 2
-    return np.array([x1, x2, x1])
-
-
-def closed_form_n4(alpha: float) -> np.ndarray:
-    """Exact fixed point for n = 4.
-
-    With x_1 = x_4 and x_2 = x_3 the system reduces to
-
-        x_1 = (1 + a - sqrt((1 - a)(1 + 3a))) / (2a),
-        x_2 = a (1 - x_1) / (1 + a (1 - x_1)).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    a = float(alpha)
-    x1 = (1.0 + a - np.sqrt((1.0 - a) * (1.0 + 3.0 * a))) / (2.0 * a)
-    t = a * (1.0 - x1)
-    x2 = t / (1.0 + t)
-    return np.array([x1, x2, x2, x1])

@@ -15,7 +15,10 @@ ends high, alternating inward, and a central defect when n is even.
 newton_rows runs that loop on many alphas at once, one row each, for the
 alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
 systems are stacked into one LAPACK gtsv call per step, and newton_solve
-is newton_rows on one row.
+is newton_rows on one row. On chains of 2^16 pairs or more it runs the
+loop on a short chain with the same n mod 4 and splices that root into the
+ring pattern, keeping a row only if the whole spliced chain passes the
+tolerance; any other row is solved at full length.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,15 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_banded  # noqa: F401
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, apply_F, check_count, jacobian_bands, padded_bands, padded_F
+from .model import (
+    ChainParams,
+    apply_F,
+    check_count,
+    jacobian_bands,
+    padded_bands,
+    padded_F,
+    ring_level,
+)
 
 _FP_MAX_ITER = 10 ** 6
 _NEWTON_MAX_ITER = 100
@@ -34,6 +45,12 @@ _NEWTON_MAX_ITER = 100
 # outgrow the CPU cache: at n = 5000, a cap of 2^16 made maximize_J 1.5x
 # slower than 2^14 on a 2-core Xeon with 2 MB of L2 per core.
 _STACK_UNKNOWNS = 1 << 14
+# Length of the short chain solved in place of chains at least 8 times as
+# long (see _splice). At alpha = 0.6826, 0.8 and 0.95 fewer than 130 sites
+# of a root differ from the ring pattern by more than 1e-14, all next to an
+# end or the centre; the splice takes the 2^11 sites next to each from the
+# short chain's root.
+_SPLICE_LEN = 1 << 13
 (_gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
@@ -98,19 +115,28 @@ def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) 
 def _ring_start(alpha):
     """High and low start levels of the borderless (ring) model.
 
-    Up to alpha = 3/4 the ring settles on the flat level c(alpha), the root
-    of c = alpha (1 - c)^2 in [0, 1]. Past it the ring alternates between
-    hi >= lo with hi + lo = 2 - 1/alpha and hi lo = ((1 - alpha)/alpha)^2.
-    Both levels equal c = 1/3 at alpha = 3/4, so this is one start rule.
-    The small roots are taken as quotients: the differences of the
-    quadratic formula cancel as alpha -> 0 and alpha -> 1.
+    Up to alpha = 3/4 the ring settles on the flat level c(alpha) of
+    ring_level. Past it the ring alternates between hi >= lo with
+    hi + lo = 2 - 1/alpha and hi lo = ((1 - alpha)/alpha)^2. Both levels
+    equal c = 1/3 at alpha = 3/4, so this is one start rule. The low level
+    is taken as a quotient: the difference of the quadratic formula cancels
+    as alpha -> 1.
     """
     if alpha <= 0.75:
-        hi = lo = 2.0 * alpha / (2.0 * alpha + 1.0 + np.sqrt(4.0 * alpha + 1.0))
+        hi = lo = ring_level(alpha)
     else:
         hi = (2.0 - 1.0 / alpha + np.sqrt(4.0 * alpha - 3.0) / alpha) / 2.0
         lo = ((1.0 - alpha) / alpha) ** 2 / hi
     return hi, lo
+
+
+def _ring_rows(alphas, m):
+    """(R, m) mirror halves holding the ring pattern hi, lo, hi, ... of each alpha."""
+    levels = np.array([_ring_start(a) for a in alphas])
+    y = np.empty((len(alphas), m))
+    y[:, 0::2] = levels[:, :1]
+    y[:, 1::2] = levels[:, 1:]
+    return y
 
 
 def solve_tridiagonal_rows(dl, d, du, b):
@@ -217,10 +243,7 @@ def _newton_block(n, alphas, opts):
     m = (n + 1) // 2
     # 0-based index in y of the mirror neighbour x_{m+1}; -1 is the border
     k = m - 1 - n % 2
-    levels = np.array([_ring_start(a) for a in alphas])
-    y = np.empty((len(alphas), m))
-    y[:, 0::2] = levels[:, :1]
-    y[:, 1::2] = levels[:, 1:]
+    y = _ring_rows(alphas, m)
     a = np.array(alphas, dtype=float)[:, None]
     out = np.empty_like(y)
     why = [None] * len(alphas)
@@ -257,12 +280,18 @@ def _newton_block(n, alphas, opts):
     return out, why
 
 
-def _solve_block(n, alphas, opts):
-    y, why = _newton_block(n, alphas, opts)
+def _unfold(y, n):
+    """Whole chains from their mirror halves: x_{n+1-i} = x_i."""
     m = y.shape[1]
-    x = np.empty((len(alphas), n))
+    x = np.empty((len(y), n))
     x[:, :m] = y
     x[:, m:] = y[:, : n - m][:, ::-1]
+    return x
+
+
+def _solve_block(n, alphas, opts):
+    y, why = _newton_block(n, alphas, opts)
+    x = _unfold(y, n)
     errors = {}
     for i, reason in enumerate(why):
         if reason is not None:
@@ -275,6 +304,46 @@ def _solve_block(n, alphas, opts):
     return x, errors
 
 
+def _splice(n, alphas, opts):
+    """Long-chain halves spliced from the root of a short chain, and which rows pass.
+
+    Away from its ends a long chain sits on the ring pattern, so the Newton
+    loop runs on a chain of n' = _SPLICE_LEN + n % 4 pairs only. n' has the
+    parity of n, so an even chain keeps its central defect, and its half
+    m' = ceil(n'/2) the parity of m = ceil(n/2), so the alternating pattern
+    meets the mirror in the same phase. The first half of each short root's
+    mirror half goes at the head of the long half, its second half at the
+    mirror end, and the ring pattern of _ring_rows fills the sites between.
+    A row passes when its short solve converged and the spliced half meets
+    the loop's own test, max |G| <= tol, on every site.
+    """
+    short, why = _newton_block(_SPLICE_LEN + n % 4, alphas, opts)
+    m, ms = (n + 1) // 2, short.shape[1]
+    head = ms // 2
+    y = _ring_rows(alphas, m)
+    y[:, :head] = short[:, :head]
+    y[:, m - ms + head :] = short[:, head:]
+    _, g, _ = _merit(np.array(alphas, dtype=float)[:, None], y, m - 1 - n % 2)
+    ok = (np.abs(g).max(axis=1) <= opts.tol) & np.array([w is None for w in why])
+    return y, ok
+
+
+def _splice_block(n, alphas, opts):
+    """_solve_block for a long chain: spliced roots where they pass, full solves elsewhere."""
+    y, ok = _splice(n, alphas, opts)
+    if not ok.any():
+        # free the spliced halves before the full solves peak
+        del y
+        return _solve_block(n, alphas, opts)
+    x = _unfold(y, n)
+    del y
+    redo = np.flatnonzero(~ok)
+    if not len(redo):
+        return x, {}
+    x[redo], errors = _solve_block(n, [alphas[i] for i in redo], opts)
+    return x, {int(redo[i]): err for i, err in errors.items()}
+
+
 def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
@@ -284,13 +353,20 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     newton_solve would raise instead (X[i] then holds its last iterate).
     A block holds as many rows as fit in _STACK_UNKNOWNS half-chain
     unknowns, so memory stays bounded however many alphas come in.
+
+    Chains of at least 8 _SPLICE_LEN pairs are spliced (_splice): the
+    Newton loop runs on a short chain with the same n mod 4, the bulk is
+    filled with the ring pattern, and a row is taken only if the whole
+    spliced half passes max |G| <= tol. A row that fails is solved again
+    at full length, with the same root or ConvergenceError as a full solve.
     """
     alphas = list(alphas)
     for a in alphas:
         ChainParams(n, a)
+    solve = _splice_block if n >= 8 * _SPLICE_LEN else _solve_block
     per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
     for start in range(0, len(alphas), per_block):
-        yield _solve_block(n, alphas[start : start + per_block], opts)
+        yield solve(n, alphas[start : start + per_block], opts)
 
 
 def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
@@ -306,7 +382,10 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     inward from both ends, with a central defect x_{n/2} = x_{n/2+1} for
     even n. Raises ConvergenceError (with the last iterate and residual)
     when the step cap is hit or the line search cannot reduce the merit.
-    This is newton_rows on one row.
+    This is newton_rows on one row, so a chain of 2^16 pairs or more is
+    first solved on a short chain of 2^13 + n % 4 pairs whose root is
+    spliced into the ring pattern; the result is used only if every site
+    of the spliced chain meets tol, and the full-length loop runs otherwise.
     """
     (x, errors), = newton_rows(params.n, [params.alpha], opts)
     if errors:

@@ -20,8 +20,6 @@ from chainfair import (
     alpha_for_ring_prob,
     alpha_of_packet,
     circle_backoff_mc,
-    closed_form_n3,
-    closed_form_n4,
     exact_stationary,
     fit_alpha,
     fixed_point_solve,
@@ -34,6 +32,8 @@ from chainfair import (
     simulate,
     ThroughputTrace,
 )
+
+from reference import closed_form_n3, closed_form_n4
 
 ALPHA_19 = [round(0.05 * k, 2) for k in range(1, 20)]
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -21,6 +22,17 @@ from chainfair import (
 ALPHA_GRID = [0.05 * k for k in range(1, 20)]
 
 
+def ring_root_decimal(alpha):
+    """The root (2a + 1 - sqrt(4a + 1))/(2a) in 700-digit decimal arithmetic.
+
+    The precision outlasts the cancellation even at alpha = 1e-300.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        a = decimal.Decimal(alpha)
+        return float((2 * a + 1 - (4 * a + 1).sqrt()) / (2 * a))
+
+
 class TestRingFixedPoint:
     def test_three_quarters_gives_third(self):
         assert ring_fixed_point(0.75).x == pytest.approx(1 / 3, abs=1e-12)
@@ -37,6 +49,12 @@ class TestRingFixedPoint:
         x = ring_fixed_point(alpha).x
         assert abs(x - alpha * (1 - x) ** 2) <= 1e-14
         assert 0.0 < x < 1.0
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-12, 1e-300, 0.75, 1.0])
+    def test_small_alpha_without_cancellation(self, alpha):
+        # the form (2a + 1 - sqrt(4a + 1))/(2a) gave 1.11e-8 at 1e-8 and 0 at 1e-12
+        ref = ring_root_decimal(alpha)
+        assert abs(ring_fixed_point(alpha).x - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.2])
     def test_domain(self, alpha):
@@ -83,6 +101,12 @@ class TestFlatValue:
     def test_n_too_small(self):
         with pytest.raises(DomainError):
             flat_value(2)
+
+    @pytest.mark.parametrize("n", ["7", 7.0, 2])
+    def test_invalid_length_is_refused(self, n):
+        # "7" raised an untyped TypeError from the comparison n < 3
+        with pytest.raises(DomainError):
+            flat_value(n)
 
 
 class TestOptimalAlphaCurve:

@@ -12,11 +12,12 @@ from chainfair import (
     adjoint_state,
     entropy,
     grad_entropy,
-    jacobian_F,
     maximize_J,
     newton_solve,
     sweep_J,
 )
+
+from reference import jacobian_F
 
 
 GRID = np.linspace(0.01, 0.99, 99)

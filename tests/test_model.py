@@ -9,13 +9,12 @@ from chainfair import (
     ChainParams,
     DomainError,
     apply_F,
-    closed_form_n3,
-    closed_form_n4,
     entropy,
     grad_entropy,
-    jacobian_F,
     jacobian_bands,
 )
+
+from reference import closed_form_n3, closed_form_n4, jacobian_F
 
 ALPHA_GRID = [0.05 * k for k in range(1, 20)]
 

@@ -10,12 +10,13 @@ from chainfair import (
     MarginalEstimate,
     SimConfig,
     SlotState,
-    closed_form_n3,
     exact_stationary,
     meanfield_gap,
     sim_step,
     simulate,
 )
+
+from reference import closed_form_n3
 
 
 def hardcore_marginals(n, alpha):

@@ -11,14 +11,15 @@ from chainfair import (
     ConvergenceError,
     DomainError,
     SolveOptions,
-    closed_form_n4,
     contraction_check,
     fixed_point_solve,
-    jacobian_F,
     newton_solve,
     residual,
 )
+import chainfair.solver as solver_module
 from chainfair.solver import _STACK_UNKNOWNS, newton_rows, solve_tridiagonal_rows
+
+from reference import closed_form_n4, jacobian_F
 
 # FP iteration converges on this sub-grid; past alpha ~ 0.8 at larger n the
 # map develops attracting period-2 cycles and fixed_point_solve raises.
@@ -320,3 +321,139 @@ class TestSolveTridiagonalRows:
         d[:] = dl[:] = 0.0
         x, bad = solve_tridiagonal_rows(dl, d, du, b)
         assert bad.all() and np.all(np.isnan(x))
+
+
+SPLICE_NS = [65_536, 65_537, 65_538, 65_539] + [100_000 + r for r in range(4)] + [10**6]
+SPLICE_ALPHAS = [1e-12, 1e-3, 0.3, 0.6826, 0.7495, 0.7499, 0.75, 0.7501, 0.7505, 0.8, 0.95, 1.0 - 1e-12]
+
+
+def full_solve(n, alpha, opts=SolveOptions()):
+    """The full-length solve of one alpha: (root or last iterate, error or None)."""
+    (x,), errors = solver_module._solve_block(n, [alpha], opts)
+    return x, errors.get(0)
+
+
+def count_gtsv_unknowns(monkeypatch):
+    """Make solver._gtsv add the length of every system it solves to the returned list."""
+    seen = [0]
+    real = solver_module._gtsv
+
+    def counting(dl, d, du, b, *args, **kwargs):
+        seen[0] += len(d)
+        return real(dl, d, du, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_gtsv", counting)
+    return seen
+
+
+class TestSplicedLongChains:
+    @pytest.mark.parametrize("alpha", SPLICE_ALPHAS)
+    @pytest.mark.parametrize("n", SPLICE_NS)
+    def test_spliced_root(self, n, alpha):
+        p = ChainParams(n, alpha)
+        x = newton_solve(p)
+        assert residual(p, x) <= 1e-12
+        assert np.array_equal(x, x[::-1])
+        assert np.all(x > 0.0) and np.all(x <= alpha)
+        ref, err = full_solve(n, alpha)
+        assert err is None
+        assert np.max(np.abs(x - ref)) <= 1e-11
+        _, (ok,) = solver_module._splice(n, [alpha], SolveOptions())
+        if not ok:
+            # a rejected splice falls through to the full solve itself
+            assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("n", [5000, 8 * solver_module._SPLICE_LEN - 1])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.6826, 0.75, 0.8, 0.95])
+    def test_shorter_chains_are_solved_whole(self, n, alpha):
+        x = newton_solve(ChainParams(n, alpha))
+        assert np.array_equal(x, full_solve(n, alpha)[0])
+
+    @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
+    def test_big_solve_runs_newton_on_the_short_chain_only(self, monkeypatch, alpha):
+        # the full-length solve passes about 2.5e6 unknowns to gtsv at n = 1e6
+        seen = count_gtsv_unknowns(monkeypatch)
+        newton_solve(ChainParams(10**6, alpha))
+        assert 0 < seen[0] < 10**5
+
+    @pytest.mark.parametrize("n", [65_536, 65_537, 65_538, 65_539])
+    def test_splice_is_taken_for_every_residue_mod_4(self, n):
+        # a short chain of the wrong residue meets the bulk pattern out of
+        # phase past alpha = 3/4, and every such row would be solved again
+        _, ok = solver_module._splice(n, [0.3, 0.6826, 0.8, 0.95], SolveOptions())
+        assert ok.all()
+
+    @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
+    def test_big_solve_memory(self, alpha):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            newton_solve(ChainParams(n, alpha))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full-length solve peaks at 6 x 8n bytes
+        assert peak < 4 * 8 * n
+
+    def test_rejected_splice_falls_through(self, monkeypatch):
+        # a ring fill off by 1e-9 at one bulk site fails the whole-chain
+        # check; the row must come from the full-length solve
+        n, alpha = 10**6, 0.8
+        real = solver_module._ring_rows
+        full = []
+
+        def ring_rows(alphas, m):
+            y = real(alphas, m)
+            if m == (n + 1) // 2 and not full:
+                y[:, m // 2] += 1e-9
+            return y
+
+        def solve_block(n, alphas, opts):
+            full.append(n)
+            return real_block(n, alphas, opts)
+
+        real_block = solver_module._solve_block
+        monkeypatch.setattr(solver_module, "_ring_rows", ring_rows)
+        monkeypatch.setattr(solver_module, "_solve_block", solve_block)
+        p = ChainParams(n, alpha)
+        x = newton_solve(p)
+        assert full == [n]
+        assert residual(p, x) <= 1e-12
+
+    def test_failure_matches_the_full_solve(self):
+        n, alpha, opts = 10**6, 0.8, SolveOptions(max_iter=1)
+        p = ChainParams(n, alpha)
+        with pytest.raises(ConvergenceError) as exc:
+            newton_solve(p, opts)
+        err = exc.value
+        assert len(err.last) == n
+        assert err.residual == residual(p, err.last)
+        _, ref = full_solve(n, alpha, opts)
+        assert str(err) == str(ref)
+        assert np.array_equal(err.last, ref.last)
+        assert err.residual == ref.residual
+
+    @pytest.mark.parametrize("max_iter", [None, 8])
+    def test_spliced_and_full_rows_share_a_block(self, monkeypatch, max_iter):
+        # with room for several long rows per block, spliced rows and rows
+        # solved again at full length (0.75) mix; at 8 steps the full
+        # solves at 0.75 fail while the spliced rows converge
+        n, opts = 100_001, SolveOptions(max_iter=max_iter)
+        alphas = [0.95, 0.75, 0.6826, 0.75]
+        refs = []
+        for a in alphas:
+            try:
+                refs.append(newton_solve(ChainParams(n, a), opts))
+            except ConvergenceError as err:
+                refs.append(err)
+        monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", 1 << 20)
+        ((X, errors),) = newton_rows(n, alphas, opts)
+        for i, ref in enumerate(refs):
+            if isinstance(ref, ConvergenceError):
+                assert str(errors[i]) == str(ref)
+                assert np.array_equal(errors[i].last, ref.last)
+                assert np.array_equal(X[i], ref.last)
+            else:
+                assert i not in errors
+                assert np.array_equal(X[i], ref)
+        assert len(errors) == (2 if max_iter else 0)
