@@ -8,7 +8,6 @@ mean-field answer against a slot-level stochastic simulation.
 """
 
 from .asymptotics import (
-    RingSolution,
     alpha_for_ring_prob,
     circle_backoff_mc,
     flat_value,
@@ -17,16 +16,13 @@ from .asymptotics import (
 )
 from .errors import ChainFairError, ConvergenceError, DomainError, FitError
 from .fairness import (
-    AdjointState,
     J,
     J_prime,
     OptResult,
-    adjoint_state,
     maximize_J,
     sweep_J,
 )
 from .fit import (
-    FitResult,
     ThroughputTrace,
     compare_normalized,
     fit_alpha,
@@ -45,14 +41,11 @@ from .model import (
 from .sim import (
     MarginalEstimate,
     SimConfig,
-    SlotState,
     exact_stationary,
     meanfield_gap,
-    sim_step,
     simulate,
 )
 from .solver import (
-    ContractionCertificate,
     SolveOptions,
     contraction_check,
     fixed_point_solve,
@@ -71,26 +64,20 @@ from .timing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointState",
     "ChainFairError",
     "ChainParams",
-    "ContractionCertificate",
     "ConvergenceError",
     "DomainError",
     "FitError",
-    "FitResult",
     "FrameSpec",
     "J",
     "J_prime",
     "MacTiming",
     "MarginalEstimate",
     "OptResult",
-    "RingSolution",
     "SimConfig",
-    "SlotState",
     "SolveOptions",
     "ThroughputTrace",
-    "adjoint_state",
     "alpha_for_ring_prob",
     "alpha_of_packet",
     "apply_F",
@@ -114,7 +101,6 @@ __all__ = [
     "read_trace_csv",
     "residual",
     "ring_fixed_point",
-    "sim_step",
     "simulate",
     "sweep_J",
     "t_send",

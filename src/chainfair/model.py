@@ -19,8 +19,11 @@ from .errors import DomainError
 
 
 def check_count(name, value, least=1):
-    """Refuse with DomainError a size, count or seed that is not an integer >= least."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Refuse with DomainError a size, count or seed that is not an integer >= least.
+
+    bool is refused although it subclasses int.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -98,7 +101,7 @@ def ring_level(alpha):
 def entropy(x) -> float:
     """Shannon entropy E(x) = -sum x_i ln x_i with the 0 ln 0 = 0 convention."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("entropy requires components in [0, 1]")
     pos = x > 0.0
     xs = x[pos]
@@ -108,6 +111,6 @@ def entropy(x) -> float:
 def grad_entropy(x) -> np.ndarray:
     """Gradient of entropy, -(ln x_i + 1); undefined at x_i = 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x > 1.0):
+    if not np.all((0.0 < x) & (x <= 1.0)):
         raise DomainError("grad_entropy requires components in (0, 1]")
     return -(np.log(x) + 1.0)

@@ -11,7 +11,7 @@ law has a product form (idealized CSMA); its marginals are exact at any n
 in O(n), which quantifies the correlation error of the mean-field system.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,51 +53,11 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SlotState:
-    """Occupancy bit vector of one slot; 1 means the pair is emitting."""
-
-    y: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
-
-    def validate(self):
-        y = np.asarray(self.y)
-        if np.any((y != 0) & (y != 1)):
-            raise DomainError("slot state must be a 0/1 vector")
-        if len(y) > 1 and np.any(y[:-1] & y[1:]):
-            raise DomainError("adjacent pairs may not emit simultaneously")
-
-
-@dataclass(frozen=True)
 class MarginalEstimate:
     """Time-averaged emission frequency per pair with batch-means errors."""
 
     x_hat: np.ndarray
     stderr: np.ndarray
-
-
-def sim_step(state: SlotState, config: SimConfig, rng) -> SlotState:
-    """Advance one slot, preserving the independent-set property.
-
-    random-single-site: resample one uniformly chosen site i with a fresh
-    coin z ~ Bernoulli(alpha) as y_i = z (1 - y_{i-1})(1 - y_{i+1}).
-    synchronous-random-order: do that at every site, visiting them in a
-    fresh random permutation within the slot.
-    """
-    state.validate()
-    y = np.asarray(state.y, dtype=np.int8).copy()
-    n = config.n
-    if len(y) != n:
-        raise DomainError(f"state length {len(y)} does not match n={n}")
-    if config.policy == "random-single-site":
-        sites = [int(rng.integers(0, n))]
-        coins = rng.random(1) < config.alpha
-    else:
-        sites = [int(i) for i in rng.permutation(n)]
-        coins = rng.random(n) < config.alpha
-    for i, z in zip(sites, coins):
-        left = y[i - 1] if i > 0 else 0
-        right = y[i + 1] if i < n - 1 else 0
-        y[i] = 1 if (z and not left and not right) else 0
-    return SlotState(y=y)
 
 
 def _draws(config, rng):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import math
 
 from .errors import DomainError
+from .model import check_count
 
 _RATES = (1.0, 2.0, 5.5, 11.0)
 _S_MIN = 14
@@ -40,7 +41,7 @@ class MacTiming:
         for name in ("difs", "eifs", "sifs", "slot", "rts", "cts", "ack", "plcp"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
-        if self.cw_min < 0.0:
+        if not self.cw_min >= 0.0:
             raise DomainError("cw_min must be >= 0")
         if not self.eifs > self.difs:
             raise DomainError("eifs must exceed difs")
@@ -54,7 +55,8 @@ class FrameSpec:
     d: float
 
     def __post_init__(self):
-        if not _S_MIN <= self.s <= _S_MAX:
+        check_count("frame size s", self.s, least=_S_MIN)
+        if self.s > _S_MAX:
             raise DomainError(f"frame size must lie in [{_S_MIN}, {_S_MAX}], got {self.s!r}")
         if self.d not in _RATES:
             raise DomainError(f"rate must be one of {_RATES}, got {self.d!r}")

@@ -35,18 +35,21 @@ def ring_root_decimal(alpha):
 
 class TestRingFixedPoint:
     def test_three_quarters_gives_third(self):
-        assert ring_fixed_point(0.75).x == pytest.approx(1 / 3, abs=1e-12)
+        assert ring_fixed_point(0.75) == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_returns_a_float(self):
+        assert type(ring_fixed_point(0.6)) is float
 
     def test_alpha_one_limit(self):
-        assert ring_fixed_point(1.0).x == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-14)
+        assert ring_fixed_point(1.0) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-14)
 
     def test_small_alpha_behaves_like_isolated_pair(self):
         a = 1e-6
-        assert ring_fixed_point(a).x / a == pytest.approx(1.0, abs=1e-3)
+        assert ring_fixed_point(a) / a == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_residual(self, alpha):
-        x = ring_fixed_point(alpha).x
+        x = ring_fixed_point(alpha)
         assert abs(x - alpha * (1 - x) ** 2) <= 1e-14
         assert 0.0 < x < 1.0
 
@@ -54,7 +57,7 @@ class TestRingFixedPoint:
     def test_small_alpha_without_cancellation(self, alpha):
         # the form (2a + 1 - sqrt(4a + 1))/(2a) gave 1.11e-8 at 1e-8 and 0 at 1e-12
         ref = ring_root_decimal(alpha)
-        assert abs(ring_fixed_point(alpha).x - ref) <= 1e-15 * ref
+        assert abs(ring_fixed_point(alpha) - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.2])
     def test_domain(self, alpha):
@@ -71,12 +74,12 @@ class TestAlphaForRingProb:
 
     @pytest.mark.parametrize("x", [0.05 * k for k in range(1, 8)])
     def test_round_trip(self, x):
-        assert ring_fixed_point(alpha_for_ring_prob(x)).x == pytest.approx(x, abs=1e-12)
+        assert ring_fixed_point(alpha_for_ring_prob(x)) == pytest.approx(x, abs=1e-12)
 
     @given(x=st.floats(0.001, 0.38))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, x):
-        assert ring_fixed_point(alpha_for_ring_prob(x)).x == pytest.approx(x, abs=1e-10)
+        assert ring_fixed_point(alpha_for_ring_prob(x)) == pytest.approx(x, abs=1e-10)
 
     @pytest.mark.parametrize("x", [1.0, 1.5, -0.1])
     def test_domain(self, x):
@@ -133,6 +136,11 @@ class TestOptimalAlphaCurve:
 
 
 class TestCircleBackoffMC:
+    @pytest.mark.parametrize("args", [(3, True, 0), (3, 10, True)])
+    def test_bool_sizes_refused(self, args):
+        with pytest.raises(DomainError):
+            circle_backoff_mc(*args)
+
     def test_three_pairs_partition_unity(self):
         # exactly one strict minimum among 3 distinct uniforms per trial
         freq = circle_backoff_mc(3, 20_000, seed=0)

@@ -210,7 +210,7 @@ class TestRingCommand:
         code, out, _ = run(capsys, ["ring", "--alpha", "0.6"])
         rows = dict((r[0], r[1]) for r in parse_csv(out))
         assert code == 0
-        assert float(rows["x"]) == pytest.approx(ring_fixed_point(0.6).x, abs=1e-15)
+        assert float(rows["x"]) == pytest.approx(ring_fixed_point(0.6), abs=1e-15)
 
 
 class TestFlatCommand:

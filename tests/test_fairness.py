@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from chainfair import (
     J,
     J_prime,
     OptResult,
-    adjoint_state,
     entropy,
     grad_entropy,
     maximize_J,
@@ -54,13 +55,21 @@ class TestJ:
         a = 0.3
         assert J(a, 1) == pytest.approx(-a * np.log(a), abs=1e-12)
 
+    @pytest.mark.parametrize("alpha, n, x", [(0.5, 10, np.full(5, 0.2)), (1.5, 3, np.full(3, 0.2))])
+    def test_supplied_x_validated_as_in_J_prime(self, alpha, n, x):
+        # J returned 0.1609 for a half-length x and a value for alpha = 1.5
+        for f in (J, J_prime):
+            with pytest.raises(DomainError):
+                f(alpha, n, x=x)
+
 
 class TestAdjoint:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
     @pytest.mark.parametrize("alpha", [0.2, 0.6, 0.85])
     def test_stationarity_residual(self, n, alpha):
+        # the multipliers from the one adjoint path J_prime and the scans take
         x = newton_solve(ChainParams(n, alpha))
-        lam = adjoint_state(alpha, n, x=x).lam
+        (lam,) = fairness_module._adjoint_rows(n, np.array([[alpha]]), np.pad(x, 1)[None])
         lhs = jacobian_F(ChainParams(n, alpha), x).T @ lam - lam
         rhs = grad_entropy(x) / n
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -83,6 +92,23 @@ class TestJPrime:
         # d/da of -a log a is -(log a + 1)
         a = 0.4
         assert J_prime(a, 1) == pytest.approx(-(np.log(a) + 1.0), abs=1e-12)
+
+    def test_singular_adjoint_is_convergence_error(self):
+        # at alpha = 0.8, x_1 = x_3 = 7/32 the 3 x 3 adjoint matrix has
+        # determinant alpha^2 (2 - x_1 - x_3) - 1 = 0; scipy raised LinAlgError
+        with pytest.raises(ConvergenceError):
+            J_prime(0.8, 3, x=np.array([0.21875, 0.5, 0.21875]))
+
+    def test_memory_at_a_million_pairs(self):
+        n = 10 ** 6
+        x = newton_solve(ChainParams(n, 0.6826))
+        tracemalloc.start()
+        try:
+            J_prime(0.6826, n, x=x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n
 
 
 class TestMaximizeJ:
@@ -116,6 +142,10 @@ class TestMaximizeJ:
     def test_domain(self, kw):
         with pytest.raises(DomainError):
             maximize_J(**kw)
+
+    def test_bool_length_refused(self):
+        with pytest.raises(DomainError):
+            maximize_J(True)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 51])
     def test_scan_matches_pointwise_J_and_J_prime(self, n):

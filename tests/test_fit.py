@@ -49,14 +49,6 @@ class TestNormalize:
         rho = normalize(ThroughputTrace(rates=[2.5] * 5))
         np.testing.assert_allclose(rho, np.ones(5))
 
-    def test_max_option(self):
-        rho = normalize(ThroughputTrace(rates=[2.0, 1.0, 4.0]), by="max")
-        np.testing.assert_allclose(rho, [0.5, 0.25, 1.0])
-
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            normalize(NS2_THREE_PAIRS, by="median")
-
     @given(c=st.floats(1e-3, 1e3))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, c):

@@ -35,6 +35,12 @@ class TestChainParams:
         with pytest.raises(AttributeError):
             p.alpha = 0.6
 
+    def test_bool_n_refused(self):
+        # bool is a subclass of int; True passed as n = 1 and later broke
+        # the solver with an untyped TypeError
+        with pytest.raises(DomainError):
+            ChainParams(True, 0.5)
+
 
 class TestApplyF:
     def test_all_idle(self):
@@ -137,6 +143,11 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy(x)
 
+    def test_nan_refused(self):
+        # returned -0.0: nan fails both x < 0 and x > 1
+        with pytest.raises(DomainError):
+            entropy([float("nan")])
+
     def test_maximal_at_inverse_e(self):
         best = entropy([1 / math.e] * 4)
         rng = np.random.default_rng(2)
@@ -154,6 +165,10 @@ class TestGradEntropy:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             grad_entropy([0.0, 0.5])
+
+    def test_nan_refused(self):
+        with pytest.raises(DomainError):
+            grad_entropy([float("nan")])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_central_differences(self, seed):

@@ -9,10 +9,8 @@ from chainfair import (
     DomainError,
     MarginalEstimate,
     SimConfig,
-    SlotState,
     exact_stationary,
     meanfield_gap,
-    sim_step,
     simulate,
 )
 
@@ -159,46 +157,47 @@ class TestSimConfig:
         cfg = SimConfig(n=np.int64(3), alpha=0.5, steps=np.int64(100), burn_in=np.int32(5))
         assert simulate(cfg).x_hat.shape == (3,)
 
-
-class TestSlotState:
-    def test_adjacent_ones_rejected(self):
+    @pytest.mark.parametrize("field", ["n", "steps", "seed", "burn_in"])
+    def test_bool_sizes_refused(self, field):
+        # SimConfig(n=True) simulated a one-pair chain
+        kw = {"n": 3, "alpha": 0.5, "steps": 10, "seed": 0}
+        kw[field] = True
         with pytest.raises(DomainError):
-            SlotState(y=np.array([0, 1, 1], dtype=np.int8)).validate()
+            SimConfig(**kw)
 
-    def test_non_bit_rejected(self):
-        with pytest.raises(DomainError):
-            SlotState(y=np.array([0, 2, 0], dtype=np.int8)).validate()
 
-    def test_valid_state_passes(self):
-        SlotState(y=np.array([1, 0, 1], dtype=np.int8)).validate()
+def final_state(n, alpha, s, policy="random-single-site"):
+    """The 0/1 state after the last slot of a run of s slots seeded with s.
+
+    With burn_in = s - 1 the averaging window is the last slot alone, so
+    x_hat is the occupancy simulate holds when the run ends.
+    """
+    config = SimConfig(n=n, alpha=alpha, steps=s, burn_in=s - 1, seed=s, policy=policy)
+    return simulate(config).x_hat
 
 
 class TestSimStep:
+    """The slot update of simulate keeps the state an independent set."""
+
     @pytest.mark.parametrize("policy", ["random-single-site", "synchronous-random-order"])
     def test_invariant_never_violated(self, policy):
-        config = SimConfig(n=5, alpha=0.5, steps=10, policy=policy)
-        rng = np.random.default_rng(0)
-        state = SlotState(y=np.zeros(5, dtype=np.int8))
-        for _ in range(10_000):
-            state = sim_step(state, config, rng)
-            state.validate()
+        seen = set()
+        for s in range(1, 301):
+            y = final_state(6, 0.9, s, policy)
+            assert set(y) <= {0.0, 1.0}
+            assert not np.any(y[:-1] * y[1:]), (s, y)
+            seen.add(tuple(y))
+        # the check sees most of the 21 independent sets of the 6-path
+        assert len(seen) >= 15
 
     def test_single_site_blocked_neighbor(self):
-        # site next to an emitter can only stay silent, whatever the coin
-        config = SimConfig(n=3, alpha=0.99, steps=10)
-        state = SlotState(y=np.array([1, 0, 0], dtype=np.int8))
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            new = sim_step(state, config, rng)
-            assert not (new.y[0] == 1 and new.y[1] == 1)
-            assert not (new.y[1] == 1 and new.y[2] == 1)
-            state = new
-
-    def test_invalid_input_state(self):
-        config = SimConfig(n=3, alpha=0.5, steps=10)
-        bad = SlotState(y=np.array([1, 1, 0], dtype=np.int8))
-        with pytest.raises(DomainError):
-            sim_step(bad, config, np.random.default_rng(0))
+        # a site next to an emitter stays silent, whatever the coin
+        seen = set()
+        for s in range(1, 201):
+            y = final_state(3, 0.99, s)
+            assert not (y[0] and y[1]) and not (y[1] and y[2])
+            seen.add(tuple(y))
+        assert {(1.0, 0.0, 1.0), (0.0, 1.0, 0.0)} <= seen
 
 
 class TestSimulate:
@@ -285,6 +284,10 @@ class TestBitIdentity:
 
 
 class TestExactStationary:
+    def test_bool_length_refused(self):
+        with pytest.raises(DomainError):
+            exact_stationary(True, 0.5)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_n1_is_alpha(self, alpha):
         assert exact_stationary(1, alpha)[0] == pytest.approx(alpha, abs=1e-13)

@@ -34,6 +34,11 @@ class TestMacTiming:
         with pytest.raises(DomainError):
             MacTiming(**kw)
 
+    def test_nan_contention_window_refused(self):
+        # passed cw_min < 0 and then gave alpha = nan for every frame
+        with pytest.raises(DomainError):
+            MacTiming(cw_min=float("nan"))
+
 
 class TestFrameSpec:
     @pytest.mark.parametrize("kw", [{"s": 13, "d": 2.0}, {"s": 2347, "d": 2.0}, {"s": 500, "d": 3.0}])
@@ -44,6 +49,12 @@ class TestFrameSpec:
     def test_bounds_inclusive(self):
         FrameSpec(14, 1.0)
         FrameSpec(2346, 11.0)
+
+    @pytest.mark.parametrize("s", [250.7, 250.0])
+    def test_non_integer_size_refused(self, s):
+        # s counts bytes
+        with pytest.raises(DomainError):
+            FrameSpec(s, 2.0)
 
 
 class TestDurations:
