@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _OUTDIR_ENV = "CHAINFAIR_OUTDIR"
+_FORMATS = ("csv", "svg")
 
 
 def _cell(v):
@@ -50,12 +51,7 @@ def _require(opts, *names):
 
 
 def _solve_options(opts):
-    kw = {}
-    if opts.get("tol") is not None:
-        kw["tol"] = float(opts["tol"])
-    if opts.get("max_iter") is not None:
-        kw["max_iter"] = int(opts["max_iter"])
-    return SolveOptions(**kw)
+    return SolveOptions(**{k: opts[k] for k in ("tol", "max_iter") if opts[k] is not None})
 
 
 def _timing(opts) -> MacTiming:
@@ -70,7 +66,7 @@ def _timing(opts) -> MacTiming:
 
 def _cmd_solve(opts) -> str:
     _require(opts, "n", "alpha")
-    params = ChainParams(int(opts["n"]), float(opts["alpha"]))
+    params = ChainParams(opts["n"], opts["alpha"])
     method = opts["method"]
     solve = {"newton": newton_solve, "fixed-point": fixed_point_solve}[method]
     x = solve(params, _solve_options(opts))
@@ -86,7 +82,7 @@ def _cmd_solve(opts) -> str:
 
 def _cmd_optimize(opts) -> str:
     _require(opts, "n")
-    res = maximize_J(int(opts["n"]), tol_alpha=float(opts["tol_alpha"]))
+    res = maximize_J(opts["n"], tol_alpha=opts["tol_alpha"])
     return _csv(
         [
             ("alpha_hat", res.alpha_hat),
@@ -100,9 +96,7 @@ def _cmd_optimize(opts) -> str:
 
 def _cmd_sweep(opts) -> str:
     _require(opts, "n")
-    n = int(opts["n"])
-    lo, hi = float(opts["alpha_min"]), float(opts["alpha_max"])
-    points = int(opts["points"])
+    n, lo, hi, points = opts["n"], opts["alpha_min"], opts["alpha_max"], opts["points"]
     if points < 2 or not 0.0 < lo < hi < 1.0:
         raise DomainError(
             f"need 0 < alpha-min < alpha-max < 1 and points >= 2, "
@@ -117,23 +111,14 @@ def _cmd_sweep(opts) -> str:
 
 def _cmd_ring(opts) -> str:
     _require(opts, "alpha")
-    alpha = float(opts["alpha"])
+    alpha = opts["alpha"]
     return _csv([("alpha", alpha), ("x", ring_fixed_point(alpha))])
 
 
 def _cmd_flat(opts) -> str:
     _require(opts, "ns")
-    ns = opts["ns"]
-    if isinstance(ns, str):
-        ns = [part for part in ns.split(",") if part.strip()]
-    try:
-        ns = [int(v) for v in ns]
-    except (TypeError, ValueError):
-        raise DomainError(f"--ns must be a comma-separated list of ints, got {opts['ns']!r}")
-    if not ns:
-        raise DomainError("--ns must list at least one chain length")
     rows = []
-    for n in ns:
+    for n in opts["ns"]:
         alpha_hat, central = flat_value(n)
         rows.append((n, alpha_hat, central))
     if opts["format"] == "svg":
@@ -149,11 +134,11 @@ def _cmd_flat(opts) -> str:
 def _cmd_simulate(opts) -> str:
     _require(opts, "n", "alpha", "steps")
     config = SimConfig(
-        n=int(opts["n"]),
-        alpha=float(opts["alpha"]),
-        steps=int(opts["steps"]),
-        burn_in=None if opts.get("burn_in") is None else int(opts["burn_in"]),
-        seed=int(opts["seed"]),
+        n=opts["n"],
+        alpha=opts["alpha"],
+        steps=opts["steps"],
+        burn_in=opts["burn_in"],
+        seed=opts["seed"],
         policy=opts["policy"],
     )
     est = simulate(config)
@@ -167,7 +152,7 @@ def _cmd_simulate(opts) -> str:
 def _cmd_fit(opts) -> str:
     _require(opts, "input")
     trace = read_trace_csv(opts["input"])
-    res = fit_alpha(trace, bounds=(float(opts["lo"]), float(opts["hi"])))
+    res = fit_alpha(trace, bounds=(opts["lo"], opts["hi"]))
     table = compare_normalized(trace, res.alpha_fit)
     if opts["format"] == "svg":
         labels = [str(pair) for pair, _, _, _ in table]
@@ -189,7 +174,7 @@ def _cmd_fit(opts) -> str:
 def _cmd_packet(opts) -> str:
     _require(opts, "alpha", "rate")
     timing = _timing(opts)
-    size = packet_for_alpha(float(opts["alpha"]), float(opts["rate"]), timing)
+    size = packet_for_alpha(opts["alpha"], opts["rate"], timing)
     return _csv([("bytes", size)])
 
 
@@ -215,11 +200,16 @@ _DEFAULTS = {
     "packet": {},
 }
 
-_CHOICES = {
-    "method": ("newton", "fixed-point"),
-    "format": ("csv", "svg"),
-    "policy": ("random-single-site", "synchronous-random-order"),
-}
+
+def _int_list(text):
+    """Type of --ns: comma-separated chain lengths, at least one."""
+    try:
+        ns = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated ints, got {text!r}") from None
+    if not ns:
+        raise argparse.ArgumentTypeError("must list at least one chain length")
+    return ns
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,15 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_, description=f"{help_} Output: {columns}.")
         sp.add_argument("--config", help="JSON file; keys mirror long flag names")
         sp.add_argument("--output", help=f"output path (default stdout; ${_OUTDIR_ENV} prefixes relative paths)")
+        # main reads the flags' types and choices from here for config values
+        sp.set_defaults(parser=sp)
         return sp
 
     sp = add("solve", "Solve the n-pair chain at one alpha.", "CSV pair,x")
     sp.add_argument("--n", type=int)
     sp.add_argument("--alpha", type=float)
-    sp.add_argument("--method", choices=_CHOICES["method"])
+    sp.add_argument("--method", choices=("newton", "fixed-point"))
     sp.add_argument("--tol", type=float)
     sp.add_argument("--max-iter", type=int)
-    sp.add_argument("--format", choices=_CHOICES["format"])
+    sp.add_argument("--format", choices=_FORMATS)
 
     sp = add("optimize", "Maximize the fairness index J over alpha.",
              "CSV alpha_hat,J_value,evaluations,bracket,unimodal key/value rows")
@@ -253,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha-min", type=float)
     sp.add_argument("--alpha-max", type=float)
     sp.add_argument("--points", type=int)
-    sp.add_argument("--format", choices=_CHOICES["format"])
+    sp.add_argument("--format", choices=_FORMATS)
 
     sp = add("ring", "Ring (translation invariant) fixed point.", "CSV alpha,x key/value rows")
     sp.add_argument("--alpha", type=float)
 
     sp = add("flat", "Optimal alpha and central probability per chain length.",
              "CSV n,alpha_hat,flat_value")
-    sp.add_argument("--ns", help="comma-separated chain lengths, e.g. 100,500")
-    sp.add_argument("--format", choices=_CHOICES["format"])
+    sp.add_argument("--ns", type=_int_list, help="comma-separated chain lengths, e.g. 100,500")
+    sp.add_argument("--format", choices=_FORMATS)
 
     sp = add("simulate", "Slot-level stochastic simulation marginals.",
              "CSV pair,x_hat,stderr")
@@ -270,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int)
     sp.add_argument("--burn-in", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--policy", choices=_CHOICES["policy"])
+    sp.add_argument("--policy", choices=("random-single-site", "synchronous-random-order"))
 
     sp = add("fit", "Least-squares alpha fit to a measured trace.",
              "CSV alpha_fit,sse rows then pair,observed,model,residual")
     sp.add_argument("--input", help="trace CSV with header pair,rate")
     sp.add_argument("--lo", type=float)
     sp.add_argument("--hi", type=float)
-    sp.add_argument("--format", choices=_CHOICES["format"])
+    sp.add_argument("--format", choices=_FORMATS)
 
     sp = add("packet", "Packet size realizing a target alpha.", "CSV bytes,<int>")
     sp.add_argument("--alpha", type=float)
@@ -285,7 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge_config(opts):
+def _config_value(action, key, val):
+    """A config value parsed as the flag's own text would be: its type, then its choices.
+
+    Numbers and booleans keep their JSON text, so 10.7, 4.0 and true are
+    not ints; a list joins its entries with commas, as --ns takes them.
+    """
+    parts = val if isinstance(val, list) else [val]
+    text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in parts)
+    try:
+        value = action.type(text) if action.type else text
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DomainError(f"config key {key!r}: invalid value {json.dumps(val)}") from None
+    if action.choices is not None and value not in action.choices:
+        raise DomainError(f"config key {key!r} must be one of {action.choices}, got {json.dumps(val)}")
+    return value
+
+
+def _merge_config(opts, parser):
     path = opts.get("config")
     if not path:
         return
@@ -293,21 +302,15 @@ def _merge_config(opts):
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
+    flags = {a.dest: a for a in parser._actions if a.dest in opts}
     for key, val in cfg.items():
         dest = key.replace("-", "_")
         if dest == "timing":
             opts["timing"] = val
-        elif dest in opts:
-            if opts[dest] is None:
-                opts[dest] = val
-        else:
+        elif dest not in flags:
             raise DomainError(f"config key {key!r} is not a flag of this command")
-
-
-def _validate_choices(opts):
-    for key, allowed in _CHOICES.items():
-        if key in opts and opts[key] is not None and opts[key] not in allowed:
-            raise DomainError(f"--{key} must be one of {allowed}, got {opts[key]!r}")
+        elif opts[dest] is None and val is not None:
+            opts[dest] = _config_value(flags[dest], key, val)
 
 
 def _resolve_output(path):
@@ -326,11 +329,10 @@ def main(argv=None) -> int:
     command = args.command
     opts = vars(args).copy()
     try:
-        _merge_config(opts)
+        _merge_config(opts, opts.pop("parser"))
         for key, val in _DEFAULTS[command].items():
             if opts.get(key) is None:
                 opts[key] = val
-        _validate_choices(opts)
         text = _HANDLERS[command](opts)
     except DomainError as e:
         print(f"chainfair {command}: error: {e}", file=sys.stderr)

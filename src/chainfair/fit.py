@@ -124,7 +124,10 @@ def read_trace_csv(path, label: str = "") -> ThroughputTrace:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["pair", "rate"]:
             raise DomainError(f"{path}: expected header 'pair,rate'")
-        rows = [(int(r[0]), float(r[1])) for r in reader if r]
+        try:
+            rows = [(int(r[0]), float(r[1])) for r in reader if r]
+        except (IndexError, ValueError):
+            raise DomainError(f"{path}, line {reader.line_num}: expected an int and a float") from None
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
         raise DomainError(f"{path}: pairs must be exactly 1..n")

@@ -15,10 +15,10 @@ ends high, alternating inward, and a central defect when n is even.
 newton_rows runs that loop on many alphas at once, one row each, for the
 alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
 systems are stacked into one LAPACK gtsv call per step, and newton_solve
-is newton_rows on one row. On chains of 2^16 pairs or more it runs the
-loop on a short chain with the same n mod 4 and splices that root into the
-ring pattern, keeping a row only if the whole spliced chain passes the
-tolerance; any other row is solved at full length.
+is newton_rows on one row. On chains of 2^16 pairs or more the loop
+starts from a short chain's root with the same n mod 4, spliced into the
+ring pattern; where that start already passes the tolerance the loop
+returns it without a step.
 """
 
 from dataclasses import dataclass
@@ -45,8 +45,8 @@ _NEWTON_MAX_ITER = 100
 # outgrow the CPU cache: at n = 5000, a cap of 2^16 made maximize_J 1.5x
 # slower than 2^14 on a 2-core Xeon with 2 MB of L2 per core.
 _STACK_UNKNOWNS = 1 << 14
-# Length of the short chain solved in place of chains at least 8 times as
-# long (see _splice). At alpha = 0.6826, 0.8 and 0.95 fewer than 130 sites
+# Length of the short chain whose root starts chains at least 8 times as
+# long (see _start_rows). At alpha = 0.6826, 0.8 and 0.95 fewer than 130 sites
 # of a root differ from the ring pattern by more than 1e-14, all next to an
 # end or the centre; the splice takes the 2^11 sites next to each from the
 # short chain's root.
@@ -232,20 +232,21 @@ def _line_search(alpha, y, z, g, phi, delta, k):
             return y, z, g, phi, todo
 
 
-def _newton_block(n, alphas, opts):
+def _newton_block(n, alphas, opts, y):
     """The half-chain Newton loop on one row per alpha, all rows at once.
 
-    Returns the (R, m) halves, roots or last iterates, and per row None or
-    why its solve failed. A row leaves the loop when it converges or fails;
-    the others step on, each with its own line search.
+    Starts from the (R, m) halves y and returns them, overwritten with the
+    roots or last iterates, and per row None or why its solve failed. A row
+    leaves the loop when it converges or fails; the others step on, each
+    with its own line search.
     """
     cap = opts.max_iter if opts.max_iter is not None else _NEWTON_MAX_ITER
-    m = (n + 1) // 2
+    m = y.shape[1]
     # 0-based index in y of the mirror neighbour x_{m+1}; -1 is the border
     k = m - 1 - n % 2
-    y = _ring_rows(alphas, m)
     a = np.array(alphas, dtype=float)[:, None]
-    out = np.empty_like(y)
+    # rows leave into the start halves, which the loop no longer needs
+    out = y
     why = [None] * len(alphas)
     live = np.arange(len(alphas))
     z, g, phi = _merit(a, y, k)
@@ -280,6 +281,30 @@ def _newton_block(n, alphas, opts):
     return out, why
 
 
+def _start_rows(n, alphas, opts):
+    """Newton start halves: the ring pattern, spliced near the ends of a long chain.
+
+    Away from its ends a long chain sits on the ring pattern, so for
+    n >= 8 _SPLICE_LEN the loop first runs on a chain of
+    n' = _SPLICE_LEN + n % 4 pairs only. n' has the parity of n, so an even
+    chain keeps its central defect, and its half m' = ceil(n'/2) the parity
+    of m = ceil(n/2), so the alternating pattern meets the mirror in the
+    same phase. The first half of each short root's mirror half goes at the
+    head of the long half, its second half at the mirror end, and the ring
+    pattern of _ring_rows fills the sites between. A short solve that fails
+    still leaves its last iterate there: the full-length loop decides.
+    """
+    m = (n + 1) // 2
+    y = _ring_rows(alphas, m)
+    if n >= 8 * _SPLICE_LEN:
+        ns = _SPLICE_LEN + n % 4
+        short, _ = _newton_block(ns, alphas, opts, _ring_rows(alphas, (ns + 1) // 2))
+        head = short.shape[1] // 2
+        y[:, :head] = short[:, :head]
+        y[:, m - short.shape[1] + head :] = short[:, head:]
+    return y
+
+
 def _unfold(y, n):
     """Whole chains from their mirror halves: x_{n+1-i} = x_i."""
     m = y.shape[1]
@@ -290,7 +315,7 @@ def _unfold(y, n):
 
 
 def _solve_block(n, alphas, opts):
-    y, why = _newton_block(n, alphas, opts)
+    y, why = _newton_block(n, alphas, opts, _start_rows(n, alphas, opts))
     x = _unfold(y, n)
     errors = {}
     for i, reason in enumerate(why):
@@ -304,46 +329,6 @@ def _solve_block(n, alphas, opts):
     return x, errors
 
 
-def _splice(n, alphas, opts):
-    """Long-chain halves spliced from the root of a short chain, and which rows pass.
-
-    Away from its ends a long chain sits on the ring pattern, so the Newton
-    loop runs on a chain of n' = _SPLICE_LEN + n % 4 pairs only. n' has the
-    parity of n, so an even chain keeps its central defect, and its half
-    m' = ceil(n'/2) the parity of m = ceil(n/2), so the alternating pattern
-    meets the mirror in the same phase. The first half of each short root's
-    mirror half goes at the head of the long half, its second half at the
-    mirror end, and the ring pattern of _ring_rows fills the sites between.
-    A row passes when its short solve converged and the spliced half meets
-    the loop's own test, max |G| <= tol, on every site.
-    """
-    short, why = _newton_block(_SPLICE_LEN + n % 4, alphas, opts)
-    m, ms = (n + 1) // 2, short.shape[1]
-    head = ms // 2
-    y = _ring_rows(alphas, m)
-    y[:, :head] = short[:, :head]
-    y[:, m - ms + head :] = short[:, head:]
-    _, g, _ = _merit(np.array(alphas, dtype=float)[:, None], y, m - 1 - n % 2)
-    ok = (np.abs(g).max(axis=1) <= opts.tol) & np.array([w is None for w in why])
-    return y, ok
-
-
-def _splice_block(n, alphas, opts):
-    """_solve_block for a long chain: spliced roots where they pass, full solves elsewhere."""
-    y, ok = _splice(n, alphas, opts)
-    if not ok.any():
-        # free the spliced halves before the full solves peak
-        del y
-        return _solve_block(n, alphas, opts)
-    x = _unfold(y, n)
-    del y
-    redo = np.flatnonzero(~ok)
-    if not len(redo):
-        return x, {}
-    x[redo], errors = _solve_block(n, [alphas[i] for i in redo], opts)
-    return x, {int(redo[i]): err for i, err in errors.items()}
-
-
 def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
@@ -354,19 +339,18 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     A block holds as many rows as fit in _STACK_UNKNOWNS half-chain
     unknowns, so memory stays bounded however many alphas come in.
 
-    Chains of at least 8 _SPLICE_LEN pairs are spliced (_splice): the
-    Newton loop runs on a short chain with the same n mod 4, the bulk is
-    filled with the ring pattern, and a row is taken only if the whole
-    spliced half passes max |G| <= tol. A row that fails is solved again
-    at full length, with the same root or ConvergenceError as a full solve.
+    Chains of at least 8 _SPLICE_LEN pairs start from a splice
+    (_start_rows): the Newton loop runs on a short chain with the same
+    n mod 4, and its root is placed at the ends of the ring pattern. The
+    full-length loop then runs from there as from any start, and takes no
+    step on a row whose spliced half already passes max |G| <= tol.
     """
     alphas = list(alphas)
     for a in alphas:
         ChainParams(n, a)
-    solve = _splice_block if n >= 8 * _SPLICE_LEN else _solve_block
     per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
     for start in range(0, len(alphas), per_block):
-        yield solve(n, alphas[start : start + per_block], opts)
+        yield _solve_block(n, alphas[start : start + per_block], opts)
 
 
 def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
@@ -382,10 +366,10 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     inward from both ends, with a central defect x_{n/2} = x_{n/2+1} for
     even n. Raises ConvergenceError (with the last iterate and residual)
     when the step cap is hit or the line search cannot reduce the merit.
-    This is newton_rows on one row, so a chain of 2^16 pairs or more is
-    first solved on a short chain of 2^13 + n % 4 pairs whose root is
-    spliced into the ring pattern; the result is used only if every site
-    of the spliced chain meets tol, and the full-length loop runs otherwise.
+    This is newton_rows on one row, so a chain of 2^16 pairs or more
+    starts instead from the root of a short chain of 2^13 + n % 4 pairs
+    spliced into the ring pattern, and the loop returns that start
+    unchanged when every site of it already meets tol.
     """
     (x, errors), = newton_rows(params.n, [params.alpha], opts)
     if errors:

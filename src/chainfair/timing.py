@@ -58,7 +58,8 @@ class FrameSpec:
         check_count("frame size s", self.s, least=_S_MIN)
         if self.s > _S_MAX:
             raise DomainError(f"frame size must lie in [{_S_MIN}, {_S_MAX}], got {self.s!r}")
-        if self.d not in _RATES:
+        # bool is refused although True == 1.0
+        if isinstance(self.d, bool) or self.d not in _RATES:
             raise DomainError(f"rate must be one of {_RATES}, got {self.d!r}")
 
 
@@ -89,10 +90,9 @@ def packet_for_alpha(alpha: float, d: float, timing: MacTiming = MacTiming()) ->
     Inverts alpha = (c + 8s/d)/(c + T_w + 8s/d) with c = rts + plcp:
     s = d (alpha (T_w + c) - c) / (8 (1 - alpha)). Fractional bytes round
     to nearest with ties up. Raises DomainError when alpha is outside what
-    the legal frame sizes [14, 2346] can realize, reporting that interval.
+    the legal frame sizes [14, 2346] can realize, reporting that interval,
+    and FrameSpec's DomainError when d is not one of the four rates.
     """
-    if d not in _RATES:
-        raise DomainError(f"rate must be one of {_RATES}, got {d!r}")
     a_min = alpha_of_packet(FrameSpec(_S_MIN, d), timing)
     a_max = alpha_of_packet(FrameSpec(_S_MAX, d), timing)
     if not a_min <= alpha <= a_max:

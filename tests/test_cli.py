@@ -147,6 +147,49 @@ class TestConfigFile:
         assert parse_csv(out)[0][0] == "bytes"
         assert int(parse_csv(out)[0][1]) < 250
 
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("solve", {"n": 10.7, "alpha": 0.5}, "n"),
+            ("solve", {"n": 4.0, "alpha": 0.5}, "n"),
+            ("solve", {"n": True, "alpha": 0.5}, "n"),
+            ("solve", {"n": 4, "alpha": True}, "alpha"),
+            ("solve", {"n": 4, "alpha": 0.5, "max_iter": 2.5}, "max_iter"),
+            ("solve", {"n": 4, "alpha": 0.5, "method": "secant"}, "method"),
+            ("sweep", {"n": 4, "points": 3.5}, "points"),
+            ("simulate", {"n": 3, "alpha": 0.5, "steps": 100.9}, "steps"),
+            ("simulate", {"n": 3, "alpha": 0.5, "steps": 100, "burn-in": 10.5}, "burn-in"),
+            ("simulate", {"n": 3, "alpha": 0.5, "steps": 100, "seed": 1.5}, "seed"),
+            ("simulate", {"n": 3, "alpha": 0.5, "steps": 100, "policy": "sweep"}, "policy"),
+            ("flat", {"ns": [7, 8.5]}, "ns"),
+            ("flat", {"ns": [True]}, "ns"),
+        ],
+    )
+    def test_values_take_the_flag_type(self, capsys, tmp_path, command, cfg, key):
+        # a config value is parsed as the flag's text would be, not truncated
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, [command, "--config", str(path)])
+        assert code == 2 and out == ""
+        assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, argv",
+        [
+            ("solve", {"n": "10", "alpha": "0.5"}, ["--n", "10", "--alpha", "0.5"]),
+            ("solve", {"n": 3, "alpha": 0.5, "tol": 1e-13}, ["--n", "3", "--alpha", "0.5", "--tol", "1e-13"]),
+            ("packet", {"alpha": 0.6, "rate": 2}, ["--alpha", "0.6", "--rate", "2"]),
+            ("flat", {"ns": [7, "8"]}, ["--ns", "7,8"]),
+            ("flat", {"ns": "7,8"}, ["--ns", "7,8"]),
+        ],
+    )
+    def test_values_match_flags(self, capsys, tmp_path, command, cfg, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, [command, "--config", str(path)])
+        assert code == 0
+        assert out == run(capsys, [command, *argv])[1]
+
     def test_malformed_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -274,6 +317,14 @@ class TestFitCommand:
         root = ET.fromstring(out)
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         assert len(rects) > 6
+
+
+    @pytest.mark.parametrize("row", ["1,abc", "x,1.0", "1"])
+    def test_malformed_trace(self, capsys, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"pair,rate\n{row}\n2,0.5\n")
+        code, _, err = run(capsys, ["fit", "--input", str(path)])
+        assert code == 2 and "line 2" in err
 
 
 class TestPacketCommand:

@@ -152,6 +152,15 @@ class TestTraceCsv:
         with pytest.raises(DomainError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "row", ["1,abc", "x,1.0", "1"], ids=["bad-rate", "bad-pair", "missing-column"]
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "malformed.csv"
+        path.write_text(f"pair,rate\n1,1.5\n{row}\n")
+        with pytest.raises(DomainError, match=r"malformed\.csv, line 3: "):
+            read_trace_csv(path)
+
     def test_rows_sorted_by_pair(self, tmp_path):
         path = tmp_path / "shuffled.csv"
         path.write_text("pair,rate\n2,0.2\n1,1.0\n3,0.3\n")

@@ -46,6 +46,11 @@ class TestFrameSpec:
         with pytest.raises(DomainError):
             FrameSpec(**kw)
 
+    def test_bool_rate_refused(self):
+        # True == 1.0 would otherwise pass the membership test as 1 Mbit/s
+        with pytest.raises(DomainError):
+            FrameSpec(500, True)
+
     def test_bounds_inclusive(self):
         FrameSpec(14, 1.0)
         FrameSpec(2346, 11.0)
@@ -109,6 +114,10 @@ class TestPacketForAlpha:
     def test_bad_rate(self):
         with pytest.raises(DomainError):
             packet_for_alpha(0.6, 3.0)
+
+    def test_bool_rate_refused(self):
+        with pytest.raises(DomainError):
+            packet_for_alpha(0.6, True)
 
     def test_custom_timing_shifts_answer(self):
         fast_mac = MacTiming(cw_min=0.0)
