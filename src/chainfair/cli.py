@@ -59,7 +59,7 @@ def _timing(opts) -> MacTiming:
     if not isinstance(overrides, dict):
         raise DomainError("config key 'timing' must be an object of field overrides")
     try:
-        return MacTiming(**{k: float(v) for k, v in overrides.items()})
+        return MacTiming(**overrides)
     except TypeError as e:
         raise DomainError(f"unknown timing field: {e}") from None
 

@@ -3,7 +3,9 @@
 J(alpha) = E(x(alpha))/n rates how evenly the channel is shared: it is
 maximal when every pair emits equally often. The derivative comes from the
 adjoint-state method: one tridiagonal solve, stacked over all the alphas of
-a scan, replaces finite differencing of the whole chain solve.
+a scan, replaces finite differencing of the whole chain solve. maximize_J
+here and fit_alpha close a scanned bracket with one bracketed secant on
+the derivative, _refine.
 """
 
 import math
@@ -17,12 +19,15 @@ from .model import ChainParams, _check_len, check_count, entropy, grad_entropy, 
 from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
 from .solver import newton_rows, newton_solve, solve_tridiagonal_rows
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of the one-dimensional maximization of J."""
+    """Outcome of the one-dimensional maximization of J.
+
+    evaluations counts the alphas at which the chain was solved (the scan's
+    99 and one per refinement step), bracket is the width of the last
+    interval known to hold the maximum, and alpha_hat is one of its ends.
+    """
 
     alpha_hat: float
     J_value: float
@@ -51,45 +56,70 @@ def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     """Derivative dJ/dalpha by the adjoint-state method.
 
-    This is _J_prime_rows on one row. Raises ConvergenceError when the
+    This is _slope_rows on one row. Raises ConvergenceError when the
     adjoint system is singular.
     """
     x = _root(alpha, n, x)
-    (jp,) = _J_prime_rows(n, [alpha], x[None])
+    (jp,) = _slope_rows(n, [alpha], x[None])
     if np.isnan(jp):
         raise ConvergenceError(f"J_prime: singular adjoint system (n={n}, alpha={alpha})")
     return float(jp)
 
 
-def _golden_min(f, lo, hi, width):
-    """Golden-section search for a minimum of f on [lo, hi].
+def _refine(slope, lo, s_lo, hi, s_hi, width):
+    """Close the bracket [lo, hi] on a sign change of slope to at most width.
 
-    Narrows the bracket until it is at most width wide; returns the final
-    (lo, hi) and the number of calls of f.
+    s_lo and s_hi are slope(lo) and slope(hi), nonzero and of opposite
+    signs. This is the ITP method (Oliveira and Takahashi, ACM TOMS 47,
+    2020) with one evaluation of slack. Each point is the regula falsi point
+    of the two ends, moved toward the midpoint by 0.1 w^2/w0 (w the bracket
+    width, w0 the first one) so that the points close in from both sides,
+    and held so near the midpoint that bisection from there would still
+    finish within ceil(log2(w0/width)) + 1 evaluations; once that slack is
+    spent the point is the midpoint. A nan slope (a failed solve) stops the
+    search with the bracket reached.
+
+    Returns the end with the smaller |slope| (the closer one to the root
+    where slope is near linear), the final bracket width and the number of
+    evaluations.
     """
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    calls = 2
+    w0 = hi - lo
+    budget = math.ceil(math.log2(w0 / width)) + 1 if w0 > width else 0
+    # aim a hair under width, so that rounding of the ends cannot leave the
+    # worst-case bracket a few ulps over it and cost one more evaluation
+    aim = width * (1.0 - 1e-9)
+    s_lo, s_hi = float(s_lo), float(s_hi)
+    evals = 0
     while hi - lo > width:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
+        w = hi - lo
+        mid = lo + 0.5 * w
+        c = hi - s_hi * w / (s_hi - s_lo)
+        nudge = 0.1 * w * w / w0
+        c = c + math.copysign(nudge, mid - c) if nudge < abs(mid - c) else mid
+        slack = max(aim * 2.0 ** (budget - evals - 1) - 0.5 * w, 0.0)
+        c = min(max(c, mid - slack), mid + slack)
+        s = float(slope(c))
+        evals += 1
+        if s != s:
+            break
+        if s == 0.0:
+            return c, 0.0, evals
+        if (s > 0.0) == (s_lo > 0.0):
+            lo, s_lo = c, s
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-        calls += 1
-    return lo, hi, calls
+            hi, s_hi = c, s
+    best = lo if abs(s_lo) <= abs(s_hi) else hi
+    return best, hi - lo, evals
 
 
-def _adjoint_rows(n, a, xp):
-    """Multipliers lam of (F'_alpha(x)^T - I) lam = grad E(x) / n, one system per row.
+def _adjoint_rows(n, a, xp, rhs=None):
+    """Multipliers lam of (F'_alpha(x)^T - I) lam = rhs, one system per row.
 
     a is the column of alphas and xp holds the rows x padded as for
-    padded_F. The systems are stacked into one tridiagonal solve; a row
-    whose system is singular comes back nan.
+    padded_F. rhs is the gradient in x of the objective, one row per x;
+    None means grad E(x) / n, the gradient of J. The systems are stacked
+    into one tridiagonal solve; a row whose system is singular comes back
+    nan.
     """
     x = xp[:, 1:-1]
     sub, sup = padded_bands(a, xp)
@@ -100,41 +130,43 @@ def _adjoint_rows(n, a, xp):
     du[:, :-1] = sub
     # free the bands before gtsv copies the system
     del sub, sup
-    return solve_tridiagonal_rows(dl, d, du, grad_entropy(x) / n)[0]
+    return solve_tridiagonal_rows(dl, d, du, grad_entropy(x) / n if rhs is None else rhs)[0]
 
 
-def _J_prime_rows(n, alphas, X):
-    """J' for each row of X (the root for alphas[i]), nan where the adjoint is singular.
+def _slope_rows(n, alphas, X, rhs=None):
+    """d/dalpha of an objective of the root, one row of X (the root for alphas[i]) each.
 
-    With lam from _adjoint_rows, dJ/dalpha = -(1/alpha) lam . F_alpha(x),
-    since F_alpha is linear in alpha: dF/dalpha = F_alpha(x)/alpha.
+    rhs is the objective's gradient in x as for _adjoint_rows (None: J,
+    so this gives J'). With lam from _adjoint_rows the derivative is
+    -(1/alpha) lam . F_alpha(x), since F_alpha is linear in alpha:
+    dF/dalpha = F_alpha(x)/alpha. A row whose adjoint is singular is nan.
     """
     a = np.asarray(alphas, dtype=float)[:, None]
     xp = np.zeros((len(X), n + 2))
     xp[:, 1:-1] = X
-    lam = _adjoint_rows(n, a, xp)
+    lam = _adjoint_rows(n, a, xp, rhs)
     Fx = padded_F(a, xp)
     return -np.matmul(lam[:, None, :], Fx[:, :, None])[:, 0, 0] / a[:, 0]
 
 
 def _scan(n, alphas, slopes=False):
-    """J at each alpha, and with slopes=True the sign of J' there.
+    """J at each alpha, and with slopes=True J' there.
 
     The alphas are solved together by newton_rows; an alpha whose solve
     fails is left nan.
     """
     alphas = np.asarray(alphas, dtype=float)
     Js = np.full(len(alphas), np.nan)
-    signs = np.full(len(alphas), np.nan)
+    Jps = np.full(len(alphas), np.nan)
     start = 0
     for X, errors in newton_rows(n, alphas):
         solved = np.array([i not in errors for i in range(len(X))])
         rows = start + np.flatnonzero(solved)
         Js[rows] = [entropy(x) / n for x in X[solved]]
         if slopes:
-            signs[rows] = np.sign(_J_prime_rows(n, alphas[rows], X[solved]))
+            Jps[rows] = _slope_rows(n, alphas[rows], X[solved])
         start += len(X)
-    return Js, signs
+    return Js, Jps
 
 
 _GRID_LO = 0.01
@@ -145,51 +177,55 @@ _GRID_POINTS = 99
 def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     """Maximize J over alpha in [0.01, 0.99] for a fixed chain length.
 
-    A 99-point scan of the sign of J', solved as one batch, checks
-    unimodality; a single + to - change brackets the maximum, golden
-    section narrows it, and bisection on the sign of J' polishes to
-    tol_alpha. Grid points whose solve fails are left out of the sign test.
-    If the solved points show other than one change, the best of them is
-    returned with unimodal=False; if none solves, ConvergenceError.
-    evaluations counts the alpha points evaluated.
+    A 99-point scan of J and J', solved as one batch, checks unimodality;
+    a single + to - change of the sign of J' brackets the maximum, and
+    _refine closes it to tol_alpha, seeded with the scan's J' at the two
+    ends. alpha_hat is the final end with the smaller |J'|, and J_value is
+    J there, so no solve follows the search. Grid points whose solve fails
+    are left out of the sign test, and a refinement solve that fails stops
+    the search with the bracket reached. If the solved points show other
+    than one change, the best of them is returned with unimodal=False; if
+    none solves, ConvergenceError.
     """
     check_count("n", n)
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
-    Js, signs = _scan(n, grid, slopes=True)
-    solved = np.isfinite(Js) & np.isfinite(signs)
-    if not solved.any():
+    Js, Jps = _scan(n, grid, slopes=True)
+    solved = np.flatnonzero(np.isfinite(Js) & np.isfinite(Jps))
+    if not len(solved):
         raise ConvergenceError(f"maximize_J: no grid point solved (n={n})")
-    evals = len(grid)
-    signs, points = signs[solved], grid[solved]
+    signs = np.sign(Jps[solved])
     flips = np.nonzero(np.diff(signs))[0]
     if len(flips) != 1 or signs[0] < 0 or signs[-1] > 0:
-        best = int(np.argmax(np.where(solved, Js, -np.inf)))
+        best = solved[np.argmax(Js[solved])]
         return OptResult(
             alpha_hat=float(grid[best]),
             J_value=float(Js[best]),
-            evaluations=evals,
+            evaluations=len(grid),
             bracket=float(grid[1] - grid[0]),
             unimodal=False,
         )
-    lo, hi = float(points[flips[0]]), float(points[flips[0] + 1])
-    # golden section until bisection can take over
-    lo, hi, calls = _golden_min(lambda a: -J(a, n), lo, hi, 16.0 * tol_alpha)
-    evals += calls
-    while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if J_prime(mid, n) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        evals += 1
-    alpha_hat = 0.5 * (lo + hi)
+    i, j = solved[flips[0]], solved[flips[0] + 1]
+    known = {float(grid[k]): float(Js[k]) for k in (i, j)}
+
+    def slope(a):
+        try:
+            x = newton_solve(ChainParams(n, a))
+            jp = J_prime(a, n, x)
+        except ConvergenceError:
+            return math.nan
+        known[a] = J(a, n, x)
+        return jp
+
+    alpha_hat, bracket, calls = _refine(
+        slope, float(grid[i]), float(Jps[i]), float(grid[j]), float(Jps[j]), tol_alpha
+    )
     return OptResult(
         alpha_hat=alpha_hat,
-        J_value=J(alpha_hat, n),
-        evaluations=evals + 1,
-        bracket=hi - lo,
+        J_value=known[alpha_hat],
+        evaluations=len(grid) + calls,
+        bracket=bracket,
     )
 
 

@@ -6,13 +6,14 @@ can be fitted without knowing the proportionality constant.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainFairError, DomainError, FitError
-from .fairness import _golden_min
-from .model import ChainParams
+from .errors import ConvergenceError, DomainError, FitError
+from .fairness import _refine, _slope_rows
+from .model import ChainParams, check_real
 from .solver import newton_rows, newton_solve
 
 _SCAN_POINTS = 33
@@ -50,6 +51,15 @@ def normalize(trace: ThroughputTrace) -> np.ndarray:
     return trace.rates / trace.rates[0]
 
 
+def _root_rows(n, alphas):
+    """The root for each alpha, one row each, solved as one batch; nan rows where the solve fails."""
+    rows = []
+    for X, errors in newton_rows(n, alphas):
+        X[list(errors)] = np.nan
+        rows.append(X)
+    return np.concatenate(rows) if rows else np.empty((0, n))
+
+
 def model_ratios(alpha, n: int) -> np.ndarray:
     """Solved chain normalized by its first component, x(alpha)/x_1(alpha).
 
@@ -59,51 +69,73 @@ def model_ratios(alpha, n: int) -> np.ndarray:
     if np.ndim(alpha) == 0:
         x = newton_solve(ChainParams(n, alpha))
         return x / x[0]
-    rows = []
-    for X, errors in newton_rows(n, alpha):
-        X = X / X[:, :1]
-        X[list(errors)] = np.nan
-        rows.append(X)
-    return np.concatenate(rows) if rows else np.empty((0, n))
+    X = _root_rows(n, alpha)
+    return X / X[:, :1]
+
+
+def _sse_slopes(n, alphas, X, rho):
+    """d/dalpha of sum_i (x_i/x_1 - rho_i)^2 at each row of X (the root for alphas[i]).
+
+    The gradient in x is 2 r_i / x_1 with r = x/x_1 - rho, except entry 1,
+    -2 sum_i r_i x_i / x_1^2 (r_1 = 0); the adjoint turns it into the
+    derivative in alpha. A row whose adjoint is singular is nan.
+    """
+    x1 = X[:, :1]
+    r = X / x1 - rho
+    grad = 2.0 * r / x1
+    grad[:, 0] = -2.0 * np.sum(r * X, axis=1) / x1[:, 0] ** 2
+    return _slope_rows(n, alphas, X, grad)
 
 
 def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)) -> FitResult:
     """Least-squares alpha for the trace's normalized shape.
 
-    Scans a coarse grid over bounds, solved as one batch, to bracket the
-    minimum of sum_i (x_i(alpha)/x_1(alpha) - rho_i)^2, then golden-sections
-    the bracket down to a width of 1e-4. Alphas where the solve fails are
-    skipped with an infinite objective; if every alpha fails, FitError.
+    Scans a coarse grid over bounds, solved as one batch, for the least
+    SSE(alpha) = sum_i (x_i(alpha)/x_1(alpha) - rho_i)^2. SSE' at the
+    best grid point and its neighbours picks the grid step where it
+    changes sign, and _refine closes that step to a width of 1e-4;
+    alpha_fit is the final end with the smaller |SSE'|. With no such step
+    (the minimum sits at a bound) the best grid point is returned. Alphas
+    where the solve fails score an infinite SSE, and a refinement solve
+    that fails stops the search; if every grid alpha fails, FitError.
     """
-    lo, hi = bounds
+    try:
+        lo, hi = bounds
+    except (TypeError, ValueError):
+        raise DomainError(f"bounds must be a pair (lo, hi), got {bounds!r}") from None
+    check_real("bounds[0]", lo)
+    check_real("bounds[1]", hi)
     if not 0.0 < lo < hi < 1.0:
         raise DomainError(f"bounds must satisfy 0 < lo < hi < 1, got {bounds!r}")
     rho = normalize(trace)
     n = len(rho)
 
-    def sse(m):
-        s = float(np.sum((m - rho) ** 2))
-        return s if s == s else float("inf")
-
-    def sse_at(a):
-        try:
-            return sse(model_ratios(a, n))
-        except ChainFairError:
-            return float("inf")
-
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    try:
-        vals = [sse(m) for m in model_ratios(grid, n)]
-    except ChainFairError:
-        vals = [float("inf")] * len(grid)
-    if not np.isfinite(vals).any():
-        raise FitError("model evaluation failed across the whole alpha grid")
+    X = _root_rows(n, grid)
+    vals = np.sum((X / X[:, :1] - rho) ** 2, axis=1)
+    vals[np.isnan(vals)] = np.inf
     i = int(np.argmin(vals))
-    b_lo = float(grid[max(0, i - 1)])
-    b_hi = float(grid[min(len(grid) - 1, i + 1)])
-    b_lo, b_hi, _ = _golden_min(sse_at, b_lo, b_hi, 1e-4)
-    alpha_fit = 0.5 * (b_lo + b_hi)
-    resid = model_ratios(alpha_fit, n) - rho
+    if not np.isfinite(vals[i]):
+        raise FitError("model evaluation failed across the whole alpha grid")
+    near = [k for k in (i - 1, i, i + 1) if 0 <= k < len(grid) and np.isfinite(vals[k])]
+    slopes = dict(zip(near, _sse_slopes(n, grid[near], X[near], rho)))
+    known = {float(grid[k]): X[k] / X[k, 0] for k in near}
+
+    def slope(a):
+        try:
+            x = newton_solve(ChainParams(n, a))
+        except ConvergenceError:
+            return math.nan
+        known[a] = x / x[0]
+        return _sse_slopes(n, [a], x[None], rho)[0]
+
+    alpha_fit = float(grid[i])
+    # SSE' < 0 at the best grid point puts the minimum on its right
+    j = i + 1 if slopes[i] < 0.0 else i - 1
+    if slopes.get(j, math.nan) * slopes[i] < 0.0:
+        a, b = sorted((i, j))
+        alpha_fit, _, _ = _refine(slope, float(grid[a]), slopes[a], float(grid[b]), slopes[b], 1e-4)
+    resid = known[alpha_fit] - rho
     return FitResult(alpha_fit=alpha_fit, sse=float(np.sum(resid ** 2)), residuals=resid)
 
 

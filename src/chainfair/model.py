@@ -11,6 +11,8 @@ The two virtual pairs 0 and n+1 beyond the ends never send (x = 0), so the
 border rows lose one factor.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,15 @@ def check_count(name, value, least=1):
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(name, value):
+    """Refuse with DomainError a value that is not a finite real number.
+
+    bool is refused although it subclasses int, and so is a numeric string.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

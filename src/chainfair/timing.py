@@ -7,12 +7,12 @@ long-run fraction of time it holds the medium is alpha = T_s/(T_s + T_w).
 Inverting that map turns a fairness-optimal alpha into a frame size.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import math
 
 from .errors import DomainError
-from .model import check_count
+from .model import check_count, check_real
 
 _RATES = (1.0, 2.0, 5.5, 11.0)
 _S_MIN = 14
@@ -38,6 +38,8 @@ class MacTiming:
     plcp: float = 192.0
 
     def __post_init__(self):
+        for field in fields(self):
+            check_real(field.name, getattr(self, field.name))
         for name in ("difs", "eifs", "sifs", "slot", "rts", "cts", "ack", "plcp"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")

@@ -147,6 +147,22 @@ class TestConfigFile:
         assert parse_csv(out)[0][0] == "bytes"
         assert int(parse_csv(out)[0][1]) < 250
 
+    @pytest.mark.parametrize("value", [True, "15", None, [15]])
+    def test_timing_override_must_be_a_number(self, capsys, tmp_path, value):
+        # true was read as a 1-slot window (bytes,137, exit 0) and "15" passed as a string
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.6, "rate": 2, "timing": {"cw_min": value}}))
+        code, out, err = run(capsys, ["packet", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "cw_min" in err
+
+    def test_unknown_timing_field(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.6, "rate": 2, "timing": {"cw_max": 1023}}))
+        code, out, err = run(capsys, ["packet", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "cw_max" in err
+
     @pytest.mark.parametrize(
         "command, cfg, key",
         [

@@ -18,27 +18,11 @@ from chainfair import (
     sweep_J,
 )
 
+from patching import count_solves, force_failures, off_grid
 from reference import jacobian_F
 
 
 GRID = np.linspace(0.01, 0.99, 99)
-
-
-def force_failures(monkeypatch, bad):
-    """Make the batched solves in fairness fail for the alphas in bad."""
-    real = fairness_module.newton_rows
-
-    def rows(n, alphas, *args):
-        alphas = list(alphas)
-        start = 0
-        for X, errors in real(n, alphas, *args):
-            for i in range(len(X)):
-                if alphas[start + i] in bad:
-                    errors[i] = ConvergenceError("forced failure", last=X[i], residual=1.0)
-            start += len(X)
-            yield X, errors
-
-    monkeypatch.setattr(fairness_module, "newton_rows", rows)
 
 
 class TestJ:
@@ -111,6 +95,47 @@ class TestJPrime:
         assert peak <= 10 * 8 * n
 
 
+class TestRefine:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda d: -d,
+            lambda d: -(d ** 3),
+            lambda d: -np.tanh(d / 1e-3),
+            lambda d: np.expm1(-40.0 * d),
+            lambda d: -1.0 if d > 0.0 else 1.0,
+        ],
+        ids=["linear", "cubic", "steep", "exponential", "step"],
+    )
+    @pytest.mark.parametrize(
+        "lo, hi, width, root",
+        [(0.5, 0.56, 1e-4, 0.5537), (0.25, 0.6, 1e-6, 0.5537), (0.55, 0.56, 1e-4, 0.55001), (0.3, 0.4, 1e-5, 0.3999)],
+    )
+    def test_closes_on_a_known_root(self, shape, lo, hi, width, root):
+        calls = []
+
+        def slope(a):
+            calls.append(a)
+            return shape(a - root)
+
+        best, bracket, evals = fairness_module._refine(slope, lo, shape(lo - root), hi, shape(hi - root), width)
+        assert bracket <= width
+        # best is an end of the final bracket, which holds the root
+        assert abs(best - root) <= bracket
+        assert lo <= best <= hi
+        assert evals == len(calls) <= np.ceil(np.log2((hi - lo) / width)) + 1
+
+    def test_bracket_already_closed(self):
+        assert fairness_module._refine(lambda a: 1 / 0, 0.5, 1.0, 0.50005, -1.0, 1e-4) == (0.5, pytest.approx(5e-5), 0)
+
+    def test_exact_root_ends_the_search(self):
+        assert fairness_module._refine(lambda a: 0.5 - a, 0.25, 0.25, 0.75, -0.25, 1e-4) == (0.5, 0.0, 1)
+
+    def test_nan_slope_stops_the_search(self):
+        best, bracket, evals = fairness_module._refine(lambda a: np.nan, 0.5, 2.0, 0.6, -1.0, 1e-4)
+        assert (best, bracket, evals) == (0.6, pytest.approx(0.1), 1)
+
+
 class TestMaximizeJ:
     def test_small_chain(self):
         res = maximize_J(10)
@@ -149,10 +174,10 @@ class TestMaximizeJ:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 51])
     def test_scan_matches_pointwise_J_and_J_prime(self, n):
-        Js, signs = fairness_module._scan(n, GRID, slopes=True)
-        for a, j, s in zip(GRID, Js, signs):
+        Js, slopes = fairness_module._scan(n, GRID, slopes=True)
+        for a, j, s in zip(GRID, Js, slopes):
             assert j == J(float(a), n)
-            assert s == np.sign(J_prime(float(a), n))
+            assert s == J_prime(float(a), n)
 
     def test_failed_scan_row_is_left_out(self, monkeypatch):
         ref = maximize_J(10)
@@ -177,6 +202,39 @@ class TestMaximizeJ:
         assert res.alpha_hat == GRID[29]
         assert res.J_value == J(float(GRID[29]), 10)
         assert res.evaluations == 99
+
+    @pytest.mark.parametrize("n", [10, 100, 2000, 5000])
+    def test_refinement_evaluations_capped(self, monkeypatch, n):
+        # the one-grid-step bracket closes within ceil(log2(0.01 / 1e-4)) + 1
+        # = 8 solves, and none follows (was 10 and a final J(alpha_hat))
+        calls = count_solves(monkeypatch, fairness_module)
+        res = maximize_J(n)
+        assert res.unimodal and res.bracket <= 1e-4
+        assert len(calls) <= 8
+        assert res.evaluations == 99 + len(calls)
+
+    def test_failed_refinement_solve_keeps_the_bracket(self, monkeypatch):
+        # every refinement point fails: the search stops at the scan's
+        # bracket; a failed J_prime in the bisection used to raise
+        force_failures(monkeypatch, off_grid(GRID))
+        res = maximize_J(10)
+        assert res.unimodal
+        assert res.alpha_hat in (GRID[54], GRID[55])
+        assert res.bracket == pytest.approx(GRID[55] - GRID[54])
+        assert res.J_value == J(float(res.alpha_hat), 10)
+        assert res.evaluations == 100
+
+    def test_failed_solve_midway_keeps_the_narrower_bracket(self, monkeypatch):
+        # the first refinement point solves, the rest fail
+        calls = count_solves(monkeypatch, fairness_module)
+        ref = maximize_J(10)
+        first = calls[0]
+        force_failures(monkeypatch, off_grid([*GRID, first]))
+        res = maximize_J(10)
+        assert res.unimodal
+        assert res.evaluations == 101
+        assert res.bracket < GRID[55] - GRID[54]
+        assert res.alpha_hat == pytest.approx(ref.alpha_hat, abs=res.bracket)
 
     def test_no_solved_grid_point_raises(self, monkeypatch):
         force_failures(monkeypatch, set(GRID))

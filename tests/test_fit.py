@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import chainfair.fit as fit_module
 from chainfair import (
-    ChainFairError,
     ChainParams,
     ConvergenceError,
     DomainError,
@@ -19,6 +18,8 @@ from chainfair import (
     read_trace_csv,
     write_trace_csv,
 )
+
+from patching import count_solves, force_failures, off_grid
 
 NS2_THREE_PAIRS = ThroughputTrace(rates=[1.55, 0.04, 1.55], label="ns-2 n=3")
 
@@ -106,13 +107,60 @@ class TestFitAlpha:
         with pytest.raises(DomainError):
             fit_alpha(NS2_THREE_PAIRS, bounds=bounds)
 
-    def test_all_solves_failing_is_fit_error(self, monkeypatch):
-        def boom(alpha, n):
-            raise ChainFairError("forced failure")
+    @pytest.mark.parametrize(
+        "bounds", [(0.1, 0.2, 0.3), (0.1,), 0.5, ("0.1", "0.5"), None, (True, 0.5), (0.1, float("nan"))]
+    )
+    def test_malformed_bounds(self, bounds):
+        # these raised ValueError or TypeError from unpacking or comparing
+        with pytest.raises(DomainError):
+            fit_alpha(NS2_THREE_PAIRS, bounds=bounds)
 
-        monkeypatch.setattr(fit_module, "model_ratios", boom)
+    def test_all_solves_failing_is_fit_error(self, monkeypatch):
+        force_failures(monkeypatch, lambda a: True, module=fit_module)
         with pytest.raises(FitError):
             fit_module.fit_alpha(NS2_THREE_PAIRS)
+
+    @pytest.mark.parametrize("alpha, bounds, edge", [(0.3, (0.5, 0.99), 0.5), (0.95, (0.2, 0.8), 0.8)])
+    def test_minimum_at_a_bound(self, alpha, bounds, edge):
+        res = fit_alpha(model_trace(7, alpha), bounds=bounds)
+        assert abs(res.alpha_fit - edge) <= 1e-4
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_failed_refinement_solve_keeps_the_scan_bracket(self, monkeypatch, n):
+        # every refinement point fails: the fit stops at the scan's grid step
+        grid = np.linspace(0.05, 0.99, fit_module._SCAN_POINTS)
+        force_failures(monkeypatch, off_grid(grid), module=fit_module)
+        res = fit_alpha(model_trace(n, 0.7))
+        assert res.alpha_fit in grid
+        assert res.alpha_fit == pytest.approx(0.7, abs=grid[1] - grid[0])
+        assert res.sse == pytest.approx(float(np.sum(res.residuals**2)), rel=1e-12)
+
+    def test_serial_solves_per_fit(self, monkeypatch):
+        # golden section made 16 serial solves and one more for the residuals
+        calls = count_solves(monkeypatch, fit_module)
+        for n in range(3, 21):
+            for alpha in (0.3, 0.5, 0.7, 0.862):
+                calls.clear()
+                res = fit_alpha(model_trace(n, alpha))
+                assert len(calls) <= 8, f"n={n} alpha={alpha}"
+                assert abs(res.alpha_fit - alpha) <= 1e-4
+
+    def test_sse_slope_matches_finite_differences(self):
+        h = 1e-6
+        worst = 0.0
+        for n in range(3, 21):
+            # a shape no alpha fits exactly, so SSE' is away from zero
+            rho = model_ratios(0.6, n) * (1.0 + 0.05 * np.sin(np.arange(n)))
+
+            def sse(a):
+                return float(np.sum((model_ratios(a, n) - rho) ** 2))
+
+            for alpha in (0.3, 0.5, 0.7, 0.862):
+                fd = (sse(alpha + h) - sse(alpha - h)) / (2 * h)
+                x = newton_solve(ChainParams(n, alpha))
+                (slope,) = fit_module._sse_slopes(n, [alpha], x[None], rho)
+                worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
+        assert worst <= 1e-6
 
 
 class TestCompareNormalized:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,18 @@ class TestMacTiming:
         # passed cw_min < 0 and then gave alpha = nan for every frame
         with pytest.raises(DomainError):
             MacTiming(cw_min=float("nan"))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"slot": True}, {"cw_min": False}, {"cw_min": "15"}, {"rts": None}, {"ack": float("inf")}, {"eifs": 1j}],
+    )
+    def test_non_real_field_refused(self, kw):
+        # MacTiming(slot=True) validated as a 1 us slot
+        with pytest.raises(DomainError):
+            MacTiming(**kw)
+
+    def test_integer_fields_accepted(self):
+        assert MacTiming(cw_min=15, slot=np.int64(20)).cw_min == 15
 
 
 class TestFrameSpec:
