@@ -99,6 +99,8 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     where the solve fails score an infinite SSE, and a refinement solve
     that fails stops the search; if every grid alpha fails, FitError.
     """
+    if not isinstance(trace, ThroughputTrace):
+        raise DomainError(f"trace must be a ThroughputTrace, got {type(trace).__name__}")
     try:
         lo, hi = bounds
     except (TypeError, ValueError):

@@ -32,9 +32,15 @@ def check_count(name, value, least=1):
 def check_real(name, value):
     """Refuse with DomainError a value that is not a finite real number.
 
-    bool is refused although it subclasses int, and so is a numeric string.
+    A 0-d numpy array of integers or floats counts as its scalar. bool is
+    refused although it subclasses int, and so is a numeric string.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf":
+        value = value[()]
+    # a float (np.float64 too) skips the numbers.Real test, an abstract-class
+    # check several times slower than the rest; this runs once per scan alpha
+    real = isinstance(value, float) or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+    if not real or not math.isfinite(value):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -47,6 +53,7 @@ class ChainParams:
 
     def __post_init__(self):
         check_count("n", self.n)
+        check_real("alpha", self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
@@ -110,8 +117,10 @@ def ring_level(alpha):
 
 
 def entropy(x) -> float:
-    """Shannon entropy E(x) = -sum x_i ln x_i with the 0 ln 0 = 0 convention."""
+    """Shannon entropy E(x) = -sum x_i ln x_i of a vector, with the 0 ln 0 = 0 convention."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"entropy requires a vector, got shape {x.shape}")
     if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("entropy requires components in [0, 1]")
     pos = x > 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ChainParams, check_count
+from .model import ChainParams, check_count, check_real
 from .solver import SolveOptions, newton_solve
 
 _POLICIES = ("random-single-site", "synchronous-random-order")
@@ -40,6 +40,7 @@ class SimConfig:
         check_count("seed", self.seed, least=0)
         if self.burn_in is not None:
             check_count("burn_in", self.burn_in, least=0)
+        check_real("alpha", self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.policy not in _POLICIES:

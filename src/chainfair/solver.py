@@ -15,12 +15,15 @@ ends high, alternating inward, and a central defect when n is even.
 newton_rows runs that loop on many alphas at once, one row each, for the
 alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
 systems are stacked into one LAPACK gtsv call per step, and newton_solve
-is newton_rows on one row. On chains of 2^16 pairs or more the loop
-starts from a short chain's root with the same n mod 4, spliced into the
-ring pattern; where that start already passes the tolerance the loop
-returns it without a step.
+is newton_rows on one row. A long chain departs from the ring pattern
+only in border layers that decay like e^{-kappa i}; once n is at least
+8 L(alpha), with L(alpha) the power of two at or above 160/kappa in
+[2^7, 2^13], the loop starts from the root of a chain of L(alpha) + n % 4
+pairs spliced into the ring pattern, and where that start already passes
+the tolerance the loop returns it without a step.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ from .model import (
     ChainParams,
     apply_F,
     check_count,
+    check_real,
     jacobian_bands,
     padded_bands,
     padded_F,
@@ -45,11 +49,15 @@ _NEWTON_MAX_ITER = 100
 # outgrow the CPU cache: at n = 5000, a cap of 2^16 made maximize_J 1.5x
 # slower than 2^14 on a 2-core Xeon with 2 MB of L2 per core.
 _STACK_UNKNOWNS = 1 << 14
-# Length of the short chain whose root starts chains at least 8 times as
-# long (see _start_rows). At alpha = 0.6826, 0.8 and 0.95 fewer than 130 sites
-# of a root differ from the ring pattern by more than 1e-14, all next to an
-# end or the centre; the splice takes the 2^11 sites next to each from the
-# short chain's root.
+# Clips of L(alpha), the length of the short chain whose root starts chains
+# of at least 8 L(alpha) pairs (see _start_rows). L(alpha) is the power of
+# two at or above 160/kappa, kappa the border layer's decay rate
+# (_border_rate): the splice takes the L/4 >= 40/kappa sites next to each
+# end and next to the centre from the short root, where the deviation from
+# the ring pattern has decayed by e^{-40} ~ 4e-18. Near alpha = 3/4, where
+# kappa -> 0, the upper clip holds; below 8 * 2^7 = 1024 pairs no chain is
+# spliced.
+_SPLICE_MIN = 1 << 7
 _SPLICE_LEN = 1 << 13
 (_gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
@@ -66,6 +74,7 @@ class SolveOptions:
     max_iter: int | None = None
 
     def __post_init__(self):
+        check_real("tol", self.tol)
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter is not None:
@@ -281,27 +290,64 @@ def _newton_block(n, alphas, opts, y):
     return out, why
 
 
+def _border_rate(alpha):
+    """Decay rate kappa of a root's deviation from the ring pattern, e^{-kappa i}.
+
+    Linearized about the ring levels hi, lo of _ring_start, a deviation
+    delta_i = -alpha ((1 - x_{i+1}) delta_{i-1} + (1 - x_{i-1}) delta_{i+1})
+    shrinks by e^{-2 kappa} over each period of two sites, with
+    cosh(2 kappa) = 1/p - 1 and p = 2 alpha^2 (1 - hi)(1 - lo). Below 3/4
+    this is cosh(kappa) = 1/(2 alpha (1 - c)); past it p = 2 (1 - alpha);
+    kappa = 0 at 3/4.
+    """
+    hi, lo = _ring_start(alpha)
+    p = float(2.0 * alpha * alpha * (1.0 - hi) * (1.0 - lo))
+    # p underflows to 0 as alpha -> 0, where kappa grows without bound, and
+    # rounding leaves 1/p - 1 a few ulp under 1 at 3/4
+    return 0.5 * math.acosh(max(1.0 / p - 1.0, 1.0)) if p > 0.0 else math.inf
+
+
+def _splice_len(alpha):
+    """L(alpha): the power of two at or above 160/kappa, within [_SPLICE_MIN, _SPLICE_LEN]."""
+    kappa = _border_rate(alpha)
+    length = _SPLICE_MIN
+    while length < _SPLICE_LEN and length * kappa < 160.0:
+        length *= 2
+    return length
+
+
 def _start_rows(n, alphas, opts):
     """Newton start halves: the ring pattern, spliced near the ends of a long chain.
 
-    Away from its ends a long chain sits on the ring pattern, so for
-    n >= 8 _SPLICE_LEN the loop first runs on a chain of
-    n' = _SPLICE_LEN + n % 4 pairs only. n' has the parity of n, so an even
-    chain keeps its central defect, and its half m' = ceil(n'/2) the parity
-    of m = ceil(n/2), so the alternating pattern meets the mirror in the
-    same phase. The first half of each short root's mirror half goes at the
-    head of the long half, its second half at the mirror end, and the ring
-    pattern of _ring_rows fills the sites between. A short solve that fails
-    still leaves its last iterate there: the full-length loop decides.
+    Away from its ends a long chain sits on the ring pattern, up to border
+    layers that decay like e^{-kappa i}. So for n >= 8 L(alpha)
+    (_splice_len) the loop first runs on a chain of n' = L(alpha) + n % 4
+    pairs only; the rows of one L share one stacked short _newton_block,
+    so each row gets the arithmetic of its own solve. n' has the parity of
+    n, so an even chain keeps its central defect, and its half
+    m' = ceil(n'/2) the parity of m = ceil(n/2), so the alternating pattern
+    meets the mirror in the same phase. The first half of each short root's
+    mirror half goes at the head of the long half, its second half at the
+    mirror end, and the ring pattern of _ring_rows fills the sites between.
+    A short solve that fails still leaves its last iterate there: the
+    full-length loop decides. Below 8 _SPLICE_MIN pairs nothing is computed.
     """
     m = (n + 1) // 2
     y = _ring_rows(alphas, m)
-    if n >= 8 * _SPLICE_LEN:
-        ns = _SPLICE_LEN + n % 4
-        short, _ = _newton_block(ns, alphas, opts, _ring_rows(alphas, (ns + 1) // 2))
+    if n < 8 * _SPLICE_MIN:
+        return y
+    groups = {}
+    for i, a in enumerate(alphas):
+        length = _splice_len(a)
+        if n >= 8 * length:
+            groups.setdefault(length, []).append(i)
+    for length, rows in groups.items():
+        ns = length + n % 4
+        picked = [alphas[i] for i in rows]
+        short, _ = _newton_block(ns, picked, opts, _ring_rows(picked, (ns + 1) // 2))
         head = short.shape[1] // 2
-        y[:, :head] = short[:, :head]
-        y[:, m - short.shape[1] + head :] = short[:, head:]
+        y[rows, :head] = short[:, :head]
+        y[rows, m - short.shape[1] + head :] = short[:, head:]
     return y
 
 
@@ -339,11 +385,14 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     A block holds as many rows as fit in _STACK_UNKNOWNS half-chain
     unknowns, so memory stays bounded however many alphas come in.
 
-    Chains of at least 8 _SPLICE_LEN pairs start from a splice
-    (_start_rows): the Newton loop runs on a short chain with the same
-    n mod 4, and its root is placed at the ends of the ring pattern. The
-    full-length loop then runs from there as from any start, and takes no
-    step on a row whose spliced half already passes max |G| <= tol.
+    A row whose chain has at least 8 L(alpha) pairs starts from a splice
+    (_start_rows), L(alpha) being the power of two at or above 160/kappa
+    within [2^7, 2^13] and kappa the border layer's decay rate: the Newton
+    loop runs on a chain of L(alpha) + n % 4 pairs, one stacked short loop
+    per L among the block's rows, and each short root is placed at the
+    ends of the ring pattern. The full-length loop then runs from there as
+    from any start, and takes no step on a row whose spliced half already
+    passes max |G| <= tol.
     """
     alphas = list(alphas)
     for a in alphas:
@@ -366,8 +415,10 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     inward from both ends, with a central defect x_{n/2} = x_{n/2+1} for
     even n. Raises ConvergenceError (with the last iterate and residual)
     when the step cap is hit or the line search cannot reduce the merit.
-    This is newton_rows on one row, so a chain of 2^16 pairs or more
-    starts instead from the root of a short chain of 2^13 + n % 4 pairs
+    This is newton_rows on one row, so a chain of at least 8 L(alpha)
+    pairs (L(alpha) the power of two at or above 160/kappa within
+    [2^7, 2^13], kappa the border layer's decay rate, _border_rate) starts
+    instead from the root of a short chain of L(alpha) + n % 4 pairs
     spliced into the ring pattern, and the loop returns that start
     unchanged when every site of it already meets tol.
     """

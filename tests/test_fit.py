@@ -102,6 +102,12 @@ class TestFitAlpha:
         res = fit_alpha(model_trace(4, 0.5), bounds=(0.4, 0.6))
         assert 0.4 <= res.alpha_fit <= 0.6
 
+    @pytest.mark.parametrize("trace", [[1, 2, 3], np.array([1.0, 2.0]), None])
+    def test_non_trace_refused(self, trace):
+        # a list raised AttributeError from normalize
+        with pytest.raises(DomainError):
+            fit_alpha(trace)
+
     @pytest.mark.parametrize("bounds", [(0.0, 0.5), (0.5, 1.0), (0.7, 0.2)])
     def test_bad_bounds(self, bounds):
         with pytest.raises(DomainError):

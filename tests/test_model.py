@@ -13,6 +13,7 @@ from chainfair import (
     grad_entropy,
     jacobian_bands,
 )
+from chainfair.model import check_real
 
 from reference import closed_form_n3, closed_form_n4, jacobian_F
 
@@ -25,7 +26,11 @@ class TestChainParams:
         with pytest.raises(DomainError):
             ChainParams(n, 0.5)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.7, float("nan")])
+    # "0.5" and None raised an untyped TypeError from the range comparison
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, 1.0, -0.2, 1.7, float("nan"), "0.5", None, True, np.array(True), np.array([0.5]), float("inf")],
+    )
     def test_bad_alpha(self, alpha):
         with pytest.raises(DomainError):
             ChainParams(3, alpha)
@@ -40,6 +45,23 @@ class TestChainParams:
         # the solver with an untyped TypeError
         with pytest.raises(DomainError):
             ChainParams(True, 0.5)
+
+    @pytest.mark.parametrize("alpha", [np.array(0.5), np.array(0.5, dtype=np.float32), np.float64(0.5)])
+    def test_numpy_real_alpha_accepted(self, alpha):
+        assert ChainParams(3, alpha).alpha == 0.5
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.5, -3, np.float32(2.0), np.int64(7), np.array(0.5), np.array(3)])
+    def test_finite_reals_pass(self, value):
+        check_real("v", value)
+
+    @pytest.mark.parametrize(
+        "value", ["1", None, True, np.bool_(True), np.array(False), np.array([1.0]), np.array(np.inf), complex(1, 0)]
+    )
+    def test_others_refused(self, value):
+        with pytest.raises(DomainError, match="^v must be a finite real number"):
+            check_real("v", value)
 
 
 class TestApplyF:
@@ -147,6 +169,12 @@ class TestEntropy:
         # returned -0.0: nan fails both x < 0 and x > 1
         with pytest.raises(DomainError):
             entropy([float("nan")])
+
+    @pytest.mark.parametrize("x", [np.full((2, 2), 0.5), 0.5])
+    def test_non_vector_refused(self, x):
+        # a 2-D array was summed over all its entries
+        with pytest.raises(DomainError):
+            entropy(x)
 
     def test_maximal_at_inverse_e(self):
         best = entropy([1 / math.e] * 4)

@@ -130,7 +130,9 @@ class TestSimConfig:
             {"n": 3, "alpha": 0.5, "steps": 100, "burn_in": 100},
             {"n": 3, "alpha": 0.5, "steps": 100, "burn_in": -1},
             {"n": 3, "alpha": 0.5, "steps": 100, "policy": "checkerboard"},
-        ],
+        ]
+        # "0.5" raised an untyped TypeError from the range comparison
+        + [{"n": 5, "alpha": a, "steps": 100} for a in ("0.5", None, True, float("nan"))],
     )
     def test_invalid(self, kw):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chainfair import (
     residual,
 )
 import chainfair.solver as solver_module
+from chainfair.model import ring_level
 from chainfair.solver import _STACK_UNKNOWNS, newton_rows, solve_tridiagonal_rows
 
 from reference import closed_form_n4, jacobian_F
@@ -35,10 +37,19 @@ class TestSolveOptions:
         o = SolveOptions()
         assert o.tol == 1e-12 and o.max_iter is None
 
-    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}, {"max_iter": 2.5}])
+    # tol = inf made newton_solve return the ring start, residual 0.125 at
+    # (50, 0.6); tol = "1e-3" raised an untyped TypeError
+    @pytest.mark.parametrize(
+        "kw",
+        [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}, {"max_iter": 2.5}]
+        + [{"tol": t} for t in (float("inf"), float("nan"), "1e-3", None, True, np.array([1e-3]))],
+    )
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
             SolveOptions(**kw)
+
+    def test_real_tol_of_numpy_type_accepted(self):
+        assert SolveOptions(tol=np.float32(1e-6)).tol > 0.0
 
 
 class TestFixedPoint:
@@ -261,7 +272,12 @@ class TestNewtonRows:
                 tracemalloc.stop()
             return top
 
-        one_block = peak(alphas[: _STACK_UNKNOWNS // ((n + 1) // 2)])
+        # the reference block is one whose rows step at full length: the one
+        # holding 0.75, where a chain of 5000 pairs is too short to splice
+        per_block = _STACK_UNKNOWNS // ((n + 1) // 2)
+        first = 74 // per_block * per_block
+        assert alphas[74] == 0.75 and n < 8 * solver_module._splice_len(0.75)
+        one_block = peak(alphas[first : first + per_block])
         every_row = peak(alphas)
         # the peak is that of one block, not of all the rows at once
         assert every_row < 1.5 * one_block
@@ -350,6 +366,19 @@ def gtsv_sizes(monkeypatch):
     return seen
 
 
+def newton_halves(monkeypatch):
+    """Make solver._newton_block append the half length of every run, stepping or not, to the returned list."""
+    seen = []
+    real = solver_module._newton_block
+
+    def recording(n, alphas, opts, y):
+        seen.append(y.shape[1])
+        return real(n, alphas, opts, y)
+
+    monkeypatch.setattr(solver_module, "_newton_block", recording)
+    return seen
+
+
 class TestSplicedLongChains:
     @pytest.mark.parametrize("alpha", SPLICE_ALPHAS)
     @pytest.mark.parametrize("n", SPLICE_NS)
@@ -368,26 +397,121 @@ class TestSplicedLongChains:
 
     @pytest.mark.parametrize("n", [5000, 8 * solver_module._SPLICE_LEN - 1])
     @pytest.mark.parametrize("alpha", [1e-3, 0.6826, 0.75, 0.8, 0.95])
-    def test_shorter_chains_are_solved_whole(self, n, alpha):
+    def test_shorter_chains_are_solved_whole(self, monkeypatch, n, alpha):
+        # a chain below 8 L(alpha) runs the full-length loop from the ring
+        # start; from 8 L(alpha) up a chain of L(alpha) + n % 4 pairs runs first
+        length = solver_module._splice_len(alpha)
+        halves = newton_halves(monkeypatch)
         x = newton_solve(ChainParams(n, alpha))
-        assert np.array_equal(x, full_solve(n, alpha)[0])
+        if n < 8 * length:
+            assert halves == [(n + 1) // 2]
+            assert np.array_equal(x, full_solve(n, alpha)[0])
+        else:
+            assert halves == [(length + n % 4 + 1) // 2, (n + 1) // 2]
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-3, 0.5, 0.6826, 0.74, 0.7505, 0.8, 0.95])
+    def test_splice_threshold_is_eight_short_lengths(self, monkeypatch, alpha):
+        halves = newton_halves(monkeypatch)
+        length = solver_module._splice_len(alpha)
+        for n in (8 * length - 1, 8 * length):
+            halves.clear()
+            p = ChainParams(n, alpha)
+            assert residual(p, newton_solve(p)) <= 1e-12
+            short = [(length + n % 4 + 1) // 2] if n == 8 * length else []
+            assert halves == short + [(n + 1) // 2]
+
+    @pytest.mark.parametrize(
+        ("alpha", "length"),
+        [(1e-300, 128), (1e-12, 128), (0.3, 128), (0.5, 256), (0.6826, 512), (0.74, 2048), (0.7499, 8192),
+         (0.75, 8192), (0.7505, 4096), (0.8, 512), (0.95, 128), (1.0 - 1e-12, 128)],
+    )
+    def test_short_length_follows_the_border_rate(self, alpha, length):
+        # the power of two at or above 160/kappa, within [2^7, 2^13]
+        assert solver_module._splice_len(alpha) == length
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.6826, 0.7499, 0.75, 0.7501, 0.8, 0.95, 1.0 - 1e-9])
+    def test_border_rate_closed_forms(self, alpha):
+        kappa = solver_module._border_rate(alpha)
+        if alpha < 0.75:
+            c = ring_level(alpha)
+            assert kappa == pytest.approx(np.arccosh(1.0 / (2.0 * alpha * (1.0 - c))), rel=1e-9)
+        elif alpha == 0.75:
+            assert kappa == 0.0
+        else:
+            # 1 - hi cancels as alpha -> 1: 5e-9 relative at 1 - 1e-9
+            assert kappa == pytest.approx(np.arccosh(1.0 / (2.0 * (1.0 - alpha)) - 1.0) / 2.0, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.6826, 0.8, 0.95])
+    def test_border_rate_matches_the_measured_decay(self, alpha):
+        # the deviation from the ring pattern on one parity of sites of the
+        # first quarter, clear of the centre, fitted where it is linear
+        # and above rounding
+        n = 4000
+        dev = np.abs(newton_solve(ChainParams(n, alpha)) - solver_module._ring_rows([alpha], n)[0])[: n // 4]
+        i = np.arange(n // 4)
+        keep = (i % 2 == 0) & (dev > 1e-13) & (dev < 1e-5)
+        assert keep.sum() >= 5
+        slope = np.polyfit(i[keep], np.log(dev[keep]), 1)[0]
+        assert -slope == pytest.approx(solver_module._border_rate(alpha), rel=0.05)
+
+    def test_converges_near_three_quarters_at_every_length(self):
+        # a short chain of 2^8 or 2^9 pairs left 3 to 10 of these cells
+        # unsolved at alpha = 0.75; every row is also bit-identical to its
+        # one-alpha solve, so newton_rows stands for newton_solve here
+        rng = np.random.default_rng(11)
+        ns = set(np.exp(rng.uniform(np.log(1024), np.log(250_000), 86)).astype(int).tolist())
+        ns = sorted(ns | set(range(4096, 4161)))
+        assert 140 <= len(ns) <= 160
+        alphas = [0.7499, 0.74995, 0.75, np.linspace(0.01, 0.99, 99)[74], 0.7500001, 0.75005, 0.7502]
+        for n in ns:
+            start = 0
+            for X, errors in newton_rows(n, alphas):
+                assert not errors, (n, {alphas[start + i]: str(e) for i, e in errors.items()})
+                for i, x in enumerate(X):
+                    assert residual(ChainParams(n, alphas[start + i]), x) <= 1e-12
+                start += len(X)
+
+    @pytest.mark.parametrize("n", [5000, 100_001])
+    def test_short_lengths_mix_in_one_block(self, monkeypatch, n):
+        # rows of L = 128, 256, 512, 2048 and unspliced ones in one block
+        alphas = [0.95, 0.5, 0.74, 0.75, 0.6826, 0.3]
+        refs = [newton_solve(ChainParams(n, a)) for a in alphas]
+        monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", len(alphas) * ((n + 1) // 2))
+        lengths = {solver_module._splice_len(a) for a in alphas if n >= 8 * solver_module._splice_len(a)}
+        assert len(lengths) >= 3
+        ((X, errors),) = newton_rows(n, alphas)
+        assert not errors
+        for x, ref in zip(X, refs):
+            assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("n", [1024, 100_000])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-12, 1.0 - 1e-12])
+    def test_no_warning_at_extreme_alpha(self, n, alpha):
+        p = ChainParams(n, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = newton_solve(p)
+        assert residual(p, x) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
     def test_big_solve_runs_newton_on_the_short_chain_only(self, monkeypatch, alpha):
-        # the full-length solve passes about 2.5e6 unknowns to gtsv at n = 1e6
+        # the full-length solve passes about 2.5e6 unknowns to gtsv at n = 1e6;
+        # the short chains of 512 or 128 pairs pass 320 to 1280
         seen = gtsv_sizes(monkeypatch)
         newton_solve(ChainParams(10**6, alpha))
-        assert 0 < sum(seen) < 10**5
+        assert 0 < sum(seen) < 2000
 
     @pytest.mark.parametrize("n", [65_536, 65_537, 65_538, 65_539])
     def test_splice_is_taken_for_every_residue_mod_4(self, monkeypatch, n):
         # a short chain of the wrong residue meets the bulk pattern out of
         # phase past alpha = 3/4, and the full-length loop would step; here
         # every block holds one row, so no gtsv call may exceed a short half
+        alphas = [0.3, 0.6826, 0.8, 0.95]
         seen = gtsv_sizes(monkeypatch)
-        for _, errors in newton_rows(n, [0.3, 0.6826, 0.8, 0.95]):
+        for _, errors in newton_rows(n, alphas):
             assert not errors
-        assert 0 < max(seen) <= (solver_module._SPLICE_LEN + n % 4 + 1) // 2
+        longest = max(solver_module._splice_len(a) for a in alphas)
+        assert 0 < max(seen) <= (longest + n % 4 + 1) // 2
 
     @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
     def test_big_solve_memory(self, alpha):
