@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fairness import maximize_J
-from .model import ChainParams, check_count, ring_level
+from .model import ChainParams, check_count, check_real, ring_level
 from .solver import SolveOptions, newton_solve
 
 
@@ -22,6 +22,7 @@ def ring_fixed_point(alpha: float) -> float:
     plus branch exceeds 1. It is model.ring_level, the flat level the
     solver starts from.
     """
+    check_real("alpha", alpha)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
     return float(ring_level(alpha))
@@ -29,6 +30,7 @@ def ring_fixed_point(alpha: float) -> float:
 
 def alpha_for_ring_prob(x: float) -> float:
     """Inverse of ring_fixed_point: alpha = x / (1 - x)^2."""
+    check_real("x", x)
     if not 0.0 <= x < 1.0:
         raise DomainError(f"x must lie in [0, 1), got {x!r}")
     return float(x / (1.0 - x) ** 2)

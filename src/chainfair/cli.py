@@ -334,10 +334,7 @@ def main(argv=None) -> int:
             if opts.get(key) is None:
                 opts[key] = val
         text = _HANDLERS[command](opts)
-    except DomainError as e:
-        print(f"chainfair {command}: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (json.JSONDecodeError, OSError) as e:
+    except (DomainError, json.JSONDecodeError, OSError) as e:
         print(f"chainfair {command}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as e:

@@ -1,9 +1,10 @@
 """Entropy fairness objective J(alpha) and its maximization over alpha.
 
 J(alpha) = E(x(alpha))/n rates how evenly the channel is shared: it is
-maximal when every pair emits equally often. The derivative comes from the
-adjoint-state method: one tridiagonal solve, stacked over all the alphas of
-a scan, replaces finite differencing of the whole chain solve. maximize_J
+maximal when every pair emits equally often. Its derivative is grad J
+dotted with the tangent dx/dalpha of solver.tangent_rows: one tridiagonal
+solve on the Newton step's own I - F', stacked over all the alphas of a
+scan, replaces finite differencing of the whole chain solve. maximize_J
 here and fit_alpha close a scanned bracket with one bracketed secant on
 the derivative, _refine.
 """
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, _check_len, check_count, entropy, grad_entropy, padded_bands, padded_F
+from .model import ChainParams, _check_len, check_count, check_real, entropy, grad_entropy
 # apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
-from .solver import newton_rows, newton_solve, solve_tridiagonal_rows
+from .solver import newton_rows, newton_solve, tangent_rows
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,15 @@ def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
 
 
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
-    """Derivative dJ/dalpha by the adjoint-state method.
+    """Derivative dJ/dalpha, grad J dotted with the tangent dx/dalpha.
 
-    This is _slope_rows on one row. Raises ConvergenceError when the
-    adjoint system is singular.
+    This is _J_slopes on one row. Raises ConvergenceError when the tangent
+    system (I - F'(x)) t = F_alpha(x)/alpha is singular.
     """
     x = _root(alpha, n, x)
-    (jp,) = _slope_rows(n, [alpha], x[None])
+    (jp,) = _J_slopes(n, [alpha], x[None])
     if np.isnan(jp):
-        raise ConvergenceError(f"J_prime: singular adjoint system (n={n}, alpha={alpha})")
+        raise ConvergenceError(f"J_prime: singular tangent system (n={n}, alpha={alpha})")
     return float(jp)
 
 
@@ -112,41 +113,14 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
     return best, hi - lo, evals
 
 
-def _adjoint_rows(n, a, xp, rhs=None):
-    """Multipliers lam of (F'_alpha(x)^T - I) lam = rhs, one system per row.
+def _J_slopes(n, alphas, X):
+    """J' at each row of X (the root for alphas[i]): grad E(x) . dx/dalpha / n.
 
-    a is the column of alphas and xp holds the rows x padded as for
-    padded_F. rhs is the gradient in x of the objective, one row per x;
-    None means grad E(x) / n, the gradient of J. The systems are stacked
-    into one tridiagonal solve; a row whose system is singular comes back
-    nan.
+    The gradient is built after the tangent solve, which keeps J_prime's
+    peak memory that of the solve. A row whose system is singular is nan.
     """
-    x = xp[:, 1:-1]
-    sub, sup = padded_bands(a, xp)
-    dl, d, du = np.zeros((3, *x.shape))
-    d[:] = -1.0
-    # transposing F' swaps its bands
-    dl[:, :-1] = sup
-    du[:, :-1] = sub
-    # free the bands before gtsv copies the system
-    del sub, sup
-    return solve_tridiagonal_rows(dl, d, du, grad_entropy(x) / n if rhs is None else rhs)[0]
-
-
-def _slope_rows(n, alphas, X, rhs=None):
-    """d/dalpha of an objective of the root, one row of X (the root for alphas[i]) each.
-
-    rhs is the objective's gradient in x as for _adjoint_rows (None: J,
-    so this gives J'). With lam from _adjoint_rows the derivative is
-    -(1/alpha) lam . F_alpha(x), since F_alpha is linear in alpha:
-    dF/dalpha = F_alpha(x)/alpha. A row whose adjoint is singular is nan.
-    """
-    a = np.asarray(alphas, dtype=float)[:, None]
-    xp = np.zeros((len(X), n + 2))
-    xp[:, 1:-1] = X
-    lam = _adjoint_rows(n, a, xp, rhs)
-    Fx = padded_F(a, xp)
-    return -np.matmul(lam[:, None, :], Fx[:, :, None])[:, 0, 0] / a[:, 0]
+    T = tangent_rows(n, alphas, X)
+    return np.einsum("ij,ij->i", grad_entropy(X), T) / n
 
 
 def _scan(n, alphas, slopes=False):
@@ -164,7 +138,7 @@ def _scan(n, alphas, slopes=False):
         rows = start + np.flatnonzero(solved)
         Js[rows] = [entropy(x) / n for x in X[solved]]
         if slopes:
-            Jps[rows] = _slope_rows(n, alphas[rows], X[solved])
+            Jps[rows] = _J_slopes(n, alphas[rows], X[solved])
         start += len(X)
     return Js, Jps
 
@@ -188,6 +162,7 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     none solves, ConvergenceError.
     """
     check_count("n", n)
+    check_real("tol_alpha", tol_alpha)
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
@@ -232,18 +207,17 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
 def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     """Evaluate J along a grid of alphas, in input order, solved as one batch.
 
-    A row whose alpha is invalid or whose solve fails is marked with
-    J = nan instead of aborting the sweep; an invalid n raises DomainError.
+    A row whose alpha is a real number outside (0, 1) (nan and inf too) or
+    whose solve fails is marked with J = nan instead of aborting the sweep;
+    an invalid n or an alpha that is not a real number raises DomainError.
     """
     check_count("n", n)
+    alphas = list(alphas)
+    for a in alphas:
+        if not (isinstance(a, float) and not math.isfinite(a)):
+            check_real("alpha", a)
     alphas = [float(a) for a in alphas]
-    valid = []
-    for i, a in enumerate(alphas):
-        try:
-            ChainParams(n, a)
-            valid.append(i)
-        except DomainError:
-            pass
+    valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
     if valid:
         Js[valid] = _scan(n, [alphas[i] for i in valid])[0]

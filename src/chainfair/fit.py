@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, FitError
-from .fairness import _refine, _slope_rows
+from .fairness import _refine
 from .model import ChainParams, check_real
-from .solver import newton_rows, newton_solve
+from .solver import newton_rows, newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
 
@@ -27,7 +27,13 @@ class ThroughputTrace:
     label: str = ""
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
+        try:
+            rates = np.asarray(self.rates, dtype=float)
+        except (TypeError, ValueError):
+            # check_real names the entry numpy could not read ("a", a list)
+            for r in self.rates:
+                check_real("rate", r)
+            raise
         object.__setattr__(self, "rates", rates)
         if rates.ndim != 1 or len(rates) < 2:
             raise DomainError("a trace needs at least two pairs")
@@ -61,30 +67,25 @@ def _root_rows(n, alphas):
 
 
 def model_ratios(alpha, n: int) -> np.ndarray:
-    """Solved chain normalized by its first component, x(alpha)/x_1(alpha).
-
-    Given an array of alphas, returns one row per alpha, solved as one
-    batch, with nan rows where the solve fails.
-    """
-    if np.ndim(alpha) == 0:
-        x = newton_solve(ChainParams(n, alpha))
-        return x / x[0]
-    X = _root_rows(n, alpha)
-    return X / X[:, :1]
+    """Solved chain normalized by its first component, x(alpha)/x_1(alpha)."""
+    x = newton_solve(ChainParams(n, alpha))
+    return x / x[0]
 
 
 def _sse_slopes(n, alphas, X, rho):
     """d/dalpha of sum_i (x_i/x_1 - rho_i)^2 at each row of X (the root for alphas[i]).
 
     The gradient in x is 2 r_i / x_1 with r = x/x_1 - rho, except entry 1,
-    -2 sum_i r_i x_i / x_1^2 (r_1 = 0); the adjoint turns it into the
-    derivative in alpha. A row whose adjoint is singular is nan.
+    -2 sum_i r_i x_i / x_1^2 (r_1 = 0); dotted with the tangent dx/dalpha
+    of solver.tangent_rows it gives the derivative in alpha. A row whose
+    tangent system is singular is nan.
     """
+    T = tangent_rows(n, alphas, X)
     x1 = X[:, :1]
     r = X / x1 - rho
     grad = 2.0 * r / x1
     grad[:, 0] = -2.0 * np.sum(r * X, axis=1) / x1[:, 0] ** 2
-    return _slope_rows(n, alphas, X, grad)
+    return np.einsum("ij,ij->i", grad, T)
 
 
 def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)) -> FitResult:

@@ -198,21 +198,42 @@ def _merit(alpha, y, k):
     return z, g, np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]
 
 
-def _newton_step(alpha, z, g, n):
-    """Newton direction on every row: (I - F'(y)) delta = G, folded at the mirror."""
+def _newton_step(alpha, z, g, k):
+    """Solve (I - F'(y)) delta = g on every row of the padded rows z, as in _merit.
+
+    k >= 0 folds the system at the mirror neighbour y[k]; k = -1 is the
+    whole chain, with a border on both sides. This is the only code that
+    assembles I - F'. Returns delta and the mask of singular rows (nan).
+    """
     r, m = g.shape
-    k = m - 1 - n % 2
     sub, sup = padded_bands(alpha, z)
     dl, d, du = np.zeros((3, r, m))
     d[:] = 1.0
     np.negative(sub[:, :-1], out=dl[:, :-1])
     np.negative(sup[:, :-1], out=du[:, :-1])
     if k >= 0:
-        # dF_m/dx_{m+1} lands on the diagonal (even n) or sub-diagonal
-        (dl if n % 2 else d)[:, k] -= sup[:, -1]
+        # dF_m/dx_{m+1} lands on the diagonal (even n, k = m - 1) or sub-diagonal
+        (d if k == m - 1 else dl)[:, k] -= sup[:, -1]
     # free the bands before gtsv copies the system: a block's peak memory
     del sub, sup
     return solve_tridiagonal_rows(dl, d, du, g)
+
+
+def tangent_rows(n, alphas, X):
+    """dx/dalpha at each row of X, the chain's root for alphas[i].
+
+    F_alpha is linear in alpha, so differentiating x = F_alpha(x) gives
+    (I - F'(x)) t = F_alpha(x)/alpha, which _newton_step solves on the
+    whole chain (k = -1). The derivative in alpha of any objective of the
+    root is its gradient in x dotted with t. A row whose system is
+    singular comes back nan. The system is not folded at the mirror: at
+    n = 10^6 half-size arrays no longer raise glibc's dynamic mmap/trim
+    threshold, and the full-length solves that follow page-fault afresh.
+    """
+    a = np.asarray(alphas, dtype=float)[:, None]
+    z = np.zeros((len(X), n + 3))
+    z[:, 1:-2] = X
+    return _newton_step(a, z, padded_F(a, z)[:, :n] / a, -1)[0]
 
 
 def _line_search(alpha, y, z, g, phi, delta, k):
@@ -280,7 +301,7 @@ def _newton_block(n, alphas, opts, y):
             leave(np.ones(len(live), dtype=bool), f"did not converge in {cap} steps")
             break
         steps += 1
-        delta, singular = _newton_step(a, z, g, n)
+        delta, singular = _newton_step(a, z, g, k)
         if singular.any():
             leave(singular, "hit a singular Jacobian")
             delta = delta[~singular]

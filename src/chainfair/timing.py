@@ -95,6 +95,7 @@ def packet_for_alpha(alpha: float, d: float, timing: MacTiming = MacTiming()) ->
     the legal frame sizes [14, 2346] can realize, reporting that interval,
     and FrameSpec's DomainError when d is not one of the four rates.
     """
+    check_real("alpha", alpha)
     a_min = alpha_of_packet(FrameSpec(_S_MIN, d), timing)
     a_max = alpha_of_packet(FrameSpec(_S_MAX, d), timing)
     if not a_min <= alpha <= a_max:

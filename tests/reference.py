@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against.
 
 No library code needs these: the dense Jacobian checks the banded one and
-the adjoint, and the n = 3 and n = 4 closed forms check the solvers.
+the tangent, and the n = 3 and n = 4 closed forms check the solvers.
 """
 
 import numpy as np

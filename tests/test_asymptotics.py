@@ -64,6 +64,12 @@ class TestRingFixedPoint:
         with pytest.raises(DomainError):
             ring_fixed_point(alpha)
 
+    @pytest.mark.parametrize("alpha", [None, "0.5", True, float("nan")])
+    def test_non_real_refused(self, alpha):
+        # None and "0.5" raised an untyped TypeError from the comparison
+        with pytest.raises(DomainError):
+            ring_fixed_point(alpha)
+
 
 class TestAlphaForRingProb:
     def test_reference_point(self):
@@ -83,6 +89,12 @@ class TestAlphaForRingProb:
 
     @pytest.mark.parametrize("x", [1.0, 1.5, -0.1])
     def test_domain(self, x):
+        with pytest.raises(DomainError):
+            alpha_for_ring_prob(x)
+
+    @pytest.mark.parametrize("x", [None, "0.3", True, float("nan")])
+    def test_non_real_refused(self, x):
+        # "0.3" raised an untyped TypeError from the comparison
         with pytest.raises(DomainError):
             alpha_for_ring_prob(x)
 

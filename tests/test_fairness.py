@@ -11,12 +11,14 @@ from chainfair import (
     J,
     J_prime,
     OptResult,
+    apply_F,
     entropy,
     grad_entropy,
     maximize_J,
     newton_solve,
     sweep_J,
 )
+from chainfair.solver import tangent_rows
 
 from patching import count_solves, force_failures, off_grid
 from reference import jacobian_F
@@ -47,16 +49,22 @@ class TestJ:
                 f(alpha, n, x=x)
 
 
-class TestAdjoint:
+class TestTangent:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
     @pytest.mark.parametrize("alpha", [0.2, 0.6, 0.85])
-    def test_stationarity_residual(self, n, alpha):
-        # the multipliers from the one adjoint path J_prime and the scans take
-        x = newton_solve(ChainParams(n, alpha))
-        (lam,) = fairness_module._adjoint_rows(n, np.array([[alpha]]), np.pad(x, 1)[None])
-        lhs = jacobian_F(ChainParams(n, alpha), x).T @ lam - lam
-        rhs = grad_entropy(x) / n
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
+    def test_tangent_system(self, n, alpha):
+        # the tangent J_prime and the scans take, against the dense system
+        params = ChainParams(n, alpha)
+        x = newton_solve(params)
+        (t,) = tangent_rows(n, [alpha], x[None])
+        system = np.eye(n) - jacobian_F(params, x)
+        rhs = apply_F(params, x) / alpha
+        assert np.max(np.abs(system @ t - rhs)) <= 1e-10
+        dense = grad_entropy(x) @ np.linalg.solve(system, rhs) / n
+        assert J_prime(alpha, n, x) == pytest.approx(dense, rel=1e-12, abs=0.0)
+        h = 1e-6
+        fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
+        np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-8)
 
 
 class TestJPrime:
@@ -172,6 +180,12 @@ class TestMaximizeJ:
         with pytest.raises(DomainError):
             maximize_J(True)
 
+    @pytest.mark.parametrize("tol_alpha", ["x", None, True])
+    def test_non_real_tolerance_refused(self, tol_alpha):
+        # "x" raised an untyped TypeError from the comparison with 0
+        with pytest.raises(DomainError):
+            maximize_J(10, tol_alpha=tol_alpha)
+
     @pytest.mark.parametrize("n", [1, 2, 10, 51])
     def test_scan_matches_pointwise_J_and_J_prime(self, n):
         Js, slopes = fairness_module._scan(n, GRID, slopes=True)
@@ -256,6 +270,13 @@ class TestSweepJ:
         rows = sweep_J(5, [0.5, 1.5])
         assert rows[0][1] == pytest.approx(J(0.5, 5))
         assert np.isnan(rows[1][1])
+
+    @pytest.mark.parametrize("alpha", ["a", None, "0.5", True])
+    def test_non_real_alpha_refused(self, alpha):
+        # "a" raised numpy's ValueError and None a TypeError; "0.5" and True
+        # were read as numbers
+        with pytest.raises(DomainError):
+            sweep_J(10, [0.5, alpha])
 
     @pytest.mark.parametrize("n", [0, 2.5])
     def test_bad_length_refused(self, n):

@@ -36,6 +36,12 @@ class TestThroughputTrace:
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
+    @pytest.mark.parametrize("rates", [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]]])
+    def test_unreadable_rates_refused(self, rates):
+        # each raised numpy's ValueError
+        with pytest.raises(DomainError):
+            ThroughputTrace(rates=rates)
+
     def test_coerces_to_float_array(self):
         tr = ThroughputTrace(rates=[1, 2, 3])
         assert tr.rates.dtype == float
@@ -233,11 +239,12 @@ class TestModelRatios:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_array_of_alphas_gives_rows(self, n):
+        # the batch behind fit_alpha's scan
         alphas = np.linspace(0.05, 0.99, 33)
-        rows = model_ratios(alphas, n)
+        rows = fit_module._root_rows(n, alphas)
         assert rows.shape == (33, n)
         for a, row in zip(alphas, rows):
-            assert np.array_equal(row, model_ratios(float(a), n))
+            assert np.array_equal(row, newton_solve(ChainParams(n, float(a))))
 
     def test_failed_rows_are_nan(self, monkeypatch):
         real = fit_module.newton_rows
@@ -248,6 +255,6 @@ class TestModelRatios:
                 yield X, errors
 
         monkeypatch.setattr(fit_module, "newton_rows", fail_second)
-        rows = model_ratios([0.3, 0.6, 0.9], 5)
+        rows = fit_module._root_rows(5, [0.3, 0.6, 0.9])
         assert np.all(np.isnan(rows[1]))
-        assert np.array_equal(rows[[0, 2]], [model_ratios(0.3, 5), model_ratios(0.9, 5)])
+        assert np.array_equal(rows[[0, 2]], [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])

@@ -132,6 +132,12 @@ class TestPacketForAlpha:
         with pytest.raises(DomainError):
             packet_for_alpha(0.6, True)
 
+    @pytest.mark.parametrize("alpha", ["0.6", None, True])
+    def test_non_real_alpha_refused(self, alpha):
+        # "0.6" raised an untyped TypeError from the interval comparison
+        with pytest.raises(DomainError):
+            packet_for_alpha(alpha, 2.0)
+
     def test_custom_timing_shifts_answer(self):
         fast_mac = MacTiming(cw_min=0.0)
         assert packet_for_alpha(0.6, 2.0, fast_mac) < packet_for_alpha(0.6, 2.0)
