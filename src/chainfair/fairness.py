@@ -3,10 +3,11 @@
 J(alpha) = E(x(alpha))/n rates how evenly the channel is shared: it is
 maximal when every pair emits equally often. Its derivative is grad J
 dotted with the tangent dx/dalpha of solver.tangent_rows: one tridiagonal
-solve on the Newton step's own I - F', stacked over all the alphas of a
-scan, replaces finite differencing of the whole chain solve. maximize_J
-here and fit_alpha close a scanned bracket with one bracketed secant on
-the derivative, _refine.
+solve on the Newton step's own I - F', stacked over the roots where the
+slope is needed, replaces finite differencing of the whole chain solve.
+maximize_J here and fit_alpha share one search, _search: a batched scan
+of the objective's values, its slope at the best grid point and at that
+point's neighbours, and one bracketed secant on the slope, _refine.
 """
 
 import math
@@ -28,6 +29,7 @@ class OptResult:
     evaluations counts the alphas at which the chain was solved (the scan's
     99 and one per refinement step), bracket is the width of the last
     interval known to hold the maximum, and alpha_hat is one of its ends.
+    unimodal says that the solved grid values of J rise and then fall once.
     """
 
     alpha_hat: float
@@ -123,24 +125,71 @@ def _J_slopes(n, alphas, X):
     return np.einsum("ij,ij->i", grad_entropy(X), T) / n
 
 
-def _scan(n, alphas, slopes=False):
-    """J at each alpha, and with slopes=True J' there.
+def _solved(n, alphas):
+    """The roots for alphas that solve, one newton_rows block at a time.
 
-    The alphas are solved together by newton_rows; an alpha whose solve
-    fails is left nan.
+    Yields (indices, roots): roots[i] is the root for alphas[indices[i]],
+    bit for bit what newton_solve returns for it. A row whose solve fails
+    is left out together with its index.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    Js = np.full(len(alphas), np.nan)
-    Jps = np.full(len(alphas), np.nan)
     start = 0
     for X, errors in newton_rows(n, alphas):
-        solved = np.array([i not in errors for i in range(len(X))])
-        rows = start + np.flatnonzero(solved)
-        Js[rows] = [entropy(x) / n for x in X[solved]]
-        if slopes:
-            Jps[rows] = _J_slopes(n, alphas[rows], X[solved])
+        ok = [i for i in range(len(X)) if i not in errors]
+        yield start + np.array(ok, dtype=int), X[ok] if errors else X
         start += len(X)
-    return Js, Jps
+
+
+def _search(n, grid, value, slope, width):
+    """Maximize value(root) over alpha: a scan of grid closed by _refine.
+
+    value(X) and slope(alphas, X) map a stack of roots (X[i] for alphas[i])
+    to the objective and to its derivative in alpha. The scan keeps each
+    solved grid value (a value that is not finite counts as failed) but
+    only the roots of the best point so far, its solved neighbours and the
+    last solved point. slope runs once, on the best point and neighbours;
+    if the neighbour that the best point's slope points to has a slope of
+    the other sign, _refine closes that step to width, each point solved
+    by _solved(n, [a]) (a failed solve gives nan, which stops it).
+
+    Returns None if no grid point solves, else (alpha, value, root,
+    evaluations, bracket, unimodal): bracket is the grid step when no
+    bracket forms, and unimodal says the solved values rise, then fall once.
+    """
+    vals = np.full(len(grid), np.nan)
+    left = best = right = last = None  # (grid index, root)
+    for rows, X in _solved(n, grid):
+        vals[rows] = value(X)
+        for k, x in zip(rows.tolist(), X):
+            if -math.inf < vals[k] < math.inf:
+                if best is None or vals[k] > vals[best[0]]:
+                    left, best, right = last, (k, x), None
+                elif right is None:
+                    right = (k, x)
+                last = (k, x)
+    if best is None:
+        return None
+    near = dict(row for row in (left, best, right) if row)
+    s = dict(zip(near, slope(grid[list(near)], np.array(list(near.values())))))
+    roots = {float(grid[k]): x for k, x in near.items()}
+
+    def at(a):
+        ((rows, X),) = _solved(n, [a])
+        if not len(rows):
+            return math.nan
+        roots[a] = X[0]
+        return slope([a], X)[0]
+
+    i = best[0]
+    j = right if s[i] > 0.0 else left
+    alpha, bracket, evals = float(grid[i]), float(grid[1] - grid[0]), 0
+    if j and s[i] * s[j[0]] < 0.0:
+        a, b = sorted((i, j[0]))
+        alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width)
+    x = roots[alpha]
+    ok = np.isfinite(vals)
+    steps, p = np.diff(vals[ok]), np.count_nonzero(ok[:i])
+    unimodal = 0 < p < len(steps) and bool(np.all(steps[:p] > 0.0) and np.all(steps[p:] < 0.0))
+    return alpha, float(value(x[None])[0]), x, len(grid) + evals, bracket, unimodal
 
 
 _GRID_LO = 0.01
@@ -151,57 +200,26 @@ _GRID_POINTS = 99
 def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     """Maximize J over alpha in [0.01, 0.99] for a fixed chain length.
 
-    A 99-point scan of J and J', solved as one batch, checks unimodality;
-    a single + to - change of the sign of J' brackets the maximum, and
-    _refine closes it to tol_alpha, seeded with the scan's J' at the two
-    ends. alpha_hat is the final end with the smaller |J'|, and J_value is
-    J there, so no solve follows the search. Grid points whose solve fails
-    are left out of the sign test, and a refinement solve that fails stops
-    the search with the bracket reached. If the solved points show other
-    than one change, the best of them is returned with unimodal=False; if
-    none solves, ConvergenceError.
+    _search scans J at 99 alphas as one batch and takes J' at the best of
+    them and its solved neighbours; where J' changes sign next to the best
+    point, _refine closes that step to tol_alpha. alpha_hat is the final
+    end with the smaller |J'|, and J_value is J there, so no solve follows.
+    Failed grid solves are left out, and a failed refinement solve stops
+    the search with the bracket reached; with no bracket the best grid
+    point is returned. If no grid point solves, ConvergenceError.
     """
     check_count("n", n)
     check_real("tol_alpha", tol_alpha)
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
-    Js, Jps = _scan(n, grid, slopes=True)
-    solved = np.flatnonzero(np.isfinite(Js) & np.isfinite(Jps))
-    if not len(solved):
+    found = _search(
+        n, grid, lambda X: [entropy(x) / n for x in X], lambda alphas, X: _J_slopes(n, alphas, X), tol_alpha
+    )
+    if found is None:
         raise ConvergenceError(f"maximize_J: no grid point solved (n={n})")
-    signs = np.sign(Jps[solved])
-    flips = np.nonzero(np.diff(signs))[0]
-    if len(flips) != 1 or signs[0] < 0 or signs[-1] > 0:
-        best = solved[np.argmax(Js[solved])]
-        return OptResult(
-            alpha_hat=float(grid[best]),
-            J_value=float(Js[best]),
-            evaluations=len(grid),
-            bracket=float(grid[1] - grid[0]),
-            unimodal=False,
-        )
-    i, j = solved[flips[0]], solved[flips[0] + 1]
-    known = {float(grid[k]): float(Js[k]) for k in (i, j)}
-
-    def slope(a):
-        try:
-            x = newton_solve(ChainParams(n, a))
-            jp = J_prime(a, n, x)
-        except ConvergenceError:
-            return math.nan
-        known[a] = J(a, n, x)
-        return jp
-
-    alpha_hat, bracket, calls = _refine(
-        slope, float(grid[i]), float(Jps[i]), float(grid[j]), float(Jps[j]), tol_alpha
-    )
-    return OptResult(
-        alpha_hat=alpha_hat,
-        J_value=known[alpha_hat],
-        evaluations=len(grid) + calls,
-        bracket=bracket,
-    )
+    alpha_hat, J_value, _, evaluations, bracket, unimodal = found
+    return OptResult(alpha_hat, J_value, evaluations, bracket, unimodal)
 
 
 def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
@@ -219,6 +237,6 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     alphas = [float(a) for a in alphas]
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
-    if valid:
-        Js[valid] = _scan(n, [alphas[i] for i in valid])[0]
+    for rows, X in _solved(n, [alphas[i] for i in valid]):
+        Js[[valid[k] for k in rows]] = [entropy(x) / n for x in X]
     return [(a, float(j)) for a, j in zip(alphas, Js)]

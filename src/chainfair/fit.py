@@ -6,15 +6,14 @@ can be fitted without knowing the proportionality constant.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, FitError
-from .fairness import _refine
+from .errors import DomainError, FitError
+from .fairness import _search
 from .model import ChainParams, check_real
-from .solver import newton_rows, newton_solve, tangent_rows
+from .solver import newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
 
@@ -57,15 +56,6 @@ def normalize(trace: ThroughputTrace) -> np.ndarray:
     return trace.rates / trace.rates[0]
 
 
-def _root_rows(n, alphas):
-    """The root for each alpha, one row each, solved as one batch; nan rows where the solve fails."""
-    rows = []
-    for X, errors in newton_rows(n, alphas):
-        X[list(errors)] = np.nan
-        rows.append(X)
-    return np.concatenate(rows) if rows else np.empty((0, n))
-
-
 def model_ratios(alpha, n: int) -> np.ndarray:
     """Solved chain normalized by its first component, x(alpha)/x_1(alpha)."""
     x = newton_solve(ChainParams(n, alpha))
@@ -91,14 +81,15 @@ def _sse_slopes(n, alphas, X, rho):
 def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)) -> FitResult:
     """Least-squares alpha for the trace's normalized shape.
 
-    Scans a coarse grid over bounds, solved as one batch, for the least
-    SSE(alpha) = sum_i (x_i(alpha)/x_1(alpha) - rho_i)^2. SSE' at the
-    best grid point and its neighbours picks the grid step where it
-    changes sign, and _refine closes that step to a width of 1e-4;
-    alpha_fit is the final end with the smaller |SSE'|. With no such step
-    (the minimum sits at a bound) the best grid point is returned. Alphas
-    where the solve fails score an infinite SSE, and a refinement solve
-    that fails stops the search; if every grid alpha fails, FitError.
+    fairness._search maximizes -SSE(alpha), SSE(alpha) = sum_i
+    (x_i(alpha)/x_1(alpha) - rho_i)^2: it scans 33 alphas over bounds as
+    one batch, takes SSE' at the best of them and its solved neighbours,
+    and _refine closes the grid step where SSE' changes sign to a width of
+    1e-4; alpha_fit is the final end with the smaller |SSE'|, and the
+    residuals come from its root. With no such step (the minimum sits at
+    a bound) the best grid point is returned. Alphas whose solve fails or
+    whose SSE is not finite are left out, and a refinement solve that
+    fails stops the search; if every grid alpha fails, FitError.
     """
     if not isinstance(trace, ThroughputTrace):
         raise DomainError(f"trace must be a ThroughputTrace, got {type(trace).__name__}")
@@ -113,32 +104,17 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     rho = normalize(trace)
     n = len(rho)
 
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    X = _root_rows(n, grid)
-    vals = np.sum((X / X[:, :1] - rho) ** 2, axis=1)
-    vals[np.isnan(vals)] = np.inf
-    i = int(np.argmin(vals))
-    if not np.isfinite(vals[i]):
+    found = _search(
+        n,
+        np.linspace(lo, hi, _SCAN_POINTS),
+        lambda X: -np.sum((X / X[:, :1] - rho) ** 2, axis=1),
+        lambda alphas, X: -_sse_slopes(n, alphas, X, rho),
+        1e-4,
+    )
+    if found is None:
         raise FitError("model evaluation failed across the whole alpha grid")
-    near = [k for k in (i - 1, i, i + 1) if 0 <= k < len(grid) and np.isfinite(vals[k])]
-    slopes = dict(zip(near, _sse_slopes(n, grid[near], X[near], rho)))
-    known = {float(grid[k]): X[k] / X[k, 0] for k in near}
-
-    def slope(a):
-        try:
-            x = newton_solve(ChainParams(n, a))
-        except ConvergenceError:
-            return math.nan
-        known[a] = x / x[0]
-        return _sse_slopes(n, [a], x[None], rho)[0]
-
-    alpha_fit = float(grid[i])
-    # SSE' < 0 at the best grid point puts the minimum on its right
-    j = i + 1 if slopes[i] < 0.0 else i - 1
-    if slopes.get(j, math.nan) * slopes[i] < 0.0:
-        a, b = sorted((i, j))
-        alpha_fit, _, _ = _refine(slope, float(grid[a]), slopes[a], float(grid[b]), slopes[b], 1e-4)
-    resid = known[alpha_fit] - rho
+    alpha_fit, _, x, *_ = found
+    resid = x / x[0] - rho
     return FitResult(alpha_fit=alpha_fit, sse=float(np.sum(resid ** 2)), residuals=resid)
 
 

@@ -4,7 +4,8 @@ A name in chainfair.__all__ must be imported by the CLI, a script, a test
 or the benchmark (perfbench/*.py), directly or as an attribute of an
 imported chainfair module. Every binding that perfbench/tracing.py wraps
 must resolve to a callable; a missing one would otherwise show up only in
-the benchmark's traced run.
+the benchmark's traced run. No package module imports a name it never
+uses, except the tracer's shim bindings, marked "# noqa: F401".
 """
 
 import ast
@@ -65,3 +66,28 @@ def tracer_bindings():
 @pytest.mark.parametrize("modname, attr, layer", tracer_bindings())
 def test_tracer_binding_resolves(modname, attr, layer):
     assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr} ({layer})"
+
+
+def unused_imports(path):
+    """Names path imports but never reads nor lists in __all__, shim imports marked noqa left aside."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "chainfair").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(path)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -187,10 +187,30 @@ class TestMaximizeJ:
             maximize_J(10, tol_alpha=tol_alpha)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 51])
-    def test_scan_matches_pointwise_J_and_J_prime(self, n):
-        Js, slopes = fairness_module._scan(n, GRID, slopes=True)
-        for a, j, s in zip(GRID, Js, slopes):
-            assert j == J(float(a), n)
+    def test_scan_matches_pointwise_J_and_J_prime(self, monkeypatch, n):
+        # the values _search keeps for the grid and the slopes it takes, as
+        # maximize_J hands them over, against J and J' solved alpha by alpha
+        values, slopes = [], []
+        real = fairness_module._search
+
+        def search(n, grid, value, slope, width):
+            def logged_value(X):
+                out = value(X)
+                values.extend(out)
+                return out
+
+            def logged_slope(alphas, X):
+                out = slope(alphas, X)
+                slopes.extend(zip(alphas, out))
+                return out
+
+            return real(n, grid, logged_value, logged_slope, width)
+
+        monkeypatch.setattr(fairness_module, "_search", search)
+        maximize_J(n)
+        assert values[: len(GRID)] == [J(float(a), n) for a in GRID]
+        assert len(slopes) >= 2
+        for a, s in slopes:
             assert s == J_prime(float(a), n)
 
     def test_failed_scan_row_is_left_out(self, monkeypatch):
@@ -221,11 +241,27 @@ class TestMaximizeJ:
     def test_refinement_evaluations_capped(self, monkeypatch, n):
         # the one-grid-step bracket closes within ceil(log2(0.01 / 1e-4)) + 1
         # = 8 solves, and none follows (was 10 and a final J(alpha_hat))
-        calls = count_solves(monkeypatch, fairness_module)
+        calls = count_solves(monkeypatch)
         res = maximize_J(n)
         assert res.unimodal and res.bracket <= 1e-4
         assert len(calls) <= 8
         assert res.evaluations == 99 + len(calls)
+
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_slopes_only_near_the_best_grid_point(self, monkeypatch, n):
+        # the scan took J' on all 99 rows, though only the two at the sign
+        # change were ever used
+        rows = []
+        real = fairness_module.tangent_rows
+
+        def tangent(n, alphas, X):
+            rows.append(len(X))
+            return real(n, alphas, X)
+
+        monkeypatch.setattr(fairness_module, "tangent_rows", tangent)
+        res = maximize_J(n)
+        assert res.unimodal
+        assert sum(rows) <= 3 + (res.evaluations - 99)
 
     def test_failed_refinement_solve_keeps_the_bracket(self, monkeypatch):
         # every refinement point fails: the search stops at the scan's
@@ -240,7 +276,7 @@ class TestMaximizeJ:
 
     def test_failed_solve_midway_keeps_the_narrower_bracket(self, monkeypatch):
         # the first refinement point solves, the rest fail
-        calls = count_solves(monkeypatch, fairness_module)
+        calls = count_solves(monkeypatch)
         ref = maximize_J(10)
         first = calls[0]
         force_failures(monkeypatch, off_grid([*GRID, first]))

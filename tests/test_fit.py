@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainfair.fairness as fairness_module
 import chainfair.fit as fit_module
 from chainfair import (
     ChainParams,
-    ConvergenceError,
     DomainError,
     FitError,
     ThroughputTrace,
@@ -128,7 +130,7 @@ class TestFitAlpha:
             fit_alpha(NS2_THREE_PAIRS, bounds=bounds)
 
     def test_all_solves_failing_is_fit_error(self, monkeypatch):
-        force_failures(monkeypatch, lambda a: True, module=fit_module)
+        force_failures(monkeypatch, lambda a: True)
         with pytest.raises(FitError):
             fit_module.fit_alpha(NS2_THREE_PAIRS)
 
@@ -141,7 +143,7 @@ class TestFitAlpha:
     def test_failed_refinement_solve_keeps_the_scan_bracket(self, monkeypatch, n):
         # every refinement point fails: the fit stops at the scan's grid step
         grid = np.linspace(0.05, 0.99, fit_module._SCAN_POINTS)
-        force_failures(monkeypatch, off_grid(grid), module=fit_module)
+        force_failures(monkeypatch, off_grid(grid))
         res = fit_alpha(model_trace(n, 0.7))
         assert res.alpha_fit in grid
         assert res.alpha_fit == pytest.approx(0.7, abs=grid[1] - grid[0])
@@ -149,13 +151,25 @@ class TestFitAlpha:
 
     def test_serial_solves_per_fit(self, monkeypatch):
         # golden section made 16 serial solves and one more for the residuals
-        calls = count_solves(monkeypatch, fit_module)
+        calls = count_solves(monkeypatch)
         for n in range(3, 21):
             for alpha in (0.3, 0.5, 0.7, 0.862):
                 calls.clear()
                 res = fit_alpha(model_trace(n, alpha))
                 assert len(calls) <= 8, f"n={n} alpha={alpha}"
                 assert abs(res.alpha_fit - alpha) <= 1e-4
+
+    def test_memory_of_a_long_fit(self):
+        # the scan held all 33 roots at once: a peak of 100 x 8n bytes
+        n = 200_000
+        trace = model_trace(n, 0.7)
+        tracemalloc.start()
+        try:
+            fit_alpha(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 8 * n
 
     def test_sse_slope_matches_finite_differences(self):
         h = 1e-6
@@ -241,20 +255,16 @@ class TestModelRatios:
     def test_array_of_alphas_gives_rows(self, n):
         # the batch behind fit_alpha's scan
         alphas = np.linspace(0.05, 0.99, 33)
-        rows = fit_module._root_rows(n, alphas)
-        assert rows.shape == (33, n)
-        for a, row in zip(alphas, rows):
-            assert np.array_equal(row, newton_solve(ChainParams(n, float(a))))
+        blocks = list(fairness_module._solved(n, alphas))
+        rows = np.concatenate([r for r, _ in blocks])
+        X = np.concatenate([x for _, x in blocks])
+        assert rows.tolist() == list(range(33))
+        assert X.shape == (33, n)
+        for a, x in zip(alphas, X):
+            assert np.array_equal(x, newton_solve(ChainParams(n, float(a))))
 
-    def test_failed_rows_are_nan(self, monkeypatch):
-        real = fit_module.newton_rows
-
-        def fail_second(n, alphas, *args):
-            for X, errors in real(n, alphas, *args):
-                errors[1] = ConvergenceError("forced failure")
-                yield X, errors
-
-        monkeypatch.setattr(fit_module, "newton_rows", fail_second)
-        rows = fit_module._root_rows(5, [0.3, 0.6, 0.9])
-        assert np.all(np.isnan(rows[1]))
-        assert np.array_equal(rows[[0, 2]], [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])
+    def test_failed_rows_are_left_out(self, monkeypatch):
+        force_failures(monkeypatch, {0.6})
+        ((rows, X),) = fairness_module._solved(5, [0.3, 0.6, 0.9])
+        assert rows.tolist() == [0, 2]
+        assert np.array_equal(X, [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])
