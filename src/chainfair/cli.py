@@ -2,12 +2,15 @@
 
 Each subcommand wraps one library operation and prints CSV (or a small SVG
 chart where a figure is the natural output). All floats are written with
-repr so identical invocations produce byte-identical files.
+repr so identical invocations produce byte-identical files. A flag's value
+comes from the command line, else from the --config file, else from its
+default.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -43,13 +46,6 @@ def _csv(rows) -> str:
     return "".join(",".join(_cell(c) for c in row) + "\n" for row in rows)
 
 
-def _require(opts, *names):
-    missing = [k for k in names if opts.get(k) is None]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise DomainError(f"missing required value(s): {flags}")
-
-
 def _solve_options(opts):
     return SolveOptions(**{k: opts[k] for k in ("tol", "max_iter") if opts[k] is not None})
 
@@ -65,7 +61,6 @@ def _timing(opts) -> MacTiming:
 
 
 def _cmd_solve(opts) -> str:
-    _require(opts, "n", "alpha")
     params = ChainParams(opts["n"], opts["alpha"])
     method = opts["method"]
     solve = {"newton": newton_solve, "fixed-point": fixed_point_solve}[method]
@@ -81,21 +76,11 @@ def _cmd_solve(opts) -> str:
 
 
 def _cmd_optimize(opts) -> str:
-    _require(opts, "n")
     res = maximize_J(opts["n"], tol_alpha=opts["tol_alpha"])
-    return _csv(
-        [
-            ("alpha_hat", res.alpha_hat),
-            ("J_value", res.J_value),
-            ("evaluations", res.evaluations),
-            ("bracket", res.bracket),
-            ("unimodal", res.unimodal),
-        ]
-    )
+    return _csv([(f.name, getattr(res, f.name)) for f in dataclasses.fields(res)])
 
 
 def _cmd_sweep(opts) -> str:
-    _require(opts, "n")
     n, lo, hi, points = opts["n"], opts["alpha_min"], opts["alpha_max"], opts["points"]
     if points < 2 or not 0.0 < lo < hi < 1.0:
         raise DomainError(
@@ -110,13 +95,11 @@ def _cmd_sweep(opts) -> str:
 
 
 def _cmd_ring(opts) -> str:
-    _require(opts, "alpha")
     alpha = opts["alpha"]
     return _csv([("alpha", alpha), ("x", ring_fixed_point(alpha))])
 
 
 def _cmd_flat(opts) -> str:
-    _require(opts, "ns")
     rows = []
     for n in opts["ns"]:
         alpha_hat, central = flat_value(n)
@@ -132,7 +115,6 @@ def _cmd_flat(opts) -> str:
 
 
 def _cmd_simulate(opts) -> str:
-    _require(opts, "n", "alpha", "steps")
     config = SimConfig(
         n=opts["n"],
         alpha=opts["alpha"],
@@ -150,7 +132,6 @@ def _cmd_simulate(opts) -> str:
 
 
 def _cmd_fit(opts) -> str:
-    _require(opts, "input")
     trace = read_trace_csv(opts["input"])
     res = fit_alpha(trace, bounds=(opts["lo"], opts["hi"]))
     table = compare_normalized(trace, res.alpha_fit)
@@ -172,33 +153,9 @@ def _cmd_fit(opts) -> str:
 
 
 def _cmd_packet(opts) -> str:
-    _require(opts, "alpha", "rate")
     timing = _timing(opts)
     size = packet_for_alpha(opts["alpha"], opts["rate"], timing)
     return _csv([("bytes", size)])
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "ring": _cmd_ring,
-    "flat": _cmd_flat,
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "packet": _cmd_packet,
-}
-
-_DEFAULTS = {
-    "solve": {"method": "newton", "format": "csv"},
-    "optimize": {"tol_alpha": 1e-4},
-    "sweep": {"alpha_min": 0.05, "alpha_max": 0.95, "points": 19, "format": "csv"},
-    "ring": {},
-    "flat": {"format": "csv"},
-    "simulate": {"seed": 0, "policy": "random-single-site"},
-    "fit": {"lo": 0.05, "hi": 0.99, "format": "csv"},
-    "packet": {},
-}
 
 
 def _int_list(text):
@@ -219,59 +176,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, help_, columns):
+    def add(name, handler, required, help_, columns):
         sp = sub.add_parser(name, help=help_, description=f"{help_} Output: {columns}.")
         sp.add_argument("--config", help="JSON file; keys mirror long flag names")
         sp.add_argument("--output", help=f"output path (default stdout; ${_OUTDIR_ENV} prefixes relative paths)")
-        # main reads the flags' types and choices from here for config values
-        sp.set_defaults(parser=sp)
+        # main checks the required flags after the config file's values are in,
+        # and reads the flags' types and choices from sp to convert those values
+        sp.set_defaults(handler=handler, required=required, parser=sp)
         return sp
 
-    sp = add("solve", "Solve the n-pair chain at one alpha.", "CSV pair,x")
+    sp = add("solve", _cmd_solve, ("n", "alpha"), "Solve the n-pair chain at one alpha.", "CSV pair,x")
     sp.add_argument("--n", type=int)
     sp.add_argument("--alpha", type=float)
-    sp.add_argument("--method", choices=("newton", "fixed-point"))
+    sp.add_argument("--method", choices=("newton", "fixed-point"), default="newton")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--max-iter", type=int)
-    sp.add_argument("--format", choices=_FORMATS)
+    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
-    sp = add("optimize", "Maximize the fairness index J over alpha.",
+    sp = add("optimize", _cmd_optimize, ("n",), "Maximize the fairness index J over alpha.",
              "CSV alpha_hat,J_value,evaluations,bracket,unimodal key/value rows")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--tol-alpha", type=float)
+    sp.add_argument("--tol-alpha", type=float, default=1e-4)
 
-    sp = add("sweep", "Evaluate J over an alpha grid.", "CSV alpha,J")
+    sp = add("sweep", _cmd_sweep, ("n",), "Evaluate J over an alpha grid.", "CSV alpha,J")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--alpha-min", type=float)
-    sp.add_argument("--alpha-max", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--format", choices=_FORMATS)
+    sp.add_argument("--alpha-min", type=float, default=0.05)
+    sp.add_argument("--alpha-max", type=float, default=0.95)
+    sp.add_argument("--points", type=int, default=19)
+    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
-    sp = add("ring", "Ring (translation invariant) fixed point.", "CSV alpha,x key/value rows")
+    sp = add("ring", _cmd_ring, ("alpha",), "Ring (translation invariant) fixed point.",
+             "CSV alpha,x key/value rows")
     sp.add_argument("--alpha", type=float)
 
-    sp = add("flat", "Optimal alpha and central probability per chain length.",
+    sp = add("flat", _cmd_flat, ("ns",), "Optimal alpha and central probability per chain length.",
              "CSV n,alpha_hat,flat_value")
     sp.add_argument("--ns", type=_int_list, help="comma-separated chain lengths, e.g. 100,500")
-    sp.add_argument("--format", choices=_FORMATS)
+    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
-    sp = add("simulate", "Slot-level stochastic simulation marginals.",
-             "CSV pair,x_hat,stderr")
+    sp = add("simulate", _cmd_simulate, ("n", "alpha", "steps"),
+             "Slot-level stochastic simulation marginals.", "CSV pair,x_hat,stderr")
     sp.add_argument("--n", type=int)
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--steps", type=int)
     sp.add_argument("--burn-in", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--policy", choices=("random-single-site", "synchronous-random-order"))
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--policy", choices=("random-single-site", "synchronous-random-order"),
+                    default="random-single-site")
 
-    sp = add("fit", "Least-squares alpha fit to a measured trace.",
+    sp = add("fit", _cmd_fit, ("input",), "Least-squares alpha fit to a measured trace.",
              "CSV alpha_fit,sse rows then pair,observed,model,residual")
     sp.add_argument("--input", help="trace CSV with header pair,rate")
-    sp.add_argument("--lo", type=float)
-    sp.add_argument("--hi", type=float)
-    sp.add_argument("--format", choices=_FORMATS)
+    sp.add_argument("--lo", type=float, default=0.05)
+    sp.add_argument("--hi", type=float, default=0.99)
+    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
-    sp = add("packet", "Packet size realizing a target alpha.", "CSV bytes,<int>")
+    sp = add("packet", _cmd_packet, ("alpha", "rate"), "Packet size realizing a target alpha.",
+             "CSV bytes,<int>")
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--rate", type=float, help="data rate in Mbit/s (1, 2, 5.5 or 11)")
     return p
@@ -294,23 +255,23 @@ def _config_value(action, key, val):
     return value
 
 
-def _merge_config(opts, parser):
-    path = opts.get("config")
-    if not path:
-        return
+def _config_defaults(parser, path):
+    """The config file's values, converted for the command's flags; a null is left out."""
     with open(path, encoding="utf-8") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
-    flags = {a.dest: a for a in parser._actions if a.dest in opts}
+    flags = {a.dest: a for a in parser._actions if a.dest != "help"}
+    values = {}
     for key, val in cfg.items():
         dest = key.replace("-", "_")
         if dest == "timing":
-            opts["timing"] = val
+            values["timing"] = val
         elif dest not in flags:
             raise DomainError(f"config key {key!r} is not a flag of this command")
-        elif opts[dest] is None and val is not None:
-            opts[dest] = _config_value(flags[dest], key, val)
+        elif val is not None:
+            values[dest] = _config_value(flags[dest], key, val)
+    return values
 
 
 def _resolve_output(path):
@@ -327,13 +288,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     command = args.command
-    opts = vars(args).copy()
     try:
-        _merge_config(opts, opts.pop("parser"))
-        for key, val in _DEFAULTS[command].items():
-            if opts.get(key) is None:
-                opts[key] = val
-        text = _HANDLERS[command](opts)
+        if args.config:
+            # the file's values become the defaults, so explicit flags still win
+            args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+            args = parser.parse_args(argv)
+        opts = vars(args)
+        missing = ["--" + k.replace("_", "-") for k in args.required if opts[k] is None]
+        if missing:
+            raise DomainError(f"missing required value(s): {', '.join(missing)}")
+        text = args.handler(opts)
     except (DomainError, json.JSONDecodeError, OSError) as e:
         print(f"chainfair {command}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,8 +309,8 @@ def main(argv=None) -> int:
     except ChainFairError as e:
         print(f"chainfair {command}: error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    if opts.get("output"):
-        target = _resolve_output(opts["output"])
+    if args.output:
+        target = _resolve_output(args.output)
         try:
             with open(target, "w", encoding="utf-8", newline="") as f:
                 f.write(text)

@@ -89,7 +89,9 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     residuals come from its root. With no such step (the minimum sits at
     a bound) the best grid point is returned. Alphas whose solve fails or
     whose SSE is not finite are left out, and a refinement solve that
-    fails stops the search; if every grid alpha fails, FitError.
+    fails stops the search; if every grid alpha fails, FitError. A trace
+    whose ratios rho_i square to an infinite sum is refused with
+    DomainError before any solve, since its SSE overflows at every alpha.
     """
     if not isinstance(trace, ThroughputTrace):
         raise DomainError(f"trace must be a ThroughputTrace, got {type(trace).__name__}")
@@ -101,7 +103,10 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     check_real("bounds[1]", hi)
     if not 0.0 < lo < hi < 1.0:
         raise DomainError(f"bounds must satisfy 0 < lo < hi < 1, got {bounds!r}")
-    rho = normalize(trace)
+    with np.errstate(over="ignore"):
+        rho = normalize(trace)
+        if not np.isfinite(rho @ rho):
+            raise DomainError("the trace's ratios to the first pair's rate are too large to square")
     n = len(rho)
 
     found = _search(

@@ -58,6 +58,15 @@ def _axes(x_lo, x_hi, y_lo, y_hi, title, xlabel, ylabel, x_ticks=True):
     return parts, px, py
 
 
+def _document(parts):
+    """The <svg> element around the chart's parts, one per line."""
+    body = "\n".join(parts)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n'
+    )
+
+
 def _pad(lo, hi):
     if hi <= lo:
         span = abs(lo) if lo else 1.0
@@ -78,11 +87,7 @@ def line_chart(points, title="", xlabel="", ylabel="") -> str:
     parts.append(
         f'<polyline points="{path}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
     )
-    body = "\n".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n'
-    )
+    return _document(parts)
 
 
 _BAR_COLORS = ("#1f6fb2", "#d1651f", "#3a923a", "#b03a3a")
@@ -128,8 +133,4 @@ def bar_chart(labels, series, title="", xlabel="", ylabel="") -> str:
             f'<text x="{_fmt(cx)}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{lab}</text>'
         )
-    body = "\n".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n'
-    )
+    return _document(parts)

@@ -27,8 +27,6 @@ class MacTiming:
     what-if studies that drop the backoff term.
     """
 
-    difs: float = 50.0
-    eifs: float = 364.0
     sifs: float = 10.0
     slot: float = 20.0
     cw_min: float = 31.0
@@ -40,13 +38,11 @@ class MacTiming:
     def __post_init__(self):
         for field in fields(self):
             check_real(field.name, getattr(self, field.name))
-        for name in ("difs", "eifs", "sifs", "slot", "rts", "cts", "ack", "plcp"):
+        for name in ("sifs", "slot", "rts", "cts", "ack", "plcp"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
         if not self.cw_min >= 0.0:
             raise DomainError("cw_min must be >= 0")
-        if not self.eifs > self.difs:
-            raise DomainError("eifs must exceed difs")
 
 
 @dataclass(frozen=True)

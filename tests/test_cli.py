@@ -157,11 +157,13 @@ class TestConfigFile:
         assert "cw_min" in err
 
     def test_unknown_timing_field(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": 0.6, "rate": 2, "timing": {"cw_max": 1023}}))
-        code, out, err = run(capsys, ["packet", "--config", str(cfg)])
-        assert code == 2 and out == ""
-        assert "cw_max" in err
+        # difs is no MacTiming field: no formula used it
+        for field, value in [("cw_max", 1023), ("difs", 50.0)]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"alpha": 0.6, "rate": 2, "timing": {field: value}}))
+            code, out, err = run(capsys, ["packet", "--config", str(cfg)])
+            assert code == 2 and out == ""
+            assert field in err
 
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -197,14 +199,54 @@ class TestConfigFile:
             ("packet", {"alpha": 0.6, "rate": 2}, ["--alpha", "0.6", "--rate", "2"]),
             ("flat", {"ns": [7, "8"]}, ["--ns", "7,8"]),
             ("flat", {"ns": "7,8"}, ["--ns", "7,8"]),
+            # values for flags that have defaults
+            ("solve", {"n": 4, "alpha": 0.3, "method": "fixed-point"},
+             ["--n", "4", "--alpha", "0.3", "--method", "fixed-point"]),
+            ("optimize", {"n": 10, "tol-alpha": 1e-2}, ["--n", "10", "--tol-alpha", "1e-2"]),
+            ("sweep", {"n": 4, "alpha-min": 0.2, "points": 4, "format": "svg"},
+             ["--n", "4", "--alpha-min", "0.2", "--points", "4", "--format", "svg"]),
+            ("simulate", {"n": 3, "alpha": 0.5, "steps": 2000, "policy": "synchronous-random-order", "seed": 7},
+             ["--n", "3", "--alpha", "0.5", "--steps", "2000", "--policy", "synchronous-random-order",
+              "--seed", "7"]),
+            ("fit", {"input": "trace.csv", "lo": 0.3, "hi": 0.9},
+             ["--input", "trace.csv", "--lo", "0.3", "--hi", "0.9"]),
+            # a null falls back to the default
+            ("solve", {"n": 4, "alpha": 0.3, "method": None}, ["--n", "4", "--alpha", "0.3"]),
+            ("sweep", {"n": 4, "points": None, "alpha-max": None}, ["--n", "4"]),
+            ("ring", {"alpha": 0.6, "output": "out.csv"}, ["--alpha", "0.6", "--output", "out.csv"]),
         ],
     )
-    def test_values_match_flags(self, capsys, tmp_path, command, cfg, argv):
+    def test_values_match_flags(self, capsys, tmp_path, monkeypatch, command, cfg, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CHAINFAIR_OUTDIR", raising=False)
+        write_trace_csv("trace.csv", ThroughputTrace(rates=[1.55, 0.04, 1.55]))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code, out, _ = run(capsys, [command, "--config", str(path)])
+        results = []
+        for args in (["--config", str(path)], argv):
+            code, out, err = run(capsys, [command, *args])
+            written = tmp_path / "out.csv"
+            results.append((code, out, err, written.read_text() if written.exists() else None))
+            written.unlink(missing_ok=True)
+        assert results[0][0] == 0
+        assert results[0] == results[1]
+
+    def test_flag_beats_config_method(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "alpha": 0.3, "method": "fixed-point"}))
+        code, out, _ = run(capsys, ["solve", "--config", str(path), "--method", "newton"])
         assert code == 0
-        assert out == run(capsys, [command, *argv])[1]
+        newton = run(capsys, ["solve", "--n", "4", "--alpha", "0.3"])[1]
+        fixed_point = run(capsys, ["solve", "--n", "4", "--alpha", "0.3", "--method", "fixed-point"])[1]
+        assert out == newton != fixed_point
+
+    def test_invalid_value_refused_under_a_flag(self, capsys, tmp_path):
+        # the whole file is read before the flags override it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 10.7, "alpha": 0.5}))
+        code, out, err = run(capsys, ["solve", "--config", str(path), "--n", "3"])
+        assert code == 2 and out == ""
+        assert "config key 'n'" in err
 
     def test_malformed_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -334,6 +376,14 @@ class TestFitCommand:
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         assert len(rects) > 6
 
+
+    def test_trace_without_a_finite_sse_is_a_usage_error(self, capsys, tmp_path):
+        # the overflow was read as a numerical failure (exit 3)
+        path = tmp_path / "tiny.csv"
+        write_trace_csv(path, ThroughputTrace(rates=[1e-200, 1.0, 1.0]))
+        code, out, err = run(capsys, ["fit", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert "ratio" in err
 
     @pytest.mark.parametrize("row", ["1,abc", "x,1.0", "1"])
     def test_malformed_trace(self, capsys, tmp_path, row):

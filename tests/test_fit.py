@@ -129,6 +129,17 @@ class TestFitAlpha:
         with pytest.raises(DomainError):
             fit_alpha(NS2_THREE_PAIRS, bounds=bounds)
 
+    @pytest.mark.parametrize("rates", [[1e-200, 1.0, 1.0], [1e-320, 1.0], [1.0, 1e155, 1e155]])
+    def test_ratios_without_a_finite_sse_refused(self, monkeypatch, rates):
+        # [1e-200, 1, 1] overflowed squaring its ratios, then read as FitError
+        # "failed across the whole alpha grid" although every solve succeeded
+        def no_solve(*args):
+            raise AssertionError("the trace was solved before it was refused")
+
+        monkeypatch.setattr(fairness_module, "newton_rows", no_solve)
+        with pytest.raises(DomainError):
+            fit_alpha(ThroughputTrace(rates=rates))
+
     def test_all_solves_failing_is_fit_error(self, monkeypatch):
         force_failures(monkeypatch, lambda a: True)
         with pytest.raises(FitError):

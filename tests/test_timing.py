@@ -19,7 +19,7 @@ RATES = [1.0, 2.0, 5.5, 11.0]
 class TestMacTiming:
     def test_defaults_are_dsss(self):
         t = MacTiming()
-        assert (t.difs, t.sifs, t.slot) == (50.0, 10.0, 20.0)
+        assert (t.sifs, t.slot) == (10.0, 20.0)
         assert t.cw_min == 31.0
 
     def test_zero_contention_window_allowed(self):
@@ -29,7 +29,7 @@ class TestMacTiming:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"sifs": 0.0}, {"slot": -1.0}, {"rts": 0.0}, {"cw_min": -1.0}, {"eifs": 40.0}],
+        [{"sifs": 0.0}, {"slot": -1.0}, {"rts": 0.0}, {"cw_min": -1.0}],
     )
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
@@ -42,7 +42,7 @@ class TestMacTiming:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"slot": True}, {"cw_min": False}, {"cw_min": "15"}, {"rts": None}, {"ack": float("inf")}, {"eifs": 1j}],
+        [{"slot": True}, {"cw_min": False}, {"cw_min": "15"}, {"rts": None}, {"ack": float("inf")}, {"sifs": 1j}],
     )
     def test_non_real_field_refused(self, kw):
         # MacTiming(slot=True) validated as a 1 us slot
