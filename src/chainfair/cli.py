@@ -51,8 +51,10 @@ def _solve_options(opts):
 
 
 def _timing(opts) -> MacTiming:
-    overrides = opts.get("timing") or {}
-    if not isinstance(overrides, dict):
+    overrides = opts.get("timing")
+    if overrides is None:
+        overrides = {}
+    elif not isinstance(overrides, dict):
         raise DomainError("config key 'timing' must be an object of field overrides")
     try:
         return MacTiming(**overrides)

@@ -125,20 +125,6 @@ def _J_slopes(n, alphas, X):
     return np.einsum("ij,ij->i", grad_entropy(X), T) / n
 
 
-def _solved(n, alphas):
-    """The roots for alphas that solve, one newton_rows block at a time.
-
-    Yields (indices, roots): roots[i] is the root for alphas[indices[i]],
-    bit for bit what newton_solve returns for it. A row whose solve fails
-    is left out together with its index.
-    """
-    start = 0
-    for X, errors in newton_rows(n, alphas):
-        ok = [i for i in range(len(X)) if i not in errors]
-        yield start + np.array(ok, dtype=int), X[ok] if errors else X
-        start += len(X)
-
-
 def _search(n, grid, value, slope, width):
     """Maximize value(root) over alpha: a scan of grid closed by _refine.
 
@@ -149,7 +135,7 @@ def _search(n, grid, value, slope, width):
     last solved point. slope runs once, on the best point and neighbours;
     if the neighbour that the best point's slope points to has a slope of
     the other sign, _refine closes that step to width, each point solved
-    by _solved(n, [a]) (a failed solve gives nan, which stops it).
+    by newton_rows(n, [a]) (a failed solve gives nan, which stops it).
 
     Returns None if no grid point solves, else (alpha, value, root,
     evaluations, bracket, unimodal): bracket is the grid step when no
@@ -157,7 +143,7 @@ def _search(n, grid, value, slope, width):
     """
     vals = np.full(len(grid), np.nan)
     left = best = right = last = None  # (grid index, root)
-    for rows, X in _solved(n, grid):
+    for rows, X in newton_rows(n, grid):
         vals[rows] = value(X)
         for k, x in zip(rows.tolist(), X):
             if -math.inf < vals[k] < math.inf:
@@ -173,7 +159,7 @@ def _search(n, grid, value, slope, width):
     roots = {float(grid[k]): x for k, x in near.items()}
 
     def at(a):
-        ((rows, X),) = _solved(n, [a])
+        ((rows, X),) = newton_rows(n, [a])
         if not len(rows):
             return math.nan
         roots[a] = X[0]
@@ -237,6 +223,6 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     alphas = [float(a) for a in alphas]
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
-    for rows, X in _solved(n, [alphas[i] for i in valid]):
+    for rows, X in newton_rows(n, [alphas[i] for i in valid]):
         Js[[valid[k] for k in rows]] = [entropy(x) / n for x in X]
     return [(a, float(j)) for a, j in zip(alphas, Js)]

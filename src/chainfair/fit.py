@@ -40,6 +40,10 @@ class ThroughputTrace:
             raise DomainError("rates must be finite and nonnegative")
         if not rates[0] > 0.0:
             raise DomainError("the first pair's rate anchors the normalization and must be positive")
+        # every ratio to the first rate is finite when the largest one is
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.max(rates) / rates[0]):
+                raise DomainError("the trace's ratios to the first pair's rate overflow")
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,10 @@ ends high, alternating inward, and a central defect when n is even.
 
 newton_rows runs that loop on many alphas at once, one row each, for the
 alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
-systems are stacked into one LAPACK gtsv call per step, and newton_solve
-is newton_rows on one row. A long chain departs from the ring pattern
-only in border layers that decay like e^{-kappa i}; once n is at least
-8 L(alpha), with L(alpha) the power of two at or above 160/kappa in
-[2^7, 2^13], the loop starts from the root of a chain of L(alpha) + n % 4
-pairs spliced into the ring pattern, and where that start already passes
-the tolerance the loop returns it without a step.
+systems are stacked into one LAPACK gtsv call per step, and only the rows
+that solve come back. Both start a long chain from the root of a short
+chain spliced into the ring pattern (_start_rows). tangent_rows gives
+dx/dalpha at such roots.
 """
 
 import math
@@ -226,14 +223,26 @@ def tangent_rows(n, alphas, X):
     (I - F'(x)) t = F_alpha(x)/alpha, which _newton_step solves on the
     whole chain (k = -1). The derivative in alpha of any objective of the
     root is its gradient in x dotted with t. A row whose system is
-    singular comes back nan. The system is not folded at the mirror: at
-    n = 10^6 half-size arrays no longer raise glibc's dynamic mmap/trim
-    threshold, and the full-length solves that follow page-fault afresh.
+    singular comes back nan.
+
+    t is returned as its mirror average, which the true tangent equals:
+    on an even chain past alpha = 3/4, I - F' has a near-null
+    antisymmetric mode (sigma_min down to 1e-16), and the solve's error
+    along it reaches O(1). A solve on the folded half would remove the
+    mode too, but needs each gradient folded onto the half and, at
+    n = 10^6, a workspace reused across calls so that its half-size
+    arrays do not page-fault afresh; the average needs neither.
     """
     a = np.asarray(alphas, dtype=float)[:, None]
     z = np.zeros((len(X), n + 3))
     z[:, 1:-2] = X
-    return _newton_step(a, z, padded_F(a, z)[:, :n] / a, -1)[0]
+    t = _newton_step(a, z, padded_F(a, z)[:, :n] / a, -1)[0]
+    # in place, half against mirror half: no temporary of the chain's size
+    left, right = t[:, : n // 2], t[:, ::-1][:, : n // 2]
+    left += right
+    left *= 0.5
+    right[...] = left
+    return t
 
 
 def _line_search(alpha, y, z, g, phi, delta, k):
@@ -381,46 +390,25 @@ def _unfold(y, n):
     return x
 
 
-def _solve_block(n, alphas, opts):
-    y, why = _newton_block(n, alphas, opts, _start_rows(n, alphas, opts))
-    x = _unfold(y, n)
-    errors = {}
-    for i, reason in enumerate(why):
-        if reason is not None:
-            r = residual(ChainParams(n, alphas[i]), x[i])
-            errors[i] = ConvergenceError(
-                f"newton_solve {reason} (n={n}, alpha={alphas[i]}, residual={r:.3e})",
-                last=x[i],
-                residual=r,
-            )
-    return x, errors
-
-
 def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
-    Yields (X, errors) for consecutive blocks of alphas, in input order.
-    X[i] is the root for the block's i-th alpha, bit for bit what
-    newton_solve returns for it; errors maps i to the ConvergenceError
-    newton_solve would raise instead (X[i] then holds its last iterate).
-    A block holds as many rows as fit in _STACK_UNKNOWNS half-chain
-    unknowns, so memory stays bounded however many alphas come in.
-
-    A row whose chain has at least 8 L(alpha) pairs starts from a splice
-    (_start_rows), L(alpha) being the power of two at or above 160/kappa
-    within [2^7, 2^13] and kappa the border layer's decay rate: the Newton
-    loop runs on a chain of L(alpha) + n % 4 pairs, one stacked short loop
-    per L among the block's rows, and each short root is placed at the
-    ends of the ring pattern. The full-length loop then runs from there as
-    from any start, and takes no step on a row whose spliced half already
-    passes max |G| <= tol.
+    Yields (indices, roots) for consecutive blocks of alphas, in input
+    order: roots[i] is the root for alphas[indices[i]], bit for bit what
+    newton_solve returns for it. A row whose solve fails is left out
+    together with its index. A block holds as many rows as fit in
+    _STACK_UNKNOWNS half-chain unknowns, so memory stays bounded however
+    many alphas come in. Each block's rows start from _start_rows.
     """
     alphas = list(alphas)
     for a in alphas:
         ChainParams(n, a)
     per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
     for start in range(0, len(alphas), per_block):
-        yield _solve_block(n, alphas[start : start + per_block], opts)
+        block = alphas[start : start + per_block]
+        y, why = _newton_block(n, block, opts, _start_rows(n, block, opts))
+        ok = [i for i, reason in enumerate(why) if reason is None]
+        yield start + np.array(ok, dtype=int), _unfold(y[ok], n)
 
 
 def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
@@ -431,22 +419,22 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     y padded with its mirror neighbour x_{m+1} (x_{m-1} for odd n, x_m for
     even n), whose derivative folds into the last row of the tridiagonal
     system. Each step is backtracked until ||G||_2^2 passes the Armijo
-    test. The start is the ring root (_ring_start), and the returned root
-    keeps its layout: past alpha = 3/4 the components alternate high/low
-    inward from both ends, with a central defect x_{n/2} = x_{n/2+1} for
-    even n. Raises ConvergenceError (with the last iterate and residual)
-    when the step cap is hit or the line search cannot reduce the merit.
-    This is newton_rows on one row, so a chain of at least 8 L(alpha)
-    pairs (L(alpha) the power of two at or above 160/kappa within
-    [2^7, 2^13], kappa the border layer's decay rate, _border_rate) starts
-    instead from the root of a short chain of L(alpha) + n % 4 pairs
-    spliced into the ring pattern, and the loop returns that start
-    unchanged when every site of it already meets tol.
+    test. The start is the ring root (_ring_start), spliced near the ends
+    of a long chain (_start_rows), and the returned root keeps its layout:
+    past alpha = 3/4 the components alternate high/low inward from both
+    ends, with a central defect x_{n/2} = x_{n/2+1} for even n. Raises
+    ConvergenceError (with the last iterate and residual) when the step
+    cap is hit or the line search cannot reduce the merit.
     """
-    (x, errors), = newton_rows(params.n, [params.alpha], opts)
-    if errors:
-        raise errors[0]
-    return x[0]
+    n, alpha = params.n, params.alpha
+    y, (why,) = _newton_block(n, [alpha], opts, _start_rows(n, [alpha], opts))
+    (x,) = _unfold(y, n)
+    if why is not None:
+        r = residual(params, x)
+        raise ConvergenceError(
+            f"newton_solve {why} (n={n}, alpha={alpha}, residual={r:.3e})", last=x, residual=r
+        )
+    return x
 
 
 def contraction_check(params: ChainParams, x) -> ContractionCertificate:

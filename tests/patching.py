@@ -6,27 +6,23 @@ chosen alpha fail or count the serial solves of a maximization or fit.
 """
 
 import chainfair.fairness as fairness_module
-from chainfair import ConvergenceError
 
 
 def force_failures(monkeypatch, bad):
     """Make the solves of maximize_J, fit_alpha and sweep_J fail for the alphas in bad.
 
     bad is a set of alphas or a predicate on alpha. The scans' batches and
-    the refinements' one-alpha solves both go through newton_rows.
+    the refinements' one-alpha solves both go through newton_rows; a forced
+    row is left out of its block, as a failed one is.
     """
     fails = bad if callable(bad) else bad.__contains__
     real = fairness_module.newton_rows
 
     def rows(n, alphas, *args):
         alphas = list(alphas)
-        start = 0
-        for X, errors in real(n, alphas, *args):
-            for i in range(len(X)):
-                if fails(alphas[start + i]):
-                    errors[i] = ConvergenceError("forced failure", last=X[i], residual=1.0)
-            start += len(X)
-            yield X, errors
+        for indices, X in real(n, alphas, *args):
+            keep = [k for k, i in enumerate(indices) if not fails(alphas[i])]
+            yield indices[keep], X[keep]
 
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
 

@@ -181,6 +181,8 @@ class TestConfigFile:
             ("simulate", {"n": 3, "alpha": 0.5, "steps": 100, "policy": "sweep"}, "policy"),
             ("flat", {"ns": [7, 8.5]}, "ns"),
             ("flat", {"ns": [True]}, "ns"),
+            # a falsy timing read as no overrides: bytes,250 and exit 0
+            *[("packet", {"alpha": 0.6, "rate": 2, "timing": v}, "timing") for v in (0, False, "", [], [1])],
         ],
     )
     def test_values_take_the_flag_type(self, capsys, tmp_path, command, cfg, key):
@@ -214,6 +216,8 @@ class TestConfigFile:
             ("solve", {"n": 4, "alpha": 0.3, "method": None}, ["--n", "4", "--alpha", "0.3"]),
             ("sweep", {"n": 4, "points": None, "alpha-max": None}, ["--n", "4"]),
             ("ring", {"alpha": 0.6, "output": "out.csv"}, ["--alpha", "0.6", "--output", "out.csv"]),
+            # a null timing is no overrides
+            ("packet", {"alpha": 0.6, "rate": 2, "timing": None}, ["--alpha", "0.6", "--rate", "2"]),
         ],
     )
     def test_values_match_flags(self, capsys, tmp_path, monkeypatch, command, cfg, argv):

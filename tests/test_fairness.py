@@ -66,6 +66,17 @@ class TestTangent:
         fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
         np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [100, 400, 2000])
+    @pytest.mark.parametrize("alpha", [0.76, 0.8, 0.9])
+    def test_tangent_on_even_chains_past_three_quarters(self, n, alpha):
+        # I - F' has a near-null antisymmetric mode here; the whole-chain
+        # solve was off by up to 0.78 along it
+        x = newton_solve(ChainParams(n, alpha))
+        (t,) = tangent_rows(n, [alpha], x[None])
+        h = 1e-6
+        fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
+        np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-7)
+
 
 class TestJPrime:
     @pytest.mark.parametrize("n", [2, 5, 12])

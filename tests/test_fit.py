@@ -44,6 +44,16 @@ class TestThroughputTrace:
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
+    @pytest.mark.parametrize("rates", [[1e-320, 1.0], [1e-300, 1e10, 0.0], [1e-10, 1e300]])
+    def test_overflowing_ratios_refused(self, rates):
+        # normalize and compare_normalized overflowed dividing by the first rate
+        with pytest.raises(DomainError):
+            ThroughputTrace(rates=rates)
+
+    def test_largest_finite_ratio_accepted(self):
+        rho = normalize(ThroughputTrace(rates=[1e-300, 1e8, 0.0]))
+        assert rho.tolist() == [1.0, 1e308, 0.0]
+
     def test_coerces_to_float_array(self):
         tr = ThroughputTrace(rates=[1, 2, 3])
         assert tr.rates.dtype == float
@@ -199,6 +209,22 @@ class TestFitAlpha:
                 worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
         assert worst <= 1e-6
 
+    def test_sse_slope_on_an_even_chain_past_three_quarters(self):
+        # I - F' is near singular on its antisymmetric mode here, and a
+        # noisy trace's gradient is not mirror symmetric: SSE' read 1.4334
+        # where central differences give 1.4022558
+        n, alpha, h = 400, 0.8, 1e-6
+        x = newton_solve(ChainParams(n, alpha))
+        rates = x * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(n))
+        rho = normalize(ThroughputTrace(rates=rates))
+
+        def sse(a):
+            return float(np.sum((model_ratios(a, n) - rho) ** 2))
+
+        fd = (sse(alpha + h) - sse(alpha - h)) / (2 * h)
+        (slope,) = fit_module._sse_slopes(n, [alpha], x[None], rho)
+        assert slope == pytest.approx(fd, rel=1e-6)
+
 
 class TestCompareNormalized:
     def test_perfect_trace_zero_residuals(self):
@@ -266,7 +292,7 @@ class TestModelRatios:
     def test_array_of_alphas_gives_rows(self, n):
         # the batch behind fit_alpha's scan
         alphas = np.linspace(0.05, 0.99, 33)
-        blocks = list(fairness_module._solved(n, alphas))
+        blocks = list(fairness_module.newton_rows(n, alphas))
         rows = np.concatenate([r for r, _ in blocks])
         X = np.concatenate([x for _, x in blocks])
         assert rows.tolist() == list(range(33))
@@ -276,6 +302,6 @@ class TestModelRatios:
 
     def test_failed_rows_are_left_out(self, monkeypatch):
         force_failures(monkeypatch, {0.6})
-        ((rows, X),) = fairness_module._solved(5, [0.3, 0.6, 0.9])
+        ((rows, X),) = fairness_module.newton_rows(5, [0.3, 0.6, 0.9])
         assert rows.tolist() == [0, 2]
         assert np.array_equal(X, [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])

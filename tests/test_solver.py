@@ -209,36 +209,38 @@ MIXED_ALPHAS = [0.05, 0.5, 0.7499, 0.75, 0.7501, 0.8, 0.95, 1.0 - 2.0**-52, 1e-3
 
 
 def all_rows(n, alphas, opts=SolveOptions()):
-    """Flatten newton_rows into one list of (root, error or None) per alpha."""
-    out = []
-    for X, errors in newton_rows(n, alphas, opts):
-        out += [(x, errors.get(i)) for i, x in enumerate(X)]
+    """Flatten newton_rows into each alpha's root, or None where its solve failed."""
+    out = [None] * len(alphas)
+    for rows, X in newton_rows(n, alphas, opts):
+        for i, x in zip(rows.tolist(), X):
+            out[i] = x
     return out
 
 
 class TestNewtonRows:
     @pytest.mark.parametrize("n", ROW_NS)
     def test_rows_bit_identical_to_newton_solve(self, n):
-        rows = all_rows(n, ROW_ALPHAS)
-        assert len(rows) == len(ROW_ALPHAS)
-        for a, (x, err) in zip(ROW_ALPHAS, rows):
-            assert err is None
+        for a, x in zip(ROW_ALPHAS, all_rows(n, ROW_ALPHAS)):
+            assert x is not None
             assert np.array_equal(x, newton_solve(ChainParams(n, a)))
 
     @pytest.mark.parametrize("max_iter", range(1, 14))
     @pytest.mark.parametrize("n", [10, 1001])
     def test_failures_stay_in_their_rows(self, n, max_iter):
+        # a row is missing exactly where newton_solve raises, and the error
+        # carries that solve's last iterate, its residual and the reason
         opts = SolveOptions(max_iter=max_iter)
-        for a, (x, err) in zip(MIXED_ALPHAS, all_rows(n, MIXED_ALPHAS, opts)):
+        for a, x in zip(MIXED_ALPHAS, all_rows(n, MIXED_ALPHAS, opts)):
+            p = ChainParams(n, a)
             try:
-                ref = newton_solve(ChainParams(n, a), opts)
-            except ConvergenceError as ref_err:
-                assert err is not None
-                assert str(err) == str(ref_err)
-                assert err.residual == ref_err.residual
-                assert np.array_equal(err.last, ref_err.last)
+                ref = newton_solve(p, opts)
+            except ConvergenceError as err:
+                assert x is None
+                assert len(err.last) == n and err.residual == residual(p, err.last)
+                reasons = (f"did not converge in {max_iter} steps", "hit a singular Jacobian", "line search failed")
+                tail = f" (n={n}, alpha={a}, residual={err.residual:.3e})"
+                assert str(err) in {f"newton_solve {why}{tail}" for why in reasons}
             else:
-                assert err is None
                 assert np.array_equal(x, ref)
 
     def test_step_caps_mix_failures_and_roots(self):
@@ -246,13 +248,13 @@ class TestNewtonRows:
         mixed = 0
         for max_iter in range(1, 14):
             rows = all_rows(1001, MIXED_ALPHAS, SolveOptions(max_iter=max_iter))
-            mixed += 0 < sum(err is None for _, err in rows) < len(rows)
+            mixed += 0 < sum(x is not None for x in rows) < len(rows)
         assert mixed >= 3
 
     def test_blocks_respect_the_stack_cap(self):
         n, m = 5000, 2500
         alphas = np.linspace(0.01, 0.99, 99)
-        sizes = [len(X) for X, _ in newton_rows(n, alphas)]
+        sizes = [len(X) for _, X in newton_rows(n, alphas)]
         assert sum(sizes) == 99
         assert max(sizes) * m <= _STACK_UNKNOWNS
         assert len(sizes) > 1
@@ -464,12 +466,10 @@ class TestSplicedLongChains:
         assert 140 <= len(ns) <= 160
         alphas = [0.7499, 0.74995, 0.75, np.linspace(0.01, 0.99, 99)[74], 0.7500001, 0.75005, 0.7502]
         for n in ns:
-            start = 0
-            for X, errors in newton_rows(n, alphas):
-                assert not errors, (n, {alphas[start + i]: str(e) for i, e in errors.items()})
-                for i, x in enumerate(X):
-                    assert residual(ChainParams(n, alphas[start + i]), x) <= 1e-12
-                start += len(X)
+            rows = all_rows(n, alphas)
+            assert all(x is not None for x in rows), (n, [a for a, x in zip(alphas, rows) if x is None])
+            for a, x in zip(alphas, rows):
+                assert residual(ChainParams(n, a), x) <= 1e-12
 
     @pytest.mark.parametrize("n", [5000, 100_001])
     def test_short_lengths_mix_in_one_block(self, monkeypatch, n):
@@ -479,8 +479,8 @@ class TestSplicedLongChains:
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", len(alphas) * ((n + 1) // 2))
         lengths = {solver_module._splice_len(a) for a in alphas if n >= 8 * solver_module._splice_len(a)}
         assert len(lengths) >= 3
-        ((X, errors),) = newton_rows(n, alphas)
-        assert not errors
+        ((rows, X),) = newton_rows(n, alphas)
+        assert rows.tolist() == list(range(len(alphas)))
         for x, ref in zip(X, refs):
             assert np.array_equal(x, ref)
 
@@ -508,8 +508,7 @@ class TestSplicedLongChains:
         # every block holds one row, so no gtsv call may exceed a short half
         alphas = [0.3, 0.6826, 0.8, 0.95]
         seen = gtsv_sizes(monkeypatch)
-        for _, errors in newton_rows(n, alphas):
-            assert not errors
+        assert all(x is not None for x in all_rows(n, alphas))
         longest = max(solver_module._splice_len(a) for a in alphas)
         assert 0 < max(seen) <= (longest + n % 4 + 1) // 2
 
@@ -568,13 +567,9 @@ class TestSplicedLongChains:
             except ConvergenceError as err:
                 refs.append(err)
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", 1 << 20)
-        ((X, errors),) = newton_rows(n, alphas, opts)
-        for i, ref in enumerate(refs):
-            if isinstance(ref, ConvergenceError):
-                assert str(errors[i]) == str(ref)
-                assert np.array_equal(errors[i].last, ref.last)
-                assert np.array_equal(X[i], ref.last)
-            else:
-                assert i not in errors
-                assert np.array_equal(X[i], ref)
-        assert len(errors) == (2 if max_iter else 0)
+        ((rows, X),) = newton_rows(n, alphas, opts)
+        solved = [i for i, ref in enumerate(refs) if not isinstance(ref, ConvergenceError)]
+        assert rows.tolist() == solved
+        for i, x in zip(solved, X):
+            assert np.array_equal(x, refs[i])
+        assert len(solved) == (2 if max_iter else 4)
