@@ -267,7 +267,7 @@ def _config_defaults(parser, path):
     values = {}
     for key, val in cfg.items():
         dest = key.replace("-", "_")
-        if dest == "timing":
+        if dest == "timing" and parser.get_default("handler") is _cmd_packet:
             values["timing"] = val
         elif dest not in flags:
             raise DomainError(f"config key {key!r} is not a flag of this command")

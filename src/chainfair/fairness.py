@@ -218,7 +218,7 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     check_count("n", n)
     alphas = list(alphas)
     for a in alphas:
-        if not (isinstance(a, float) and not math.isfinite(a)):
+        if not (isinstance(a, (float, np.floating)) and not math.isfinite(a)):
             check_real("alpha", a)
     alphas = [float(a) for a in alphas]
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]

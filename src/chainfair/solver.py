@@ -152,31 +152,26 @@ def solve_tridiagonal_rows(dl, d, du, b):
     = b[i, j]; the last columns of dl and du must be zero. The rows are
     stacked into one block-diagonal system with zero coupling between blocks
     and solved by one LAPACK gtsv call (the routine solve_banded uses for one
-    block), so each row gets the arithmetic of its own solve. A singular
-    block is located from gtsv's info and the other rows are solved again
-    without it. Returns x, with nan rows for the singular blocks, and the
-    boolean mask of those rows.
+    block), so each row gets the arithmetic of its own solve. That call fails
+    exactly when some row's own call does, so then each row is solved alone.
+    Returns x, with nan rows for the singular blocks, and their boolean mask.
     """
     r, m = d.shape
-    bad = np.zeros(r, dtype=bool)
-    rows = np.arange(r)
-    while len(rows):
-        pick = slice(None) if len(rows) == r else rows
-        lo, di, up, rhs = (a[pick].ravel() for a in (dl, d, du, b))
-        # gtsv wants at least one off-diagonal entry, even for a 1 x 1 system
-        size = max(len(di) - 1, 1)
-        *_, x, info = _gtsv(lo[:size], di, up[:size], rhs)
-        if info == 0:
-            if len(rows) == r:
-                return x.reshape(r, m), bad
-            break
-        j = (info - 1) // m
-        bad[rows[j]] = True
-        rows = np.delete(rows, j)
-    out = np.full((r, m), np.nan)
-    if len(rows):
-        out[rows] = x.reshape(-1, m)
-    return out, bad
+    x, info = _gtsv_rows(dl, d, du, b)
+    if info == 0:
+        return x.reshape(r, m), np.zeros(r, dtype=bool)
+    alone = [_gtsv_rows(dl[i], d[i], du[i], b[i]) for i in range(r)]
+    bad = np.array([info != 0 for _, info in alone])
+    return np.array([np.full(m, np.nan) if info else x for x, info in alone]), bad
+
+
+def _gtsv_rows(dl, d, du, b):
+    """One gtsv call on the rows of dl, d, du and b laid end to end: (x, info)."""
+    lo, di, up, rhs = (a.ravel() for a in (dl, d, du, b))
+    # gtsv wants at least one off-diagonal entry, even for a 1 x 1 system
+    size = max(len(di) - 1, 1)
+    *_, x, info = _gtsv(lo[:size], di, up[:size], rhs)
+    return x, info
 
 
 def _merit(alpha, y, k):

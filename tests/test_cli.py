@@ -132,6 +132,22 @@ class TestConfigFile:
         code, _, err = run(capsys, ["solve", "--config", str(cfg)])
         assert code == 2 and "bogus" in err
 
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("solve", {"n": 3, "alpha": 0.5}),
+            ("ring", {"alpha": 0.5}),
+            ("sweep", {"n": 3}),
+        ],
+    )
+    def test_timing_key_only_for_packet(self, capsys, tmp_path, command, cfg):
+        # a "timing" object was taken, and ignored, by every command
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "timing": {"bogus": 1}}))
+        code, out, err = run(capsys, [command, "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "config key 'timing' is not a flag of this command" in err
+
     def test_hyphenated_keys(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4, "alpha-min": 0.2, "alpha-max": 0.6, "points": 3}))

@@ -341,6 +341,13 @@ class TestSweepJ:
             else:
                 assert np.isnan(val)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_numpy_non_finite_alpha_marked_nan(self, dtype):
+        # a float32 or float16 nan or inf raised DomainError instead
+        rows = sweep_J(5, [dtype("nan"), dtype("inf"), dtype(0.5)])
+        assert np.isnan(rows[0][1]) and np.isnan(rows[1][1])
+        assert rows[2][1] == J(0.5, 5)
+
     def test_failed_solve_marked_nan(self, monkeypatch):
         force_failures(monkeypatch, {0.5})
         rows = sweep_J(5, [0.2, 0.5, 0.7])
