@@ -70,7 +70,7 @@ def main():
     write(f"profile_n{PROFILE_N}.csv", _csv([("pair", "x")] + rows))
     write(f"profile_n{PROFILE_N}.svg", line_chart(rows, title=title, xlabel="pair", ylabel="x"))
 
-    trace = ThroughputTrace(rates=TRACE, label="three external pairs")
+    trace = ThroughputTrace(rates=TRACE)
     alpha_fit = fit_alpha(trace).alpha_fit
     rows = compare_normalized(trace, alpha_fit)
     series = [("observed", [obs for _, obs, _, _ in rows]), ("model", [mod for _, _, mod, _ in rows])]

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError
 from .fairness import maximize_J
 from .model import ChainParams, check_count, check_real, ring_level
-from .solver import SolveOptions, newton_solve
+from .solver import newton_solve
 
 
 def ring_fixed_point(alpha: float) -> float:
@@ -45,7 +45,7 @@ def flat_value(n: int) -> tuple[float, float]:
     """
     check_count("n", n, least=3)
     alpha_hat = maximize_J(n).alpha_hat
-    x = newton_solve(ChainParams(n, alpha_hat), SolveOptions())
+    x = newton_solve(ChainParams(n, alpha_hat))
     central = float(x[(n + 1) // 2 - 1])
     return alpha_hat, central
 

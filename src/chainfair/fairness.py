@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, _check_len, check_count, check_real, entropy, grad_entropy
+from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy
 # apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
 from .solver import newton_rows, newton_solve, tangent_rows
@@ -44,7 +44,7 @@ def _root(alpha, n, x):
     params = ChainParams(n, alpha)
     if x is None:
         return newton_solve(params)
-    return _check_len(params, x)
+    return check_vector("x", x, n)
 
 
 def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
@@ -79,8 +79,9 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
     width, w0 the first one) so that the points close in from both sides,
     and held so near the midpoint that bisection from there would still
     finish within ceil(log2(w0/width)) + 1 evaluations; once that slack is
-    spent the point is the midpoint. A nan slope (a failed solve) stops the
-    search with the bracket reached.
+    spent the point is the midpoint. A point that rounds onto an end becomes
+    the midpoint; if that does too (the ends are adjacent floats), or at a
+    nan slope (a failed solve), the search stops with the bracket reached.
 
     Returns the end with the smaller |slope| (the closer one to the root
     where slope is near linear), the final bracket width and the number of
@@ -101,6 +102,9 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
         c = c + math.copysign(nudge, mid - c) if nudge < abs(mid - c) else mid
         slack = max(aim * 2.0 ** (budget - evals - 1) - 0.5 * w, 0.0)
         c = min(max(c, mid - slack), mid + slack)
+        c = c if lo < c < hi else mid
+        if not lo < c < hi:
+            break
         s = float(slope(c))
         evals += 1
         if s != s:
@@ -199,9 +203,7 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
-    found = _search(
-        n, grid, lambda X: [entropy(x) / n for x in X], lambda alphas, X: _J_slopes(n, alphas, X), tol_alpha
-    )
+    found = _search(n, grid, lambda X: entropy_rows(X) / n, lambda alphas, X: _J_slopes(n, alphas, X), tol_alpha)
     if found is None:
         raise ConvergenceError(f"maximize_J: no grid point solved (n={n})")
     alpha_hat, J_value, _, evaluations, bracket, unimodal = found
@@ -216,7 +218,10 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     an invalid n or an alpha that is not a real number raises DomainError.
     """
     check_count("n", n)
-    alphas = list(alphas)
+    try:
+        alphas = list(alphas)
+    except TypeError:
+        raise DomainError(f"alphas must be an iterable of real numbers, got {alphas!r}") from None
     for a in alphas:
         if not (isinstance(a, (float, np.floating)) and not math.isfinite(a)):
             check_real("alpha", a)
@@ -224,5 +229,5 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
     for rows, X in newton_rows(n, [alphas[i] for i in valid]):
-        Js[[valid[k] for k in rows]] = [entropy(x) / n for x in X]
+        Js[[valid[k] for k in rows]] = entropy_rows(X) / n
     return [(a, float(j)) for a, j in zip(alphas, Js)]

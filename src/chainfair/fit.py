@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .fairness import _search
-from .model import ChainParams, check_real
+from .model import ChainParams, check_real, check_vector
 from .solver import newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
@@ -23,18 +23,11 @@ class ThroughputTrace:
     """Measured per-pair rates, any consistent unit."""
 
     rates: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
-        try:
-            rates = np.asarray(self.rates, dtype=float)
-        except (TypeError, ValueError):
-            # check_real names the entry numpy could not read ("a", a list)
-            for r in self.rates:
-                check_real("rate", r)
-            raise
+        rates = check_vector("rates", self.rates)
         object.__setattr__(self, "rates", rates)
-        if rates.ndim != 1 or len(rates) < 2:
+        if len(rates) < 2:
             raise DomainError("a trace needs at least two pairs")
         if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
             raise DomainError("rates must be finite and nonnegative")
@@ -137,7 +130,7 @@ def compare_normalized(trace: ThroughputTrace, alpha: float) -> list[tuple[int, 
     ]
 
 
-def read_trace_csv(path, label: str = "") -> ThroughputTrace:
+def read_trace_csv(path) -> ThroughputTrace:
     """Read a trace from CSV with header 'pair,rate', pairs listed in order."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -151,7 +144,7 @@ def read_trace_csv(path, label: str = "") -> ThroughputTrace:
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
         raise DomainError(f"{path}: pairs must be exactly 1..n")
-    return ThroughputTrace(rates=np.array([r[1] for r in rows]), label=label or str(path))
+    return ThroughputTrace(rates=np.array([r[1] for r in rows]))
 
 
 def write_trace_csv(path, trace: ThroughputTrace):

@@ -44,6 +44,18 @@ def check_real(name, value):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
+def check_vector(name, x, n=None):
+    """x as a 1-d float array, of length n when given, else DomainError; "1.5" is read as 1.5."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a vector of real numbers") from None
+    if x.ndim != 1 or n is not None and len(x) != n:
+        size = "" if n is None else f"length-{n} "
+        raise DomainError(f"{name} must be a {size}vector, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Chain length and emission coefficient."""
@@ -56,13 +68,6 @@ class ChainParams:
         check_real("alpha", self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-
-
-def _check_len(params, x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != params.n:
-        raise DomainError(f"expected a length-{params.n} vector, got shape {x.shape}")
-    return x
 
 
 def padded_F(alpha, xp):
@@ -94,7 +99,7 @@ def apply_F(params: ChainParams, x) -> np.ndarray:
     Returns y with y_i = alpha (1 - x_{i-1})(1 - x_{i+1}), border rows using
     the never-sending virtual pairs. Maps [0,1]^n into [0, alpha]^n.
     """
-    return padded_F(params.alpha, _padded(_check_len(params, x)))
+    return padded_F(params.alpha, _padded(check_vector("x", x, params.n)))
 
 
 def jacobian_bands(params: ChainParams, x):
@@ -103,7 +108,7 @@ def jacobian_bands(params: ChainParams, x):
     sub[i] is entry (i+1, i) and sup[i] is entry (i, i+1), 0-based, each of
     length n-1. Both are alpha*(x_k - 1) for the opposite neighbor k.
     """
-    return padded_bands(params.alpha, _padded(_check_len(params, x)))
+    return padded_bands(params.alpha, _padded(check_vector("x", x, params.n)))
 
 
 def ring_level(alpha):
@@ -116,16 +121,17 @@ def ring_level(alpha):
     return 2.0 * alpha / (2.0 * alpha + 1.0 + np.sqrt(4.0 * alpha + 1.0))
 
 
+def entropy_rows(X):
+    """-sum x ln x along the last axis, unchecked: every entry must lie in (0, 1]."""
+    return -np.sum(X * np.log(X), axis=-1)
+
+
 def entropy(x) -> float:
     """Shannon entropy E(x) = -sum x_i ln x_i of a vector, with the 0 ln 0 = 0 convention."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"entropy requires a vector, got shape {x.shape}")
+    x = check_vector("x", x)
     if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("entropy requires components in [0, 1]")
-    pos = x > 0.0
-    xs = x[pos]
-    return float(-np.sum(xs * np.log(xs)))
+    return float(entropy_rows(x[x > 0.0]))
 
 
 def grad_entropy(x) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ChainParams, check_count, check_real
-from .solver import SolveOptions, newton_solve
+from .model import ChainParams, check_count
+from .solver import newton_solve
 
 _POLICIES = ("random-single-site", "synchronous-random-order")
 _BATCHES = 32
@@ -35,14 +35,11 @@ class SimConfig:
     policy: str = "random-single-site"
 
     def __post_init__(self):
-        check_count("n", self.n)
+        ChainParams(self.n, self.alpha)
         check_count("steps", self.steps)
         check_count("seed", self.seed, least=0)
         if self.burn_in is not None:
             check_count("burn_in", self.burn_in, least=0)
-        check_real("alpha", self.alpha)
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.policy not in _POLICIES:
             raise DomainError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
         if not self.effective_burn_in < self.steps:
@@ -169,5 +166,5 @@ def meanfield_gap(n: int, alpha: float) -> float:
     not bounded, since no ground truth for it exists beyond the oracle.
     """
     exact = exact_stationary(n, alpha)
-    x = newton_solve(ChainParams(n, alpha), SolveOptions())
+    x = newton_solve(ChainParams(n, alpha))
     return float(np.max(np.abs(exact - x)))

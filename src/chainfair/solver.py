@@ -33,6 +33,7 @@ from .model import (
     apply_F,
     check_count,
     check_real,
+    check_vector,
     jacobian_bands,
     padded_bands,
     padded_F,
@@ -93,7 +94,8 @@ class ContractionCertificate:
 
 def residual(params: ChainParams, x) -> float:
     """Sup-norm distance between x and F_alpha(x)."""
-    return float(np.max(np.abs(np.asarray(x, float) - apply_F(params, x))))
+    x = check_vector("x", x, params.n)
+    return float(np.max(np.abs(x - apply_F(params, x))))
 
 
 def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
@@ -440,7 +442,7 @@ def contraction_check(params: ChainParams, x) -> ContractionCertificate:
     |1/3 - 1| = 1/(2 alpha) exactly, so domain_ok is false there by the
     strict inequality.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_vector("x", x, params.n)
     domain_ok = bool(np.max(np.abs(x - 1.0)) < 1.0 / (2.0 * params.alpha))
     # row i of F' holds sup[i] right of the diagonal and sub[i-1] left of it
     sub, sup = jacobian_bands(params, x)

@@ -63,6 +63,8 @@ class FrameSpec:
 
 def t_send(frame: FrameSpec, timing: MacTiming = MacTiming()) -> float:
     """Channel occupancy of one transmission: rts + plcp + 8s/d microseconds."""
+    if not (isinstance(frame, FrameSpec) and isinstance(timing, MacTiming)):
+        raise DomainError(f"t_send needs a FrameSpec and a MacTiming, got {frame!r} and {timing!r}")
     return timing.rts + timing.plcp + 8.0 * frame.s / frame.d
 
 
@@ -72,6 +74,8 @@ def t_wait(timing: MacTiming = MacTiming()) -> float:
     The DIFS/EIFS deference is deliberately not counted: a neighbor is
     normally occupying the channel during it.
     """
+    if not isinstance(timing, MacTiming):
+        raise DomainError(f"timing must be a MacTiming, got {timing!r}")
     backoff = timing.slot * timing.cw_min / 2.0
     return backoff + 3.0 * timing.sifs + timing.cts + timing.ack
 

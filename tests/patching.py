@@ -33,8 +33,12 @@ def off_grid(grid):
     return lambda a: float(a) not in points
 
 
-def count_solves(monkeypatch):
-    """Count the one-alpha newton_rows calls of the searches: their serial solves."""
+def count_solves(monkeypatch, cap=None):
+    """Count the one-alpha newton_rows calls of the searches: their serial solves.
+
+    With a cap, the solve after the cap-th raises AssertionError, so that a
+    search that never ends fails instead of hanging.
+    """
     calls = []
     real = fairness_module.newton_rows
 
@@ -42,6 +46,7 @@ def count_solves(monkeypatch):
         alphas = list(alphas)
         if len(alphas) == 1:
             calls.append(alphas[0])
+            assert cap is None or len(calls) <= cap, f"more than {cap} serial solves"
         return real(n, alphas, *args)
 
     monkeypatch.setattr(fairness_module, "newton_rows", rows)

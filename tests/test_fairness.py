@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -41,9 +42,12 @@ class TestJ:
         a = 0.3
         assert J(a, 1) == pytest.approx(-a * np.log(a), abs=1e-12)
 
-    @pytest.mark.parametrize("alpha, n, x", [(0.5, 10, np.full(5, 0.2)), (1.5, 3, np.full(3, 0.2))])
+    @pytest.mark.parametrize(
+        "alpha, n, x", [(0.5, 10, np.full(5, 0.2)), (1.5, 3, np.full(3, 0.2)), (0.5, 2, ["a", "b"])]
+    )
     def test_supplied_x_validated_as_in_J_prime(self, alpha, n, x):
-        # J returned 0.1609 for a half-length x and a value for alpha = 1.5
+        # J returned 0.1609 for a half-length x and a value for alpha = 1.5;
+        # ["a", "b"] raised numpy's ValueError
         for f in (J, J_prime):
             with pytest.raises(DomainError):
                 f(alpha, n, x=x)
@@ -297,6 +301,25 @@ class TestMaximizeJ:
         assert res.bracket < GRID[55] - GRID[54]
         assert res.alpha_hat == pytest.approx(ref.alpha_hat, abs=res.bracket)
 
+    @pytest.mark.parametrize("n, tol_alpha", [(10, 1e-12), (4, 1e-10), (19, 1e-10)])
+    def test_no_refinement_alpha_solved_twice(self, monkeypatch, n, tol_alpha):
+        # below one ulp the nudged point landed on a bracket end, which was
+        # solved again (35 solves of 9 alphas at n = 10, 1e-12)
+        calls = count_solves(monkeypatch)
+        res = maximize_J(n, tol_alpha=tol_alpha)
+        assert len(calls) == len(set(calls))
+        assert res.evaluations == 99 + len(calls)
+
+    @pytest.mark.parametrize("tol_alpha", [1e-16, 1e-300])
+    def test_tolerance_below_float_spacing_returns(self, monkeypatch, tol_alpha):
+        # solved alpha = 0.553679143534189 without end; the cap turns a
+        # regression into a failure instead of a hang
+        calls = count_solves(monkeypatch, cap=200)
+        res = maximize_J(10, tol_alpha=tol_alpha)
+        assert len(calls) == len(set(calls))
+        assert res.alpha_hat == maximize_J(10, tol_alpha=1e-14).alpha_hat
+        assert res.bracket == math.ulp(res.alpha_hat)
+
     def test_no_solved_grid_point_raises(self, monkeypatch):
         force_failures(monkeypatch, set(GRID))
         with pytest.raises(ConvergenceError):
@@ -348,8 +371,25 @@ class TestSweepJ:
         assert np.isnan(rows[0][1]) and np.isnan(rows[1][1])
         assert rows[2][1] == J(0.5, 5)
 
+    @pytest.mark.parametrize("alphas", [None, 0.5])
+    def test_non_iterable_alphas_refused(self, alphas):
+        # list(alphas) raised TypeError
+        with pytest.raises(DomainError):
+            sweep_J(5, alphas)
+
     def test_failed_solve_marked_nan(self, monkeypatch):
         force_failures(monkeypatch, {0.5})
         rows = sweep_J(5, [0.2, 0.5, 0.7])
         assert np.isnan(rows[1][1])
         assert rows[0][1] == J(0.2, 5) and rows[2][1] == J(0.7, 5)
+
+
+@pytest.mark.parametrize("n", [3, 50, 1024, 5000])
+def test_drivers_J_is_entropy_of_the_root_over_n(n):
+    # the drivers take entropy_rows on a whole block of roots; chains of
+    # 1024 and 5000 pairs at 0.95 start from a spliced root
+    alphas = [0.3, 0.6826, 0.74, 0.76, 0.8, 0.95]
+    for a, val in sweep_J(n, alphas):
+        assert val == entropy(newton_solve(ChainParams(n, a))) / n
+    res = maximize_J(n)
+    assert res.J_value == entropy(newton_solve(ChainParams(n, res.alpha_hat))) / n

@@ -23,7 +23,7 @@ from chainfair import (
 
 from patching import count_solves, force_failures, off_grid
 
-NS2_THREE_PAIRS = ThroughputTrace(rates=[1.55, 0.04, 1.55], label="ns-2 n=3")
+NS2_THREE_PAIRS = ThroughputTrace(rates=[1.55, 0.04, 1.55])
 
 
 def model_trace(n, alpha):
@@ -38,9 +38,9 @@ class TestThroughputTrace:
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
-    @pytest.mark.parametrize("rates", [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]]])
+    @pytest.mark.parametrize("rates", [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]], {1: 2}])
     def test_unreadable_rates_refused(self, rates):
-        # each raised numpy's ValueError
+        # each raised numpy's ValueError ({1: 2} its TypeError)
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
@@ -248,7 +248,7 @@ class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace_csv(path, NS2_THREE_PAIRS)
-        back = read_trace_csv(path, label=NS2_THREE_PAIRS.label)
+        back = read_trace_csv(path)
         np.testing.assert_array_equal(back.rates, NS2_THREE_PAIRS.rates)
 
     def test_header_required(self, tmp_path):

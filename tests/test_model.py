@@ -13,7 +13,7 @@ from chainfair import (
     grad_entropy,
     jacobian_bands,
 )
-from chainfair.model import check_real
+from chainfair.model import check_real, check_vector
 
 from reference import closed_form_n3, closed_form_n4, jacobian_F
 
@@ -62,6 +62,28 @@ class TestCheckReal:
     def test_others_refused(self, value):
         with pytest.raises(DomainError, match="^v must be a finite real number"):
             check_real("v", value)
+
+
+class TestCheckVector:
+    def test_converts_to_a_float_vector(self):
+        x = check_vector("v", [1, 2, 3], 3)
+        assert x.dtype == float and x.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("value", [["a", "b"], [[1.0, 2.0], [3.0]], {1: 2}, None, 0.5, np.ones((2, 2))])
+    def test_others_refused(self, value):
+        with pytest.raises(DomainError, match="^v must be a"):
+            check_vector("v", value)
+
+    def test_length_checked_when_given(self):
+        with pytest.raises(DomainError, match="^v must be a length-3 vector, got shape"):
+            check_vector("v", [0.1, 0.2], 3)
+
+
+@pytest.mark.parametrize("f", [apply_F, jacobian_bands])
+def test_non_numeric_vector_refused(f):
+    # numpy's ValueError leaked out
+    with pytest.raises(DomainError):
+        f(ChainParams(2, 0.5), ["a", "b"])
 
 
 class TestApplyF:
@@ -170,9 +192,10 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy([float("nan")])
 
-    @pytest.mark.parametrize("x", [np.full((2, 2), 0.5), 0.5])
+    @pytest.mark.parametrize("x", [np.full((2, 2), 0.5), 0.5, ["a", "b"]])
     def test_non_vector_refused(self, x):
-        # a 2-D array was summed over all its entries
+        # a 2-D array was summed over all its entries; ["a", "b"] raised
+        # numpy's ValueError
         with pytest.raises(DomainError):
             entropy(x)
 

@@ -157,6 +157,14 @@ class TestNewton:
         assert err.residual == pytest.approx(residual(p, err.last))
 
 
+@pytest.mark.parametrize("f", [residual, contraction_check])
+@pytest.mark.parametrize("x", [["a", "b"], [0.1, 0.2, 0.3]])
+def test_bad_vector_refused(f, x):
+    # numpy's ValueError leaked out of both for ["a", "b"]
+    with pytest.raises(DomainError):
+        f(ChainParams(2, 0.5), x)
+
+
 class TestContractionCheck:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_all_ones_always_domain_ok(self, alpha):

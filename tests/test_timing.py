@@ -88,6 +88,23 @@ class TestDurations:
         assert slow - fast == pytest.approx(8000.0 * (1.0 - 1.0 / 11.0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: packet_for_alpha(0.6, 2.0, timing="x"),
+        lambda: alpha_of_packet("x"),
+        lambda: alpha_of_packet(FrameSpec(1500, 2.0), "x"),
+        lambda: t_send("x"),
+        lambda: t_send(FrameSpec(1500, 2.0), "x"),
+        lambda: t_wait("x"),
+    ],
+)
+def test_non_timing_arguments_refused(call):
+    # each raised AttributeError reading a field of "x"
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestAlphaOfPacket:
     def test_1500_at_2(self):
         assert alpha_of_packet(FrameSpec(1500, 2.0)) == pytest.approx(0.867, abs=1e-3)
