@@ -6,13 +6,14 @@ can be fitted without knowing the proportionality constant.
 """
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FitError
 from .fairness import _search
-from .model import ChainParams, check_real, check_vector
+from .model import ChainParams, check_instance, check_real, check_vector
 from .solver import newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
@@ -50,6 +51,7 @@ class FitResult:
 
 def normalize(trace: ThroughputTrace) -> np.ndarray:
     """Normalized ratios rho_i = r_i / r_1."""
+    check_instance("trace", trace, ThroughputTrace)
     return trace.rates / trace.rates[0]
 
 
@@ -90,8 +92,7 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     whose ratios rho_i square to an infinite sum is refused with
     DomainError before any solve, since its SSE overflows at every alpha.
     """
-    if not isinstance(trace, ThroughputTrace):
-        raise DomainError(f"trace must be a ThroughputTrace, got {type(trace).__name__}")
+    check_instance("trace", trace, ThroughputTrace)
     try:
         lo, hi = bounds
     except (TypeError, ValueError):
@@ -131,7 +132,13 @@ def compare_normalized(trace: ThroughputTrace, alpha: float) -> list[tuple[int, 
 
 
 def read_trace_csv(path) -> ThroughputTrace:
-    """Read a trace from CSV with header 'pair,rate', pairs listed in order."""
+    """Read a trace from CSV with header 'pair,rate', pairs listed in order.
+
+    path is a str or os.PathLike: open() would take an int (a bool too) as
+    a file descriptor and close it, stdout for True.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -44,9 +44,23 @@ def check_real(name, value):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
+def check_instance(name, value, cls):
+    """Refuse with DomainError a value that is not an instance of cls, such as a config object."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_vector(name, x, n=None):
-    """x as a 1-d float array, of length n when given, else DomainError; "1.5" is read as 1.5."""
+    """x as a 1-d float array, of length n when given, else DomainError.
+
+    Strings, bools and Python objects (None among numbers, say) are refused
+    by the array's dtype, without a loop over its entries. numpy reads
+    [True, 1.0] as float64, so a bool mixed into floats still passes.
+    """
     try:
+        x = np.asarray(x)
+        if x.dtype.kind in "USOb":
+            raise TypeError
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a vector of real numbers") from None
@@ -99,6 +113,7 @@ def apply_F(params: ChainParams, x) -> np.ndarray:
     Returns y with y_i = alpha (1 - x_{i-1})(1 - x_{i+1}), border rows using
     the never-sending virtual pairs. Maps [0,1]^n into [0, alpha]^n.
     """
+    check_instance("params", params, ChainParams)
     return padded_F(params.alpha, _padded(check_vector("x", x, params.n)))
 
 
@@ -108,6 +123,7 @@ def jacobian_bands(params: ChainParams, x):
     sub[i] is entry (i+1, i) and sup[i] is entry (i, i+1), 0-based, each of
     length n-1. Both are alpha*(x_k - 1) for the opposite neighbor k.
     """
+    check_instance("params", params, ChainParams)
     return padded_bands(params.alpha, _padded(check_vector("x", x, params.n)))
 
 
@@ -131,7 +147,8 @@ def entropy(x) -> float:
     x = check_vector("x", x)
     if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("entropy requires components in [0, 1]")
-    return float(entropy_rows(x[x > 0.0]))
+    # dropping zeros copies x, so only when there are any: same terms, same sum
+    return float(entropy_rows(x if x.all() else x[x > 0.0]))
 
 
 def grad_entropy(x) -> np.ndarray:

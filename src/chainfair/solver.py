@@ -16,8 +16,10 @@ newton_rows runs that loop on many alphas at once, one row each, for the
 alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
 systems are stacked into one LAPACK gtsv call per step, and only the rows
 that solve come back. Both start a long chain from the root of a short
-chain spliced into the ring pattern (_start_rows). tangent_rows gives
-dx/dalpha at such roots.
+chain spliced into the ring pattern (_start_rows), and run the
+full-length loop only where that start fails tol, which a short window
+chain with the same neighbourhoods shows. tangent_rows gives dx/dalpha
+at such roots, solved on the mirror half as well.
 """
 
 import math
@@ -32,6 +34,7 @@ from .model import (
     ChainParams,
     apply_F,
     check_count,
+    check_instance,
     check_real,
     check_vector,
     jacobian_bands,
@@ -94,6 +97,7 @@ class ContractionCertificate:
 
 def residual(params: ChainParams, x) -> float:
     """Sup-norm distance between x and F_alpha(x)."""
+    check_instance("params", params, ChainParams)
     x = check_vector("x", x, params.n)
     return float(np.max(np.abs(x - apply_F(params, x))))
 
@@ -105,6 +109,8 @@ def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) 
     cap is hit; this genuinely happens at large alpha where the synchronous
     dynamics settle on a period-2 orbit instead of the fixed point.
     """
+    check_instance("params", params, ChainParams)
+    check_instance("opts", opts, SolveOptions)
     cap = opts.max_iter if opts.max_iter is not None else _FP_MAX_ITER
     x = np.ones(params.n)
     for _ in range(cap):
@@ -176,19 +182,25 @@ def _gtsv_rows(dl, d, du, b):
     return x, info
 
 
-def _merit(alpha, y, k):
-    """Padded half-chain rows, G = y - F(y) and ||G||_2^2 per row.
+def _pad(y, k):
+    """Half-chain rows y padded for padded_F and padded_bands.
 
-    Each row of y is padded with the border 0 on the left and, on the
-    right, its mirror neighbour x_{m+1} = y[k] and the border 0 beyond it
-    (k = -1: the chain ends at x_m, whose right neighbour is the border).
+    Each row gets the border 0 on the left and, on the right, its mirror
+    neighbour x_{m+1} = y[k] and the border 0 beyond it (k = -1: the chain
+    ends at x_m, whose right neighbour is the border).
     """
     r, m = y.shape
     z = np.zeros((r, m + 3))
     z[:, 1:-2] = y
     if k >= 0:
         z[:, -2] = y[:, k]
-    g = y - padded_F(alpha, z)[:, :m]
+    return z
+
+
+def _merit(alpha, y, k):
+    """Padded half-chain rows (_pad), G = y - F(y) and ||G||_2^2 per row."""
+    z = _pad(y, k)
+    g = y - padded_F(alpha, z)[:, : y.shape[1]]
     return z, g, np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]
 
 
@@ -217,29 +229,23 @@ def tangent_rows(n, alphas, X):
     """dx/dalpha at each row of X, the chain's root for alphas[i].
 
     F_alpha is linear in alpha, so differentiating x = F_alpha(x) gives
-    (I - F'(x)) t = F_alpha(x)/alpha, which _newton_step solves on the
-    whole chain (k = -1). The derivative in alpha of any objective of the
-    root is its gradient in x dotted with t. A row whose system is
-    singular comes back nan.
+    (I - F'(x)) t = F_alpha(x)/alpha. The root and the right side are
+    mirror symmetric, and so is t: _newton_step solves the system on the
+    mirror half, folded as in the Newton loop, and t is its unfolding.
+    The derivative in alpha of any objective of the root is its gradient
+    in x dotted with t. A row whose system is singular comes back nan.
 
-    t is returned as its mirror average, which the true tangent equals:
-    on an even chain past alpha = 3/4, I - F' has a near-null
-    antisymmetric mode (sigma_min down to 1e-16), and the solve's error
-    along it reaches O(1). A solve on the folded half would remove the
-    mode too, but needs each gradient folded onto the half and, at
-    n = 10^6, a workspace reused across calls so that its half-size
-    arrays do not page-fault afresh; the average needs neither.
+    The folded system has no antisymmetric mode. On the whole chain it
+    would: on an even chain past alpha = 3/4, I - F' has a near-null
+    antisymmetric mode (sigma_min down to 1e-16), along which a
+    whole-chain solve's error reaches O(1).
     """
+    m = (n + 1) // 2
+    k = m - 1 - n % 2
     a = np.asarray(alphas, dtype=float)[:, None]
-    z = np.zeros((len(X), n + 3))
-    z[:, 1:-2] = X
-    t = _newton_step(a, z, padded_F(a, z)[:, :n] / a, -1)[0]
-    # in place, half against mirror half: no temporary of the chain's size
-    left, right = t[:, : n // 2], t[:, ::-1][:, : n // 2]
-    left += right
-    left *= 0.5
-    right[...] = left
-    return t
+    z = _pad(X[:, :m], k)
+    t, _ = _newton_step(a, z, padded_F(a, z)[:, :m] / a, k)
+    return _unfold(t, n)
 
 
 def _line_search(alpha, y, z, g, phi, delta, k):
@@ -344,7 +350,7 @@ def _splice_len(alpha):
 
 
 def _start_rows(n, alphas, opts):
-    """Newton start halves: the ring pattern, spliced near the ends of a long chain.
+    """Newton start halves, spliced near the ends of a long chain, and the rows they solve.
 
     Away from its ends a long chain sits on the ring pattern, up to border
     layers that decay like e^{-kappa i}. So for n >= 8 L(alpha)
@@ -353,16 +359,26 @@ def _start_rows(n, alphas, opts):
     so each row gets the arithmetic of its own solve. n' has the parity of
     n, so an even chain keeps its central defect, and its half
     m' = ceil(n'/2) the parity of m = ceil(n/2), so the alternating pattern
-    meets the mirror in the same phase. The first half of each short root's
-    mirror half goes at the head of the long half, its second half at the
-    mirror end, and the ring pattern of _ring_rows fills the sites between.
-    A short solve that fails still leaves its last iterate there: the
-    full-length loop decides. Below 8 _SPLICE_MIN pairs nothing is computed.
+    meets the mirror in the same phase. A short solve that fails still
+    leaves its last iterate: the full-length loop decides.
+
+    The window chain is the short root's mirror half with 4 ring sites of
+    _ring_rows between its first and second halves: m' + 4 sites, in the
+    same phase. The long start half is the window's first half at the head
+    and its second half at the mirror end, with the ring pattern of
+    _ring_rows between. Each site of G = y - F(y) depends only on the site
+    and its two neighbours, and the window holds exactly the (left, site,
+    right) triples of the long half, so its max |G| from _merit is the long
+    half's, bit for bit. Returns the (R, m) start halves and the mask of
+    rows whose window passes tol: there the full-length loop would return
+    the start without a step. Below 8 _SPLICE_MIN pairs nothing is
+    computed and no row is marked.
     """
     m = (n + 1) // 2
     y = _ring_rows(alphas, m)
+    solved = np.zeros(len(alphas), dtype=bool)
     if n < 8 * _SPLICE_MIN:
-        return y
+        return y, solved
     groups = {}
     for i, a in enumerate(alphas):
         length = _splice_len(a)
@@ -372,10 +388,33 @@ def _start_rows(n, alphas, opts):
         ns = length + n % 4
         picked = [alphas[i] for i in rows]
         short, _ = _newton_block(ns, picked, opts, _ring_rows(picked, (ns + 1) // 2))
-        head = short.shape[1] // 2
-        y[rows, :head] = short[:, :head]
-        y[rows, m - short.shape[1] + head :] = short[:, head:]
-    return y
+        head, w = short.shape[1] // 2, short.shape[1] + 4
+        window = _ring_rows(picked, w)
+        window[:, :head] = short[:, :head]
+        window[:, head + 4 :] = short[:, head:]
+        y[rows, : w // 2] = window[:, : w // 2]
+        y[rows, m - w + w // 2 :] = window[:, w // 2 :]
+        _, g, _ = _merit(np.array(picked, dtype=float)[:, None], window, w - 1 - n % 2)
+        solved[rows] = np.abs(g).max(axis=1) <= opts.tol
+    return y, solved
+
+
+def _solve_rows(n, alphas, opts):
+    """Mirror halves of the roots or last iterates for alphas, and per row None or why its solve failed.
+
+    The rows whose start passes the window check of _start_rows come back
+    as started; the others run the full-length _newton_block.
+    """
+    y, solved = _start_rows(n, alphas, opts)
+    if not solved.any():
+        return _newton_block(n, alphas, opts, y)
+    why = [None] * len(alphas)
+    rest = np.flatnonzero(~solved)
+    if len(rest):
+        y[rest], failed = _newton_block(n, [alphas[i] for i in rest], opts, y[rest])
+        for i, reason in zip(rest.tolist(), failed):
+            why[i] = reason
+    return y, why
 
 
 def _unfold(y, n):
@@ -395,7 +434,9 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     newton_solve returns for it. A row whose solve fails is left out
     together with its index. A block holds as many rows as fit in
     _STACK_UNKNOWNS half-chain unknowns, so memory stays bounded however
-    many alphas come in. Each block's rows start from _start_rows.
+    many alphas come in. Each block's rows start from _start_rows, and
+    only the rows whose start fails its window check run the full-length
+    loop.
     """
     alphas = list(alphas)
     for a in alphas:
@@ -403,7 +444,7 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
     for start in range(0, len(alphas), per_block):
         block = alphas[start : start + per_block]
-        y, why = _newton_block(n, block, opts, _start_rows(n, block, opts))
+        y, why = _solve_rows(n, block, opts)
         ok = [i for i, reason in enumerate(why) if reason is None]
         yield start + np.array(ok, dtype=int), _unfold(y[ok], n)
 
@@ -417,14 +458,18 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     even n), whose derivative folds into the last row of the tridiagonal
     system. Each step is backtracked until ||G||_2^2 passes the Armijo
     test. The start is the ring root (_ring_start), spliced near the ends
-    of a long chain (_start_rows), and the returned root keeps its layout:
-    past alpha = 3/4 the components alternate high/low inward from both
-    ends, with a central defect x_{n/2} = x_{n/2+1} for even n. Raises
-    ConvergenceError (with the last iterate and residual) when the step
-    cap is hit or the line search cannot reduce the merit.
+    of a long chain (_start_rows); a spliced start that passes the window
+    check there is returned without a full-length pass. The returned
+    root keeps the start's layout: past alpha = 3/4 the components
+    alternate high/low inward from both ends, with a central defect
+    x_{n/2} = x_{n/2+1} for even n. Raises ConvergenceError (with the last
+    iterate and residual) when the step cap is hit or the line search
+    cannot reduce the merit.
     """
+    check_instance("params", params, ChainParams)
+    check_instance("opts", opts, SolveOptions)
     n, alpha = params.n, params.alpha
-    y, (why,) = _newton_block(n, [alpha], opts, _start_rows(n, [alpha], opts))
+    y, (why,) = _solve_rows(n, [alpha], opts)
     (x,) = _unfold(y, n)
     if why is not None:
         r = residual(params, x)
@@ -442,6 +487,7 @@ def contraction_check(params: ChainParams, x) -> ContractionCertificate:
     |1/3 - 1| = 1/(2 alpha) exactly, so domain_ok is false there by the
     strict inequality.
     """
+    check_instance("params", params, ChainParams)
     x = check_vector("x", x, params.n)
     domain_ok = bool(np.max(np.abs(x - 1.0)) < 1.0 / (2.0 * params.alpha))
     # row i of F' holds sup[i] right of the diagonal and sub[i-1] left of it

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -38,9 +39,10 @@ class TestThroughputTrace:
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
-    @pytest.mark.parametrize("rates", [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]], {1: 2}])
+    @pytest.mark.parametrize("rates", [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]], {1: 2}, ["1.5", "2"]])
     def test_unreadable_rates_refused(self, rates):
-        # each raised numpy's ValueError ({1: 2} its TypeError)
+        # each raised numpy's ValueError ({1: 2} its TypeError); ["1.5", "2"]
+        # was read as numbers
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
@@ -271,6 +273,16 @@ class TestTraceCsv:
         path.write_text(f"pair,rate\n1,1.5\n{row}\n")
         with pytest.raises(DomainError, match=r"malformed\.csv, line 3: "):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("path", [True, 1, None, 2.5])
+    def test_non_path_refused_and_stdout_kept(self, capsys, path):
+        # True was opened as file descriptor 1 and the with block closed
+        # stdout: every later print raised OSError
+        with capsys.disabled():
+            with pytest.raises(DomainError):
+                read_trace_csv(path)
+            os.fstat(1)
+            print(end="", flush=True)
 
     def test_rows_sorted_by_pair(self, tmp_path):
         path = tmp_path / "shuffled.csv"

@@ -69,7 +69,12 @@ class TestCheckVector:
         x = check_vector("v", [1, 2, 3], 3)
         assert x.dtype == float and x.tolist() == [1.0, 2.0, 3.0]
 
-    @pytest.mark.parametrize("value", [["a", "b"], [[1.0, 2.0], [3.0]], {1: 2}, None, 0.5, np.ones((2, 2))])
+    # [True, False] and ["1.5", "2"] were read as numbers, and [1.0, None] as [1.0, nan]
+    @pytest.mark.parametrize(
+        "value",
+        [["a", "b"], [[1.0, 2.0], [3.0]], {1: 2}, None, 0.5, np.ones((2, 2)), [True, False], ["1.5", "2"],
+         [1.0, None], np.array([b"1"])],
+    )
     def test_others_refused(self, value):
         with pytest.raises(DomainError, match="^v must be a"):
             check_vector("v", value)
@@ -81,9 +86,11 @@ class TestCheckVector:
 
 @pytest.mark.parametrize("f", [apply_F, jacobian_bands])
 def test_non_numeric_vector_refused(f):
-    # numpy's ValueError leaked out
-    with pytest.raises(DomainError):
-        f(ChainParams(2, 0.5), ["a", "b"])
+    # numpy's ValueError leaked out for ["a", "b"]; apply_F returned
+    # [nan, 0.] for [1.0, None]
+    for x in (["a", "b"], [1.0, None]):
+        with pytest.raises(DomainError):
+            f(ChainParams(2, 0.5), x)
 
 
 class TestApplyF:

@@ -12,9 +12,13 @@ from chainfair import (
     ConvergenceError,
     DomainError,
     SolveOptions,
+    apply_F,
+    compare_normalized,
     contraction_check,
     fixed_point_solve,
+    jacobian_bands,
     newton_solve,
+    normalize,
     residual,
 )
 import chainfair.solver as solver_module
@@ -163,6 +167,29 @@ def test_bad_vector_refused(f, x):
     # numpy's ValueError leaked out of both for ["a", "b"]
     with pytest.raises(DomainError):
         f(ChainParams(2, 0.5), x)
+
+
+P3, X3 = ChainParams(3, 0.5), [0.2, 0.3, 0.2]
+CONFIG_TAKERS = {
+    "newton_solve.params": lambda bad: newton_solve(bad),
+    "newton_solve.opts": lambda bad: newton_solve(P3, bad),
+    "fixed_point_solve.params": lambda bad: fixed_point_solve(bad),
+    "fixed_point_solve.opts": lambda bad: fixed_point_solve(P3, bad),
+    "apply_F": lambda bad: apply_F(bad, X3),
+    "jacobian_bands": lambda bad: jacobian_bands(bad, X3),
+    "residual": lambda bad: residual(bad, X3),
+    "contraction_check": lambda bad: contraction_check(bad, X3),
+    "normalize": lambda bad: normalize(bad),
+    "compare_normalized": lambda bad: compare_normalized(bad, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", CONFIG_TAKERS.values(), ids=CONFIG_TAKERS.keys())
+@pytest.mark.parametrize("bad", [0.5, None, [1.0, 2.0]], ids=["float", "None", "list"])
+def test_config_object_of_the_wrong_type_refused(call, bad):
+    # each raised AttributeError on the missing field
+    with pytest.raises(DomainError, match=" must be a "):
+        call(bad)
 
 
 class TestContractionCheck:
@@ -389,7 +416,41 @@ def newton_halves(monkeypatch):
     return seen
 
 
+def window_merits(monkeypatch):
+    """Make solver._merit append (half length, max |G| per row) of every call to the returned list."""
+    seen = []
+    real = solver_module._merit
+
+    def recording(alpha, y, k):
+        z, g, phi = real(alpha, y, k)
+        seen.append((y.shape[1], np.abs(g).max(axis=1)))
+        return z, g, phi
+
+    monkeypatch.setattr(solver_module, "_merit", recording)
+    return seen
+
+
 class TestSplicedLongChains:
+    @pytest.mark.parametrize("alpha", [1e-12, 0.3, 0.6826, 0.74, 0.75, 0.7505, 0.8, 0.95])
+    @pytest.mark.parametrize("n", [1024, 65_536, 65_537, 65_538, 65_539, 100_001])
+    def test_window_check_is_the_full_length_check(self, monkeypatch, n, alpha):
+        # the window chain's max |G| is that of the whole spliced half, bit
+        # for bit, and marks the row solved exactly when it passes tol
+        full_merit = solver_module._merit
+        seen = window_merits(monkeypatch)
+        y, solved = solver_module._start_rows(n, [alpha], SolveOptions())
+        length = solver_module._splice_len(alpha)
+        if n < 8 * length:
+            assert seen == [] and not solved.any()
+            return
+        m, window = (n + 1) // 2, (length + n % 4 + 1) // 2 + 4
+        width, window_max = seen[-1]
+        assert width == window
+        _, g, _ = full_merit(np.array([[alpha]]), y, m - 1 - n % 2)
+        full_max = np.abs(g).max(axis=1)
+        assert window_max.tobytes() == full_max.tobytes()
+        assert solved.tolist() == (full_max <= 1e-12).tolist()
+
     @pytest.mark.parametrize("alpha", SPLICE_ALPHAS)
     @pytest.mark.parametrize("n", SPLICE_NS)
     def test_spliced_root(self, n, alpha):
@@ -409,7 +470,8 @@ class TestSplicedLongChains:
     @pytest.mark.parametrize("alpha", [1e-3, 0.6826, 0.75, 0.8, 0.95])
     def test_shorter_chains_are_solved_whole(self, monkeypatch, n, alpha):
         # a chain below 8 L(alpha) runs the full-length loop from the ring
-        # start; from 8 L(alpha) up a chain of L(alpha) + n % 4 pairs runs first
+        # start; from 8 L(alpha) up a chain of L(alpha) + n % 4 pairs runs
+        # instead, where its spliced start passes the window check
         length = solver_module._splice_len(alpha)
         halves = newton_halves(monkeypatch)
         x = newton_solve(ChainParams(n, alpha))
@@ -417,7 +479,9 @@ class TestSplicedLongChains:
             assert halves == [(n + 1) // 2]
             assert np.array_equal(x, full_solve(n, alpha)[0])
         else:
-            assert halves == [(length + n % 4 + 1) // 2, (n + 1) // 2]
+            # the spliced start passes the window check at every spliced
+            # cell here, so the full-length loop does not run
+            assert halves == [(length + n % 4 + 1) // 2]
 
     @pytest.mark.parametrize("alpha", [1e-12, 1e-3, 0.5, 0.6826, 0.74, 0.7505, 0.8, 0.95])
     def test_splice_threshold_is_eight_short_lengths(self, monkeypatch, alpha):
@@ -427,8 +491,8 @@ class TestSplicedLongChains:
             halves.clear()
             p = ChainParams(n, alpha)
             assert residual(p, newton_solve(p)) <= 1e-12
-            short = [(length + n % 4 + 1) // 2] if n == 8 * length else []
-            assert halves == short + [(n + 1) // 2]
+            # at 8 L(alpha) the spliced start passes the window check
+            assert halves == ([(length + n % 4 + 1) // 2] if n == 8 * length else [(n + 1) // 2])
 
     @pytest.mark.parametrize(
         ("alpha", "length"),
@@ -529,23 +593,24 @@ class TestSplicedLongChains:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the spliced start that passes tol peaks at 2 x 8n bytes; a
-        # full-length step peaks at 6 x 8n
-        assert peak < 2.25 * 8 * n
+        # a spliced start that passes the window check peaks at 1.5 x 8n
+        # bytes, its half and the unfolded root; a full-length step peaks
+        # at 6 x 8n
+        assert peak < 1.75 * 8 * n
 
     def test_rejected_splice_falls_through(self, monkeypatch):
-        # a ring fill off by 1e-9 at one bulk site fails the loop's test at
-        # the spliced start; the full-length loop must step from there
+        # a short root off by 1e-9 at the site next to the junction fails
+        # the window check; the full-length loop must step from the splice
         n, alpha = 10**6, 0.8
-        real = solver_module._ring_rows
+        real = solver_module._newton_block
 
-        def ring_rows(alphas, m):
-            y = real(alphas, m)
-            if m == (n + 1) // 2:
-                y[:, m // 2] += 1e-9
-            return y
+        def newton_block(n_block, alphas, opts, y):
+            out, why = real(n_block, alphas, opts, y)
+            if n_block < n:
+                out[:, out.shape[1] // 2 - 1] += 1e-9
+            return out, why
 
-        monkeypatch.setattr(solver_module, "_ring_rows", ring_rows)
+        monkeypatch.setattr(solver_module, "_newton_block", newton_block)
         seen = gtsv_sizes(monkeypatch)
         p = ChainParams(n, alpha)
         x = newton_solve(p)
