@@ -52,7 +52,10 @@ def flat_value(n: int) -> tuple[float, float]:
 
 def optimal_alpha_curve(ns) -> list[tuple[int, float]]:
     """Rows of (n, optimal alpha), one per requested chain length."""
-    ns = list(ns)
+    try:
+        ns = list(ns)
+    except TypeError:
+        raise DomainError(f"ns must be an iterable of chain lengths, got {ns!r}") from None
     for n in ns:
         check_count("n", n, least=2)
     return [(int(n), maximize_J(n).alpha_hat) for n in ns]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy
+from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows
 # apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
 from .solver import newton_rows, newton_solve, tangent_rows
@@ -59,10 +59,18 @@ def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     """Derivative dJ/dalpha, grad J dotted with the tangent dx/dalpha.
 
-    This is _J_slopes on one row. Raises ConvergenceError when the tangent
-    system (I - F'(x)) t = F_alpha(x)/alpha is singular.
+    This is _J_slopes on one row: the tangent and the dot product are
+    taken on the mirror half of x, on its window chain where x is a
+    spliced root (solver.tangent_rows). A supplied x is refused whole: an
+    entry outside (0, 1] in either half raises DomainError. Raises
+    ConvergenceError when the tangent system (I - F'(x)) t =
+    F_alpha(x)/alpha is singular.
     """
     x = _root(alpha, n, x)
+    # _J_slopes reads the mirror half, unchecked; min and max copy nothing
+    # and fail at a nan
+    if not (x.min() > 0.0 and x.max() <= 1.0):
+        raise DomainError("J_prime requires components in (0, 1]")
     (jp,) = _J_slopes(n, [alpha], x[None])
     if np.isnan(jp):
         raise ConvergenceError(f"J_prime: singular tangent system (n={n}, alpha={alpha})")
@@ -122,11 +130,22 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
 def _J_slopes(n, alphas, X):
     """J' at each row of X (the root for alphas[i]): grad E(x) . dx/dalpha / n.
 
-    The gradient is built after the tangent solve, which keeps J_prime's
-    peak memory that of the solve. A row whose system is singular is nan.
+    Both factors are mirror symmetric, so the dot product is taken on the
+    halves of tangent_rows, m = ceil(n/2) sites: twice the sum, less the
+    centre site of an odd chain, which has no mirror twin. The gradient
+    -(ln x + 1) is taken unchecked, as in entropy_rows: the scans' roots
+    lie in (0, alpha], and J_prime checks a supplied x. It is built after
+    the tangent solve, which keeps J_prime's peak memory that of the
+    solve. A row whose system is singular is nan.
     """
     T = tangent_rows(n, alphas, X)
-    return np.einsum("ij,ij->i", grad_entropy(X), T) / n
+    # g = ln x + 1, the gradient negated
+    g = np.log(X[:, : T.shape[1]])
+    g += 1.0
+    s = 2.0 * np.einsum("ij,ij->i", g, T)
+    if n % 2:
+        s -= g[:, -1] * T[:, -1]
+    return -s / n
 
 
 def _search(n, grid, value, slope, width):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, FitError
 from .fairness import _search
 from .model import ChainParams, check_instance, check_real, check_vector
-from .solver import newton_solve, tangent_rows
+from .solver import _unfold, newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
 
@@ -66,10 +66,11 @@ def _sse_slopes(n, alphas, X, rho):
 
     The gradient in x is 2 r_i / x_1 with r = x/x_1 - rho, except entry 1,
     -2 sum_i r_i x_i / x_1^2 (r_1 = 0); dotted with the tangent dx/dalpha
-    of solver.tangent_rows it gives the derivative in alpha. A row whose
-    tangent system is singular is nan.
+    of solver.tangent_rows it gives the derivative in alpha. The gradient
+    is not mirror symmetric, so the tangent's halves are unfolded to whole
+    chains. A row whose tangent system is singular is nan.
     """
-    T = tangent_rows(n, alphas, X)
+    T = _unfold(tangent_rows(n, alphas, X), n)
     x1 = X[:, :1]
     r = X / x1 - rho
     grad = 2.0 * r / x1
@@ -131,14 +132,19 @@ def compare_normalized(trace: ThroughputTrace, alpha: float) -> list[tuple[int, 
     ]
 
 
+def _check_path(path):
+    """Refuse with DomainError a path that is not a str or os.PathLike."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+
+
 def read_trace_csv(path) -> ThroughputTrace:
     """Read a trace from CSV with header 'pair,rate', pairs listed in order.
 
     path is a str or os.PathLike: open() would take an int (a bool too) as
     a file descriptor and close it, stdout for True.
     """
-    if not isinstance(path, (str, os.PathLike)):
-        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+    _check_path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -155,7 +161,14 @@ def read_trace_csv(path) -> ThroughputTrace:
 
 
 def write_trace_csv(path, trace: ThroughputTrace):
-    """Write a trace in the same 'pair,rate' format read_trace_csv expects."""
+    """Write a trace in the same 'pair,rate' format read_trace_csv expects.
+
+    A path that is not a str or os.PathLike, or a trace that is not a
+    ThroughputTrace, is refused before anything is opened: open() would
+    write to the file descriptor of an int (stdout for True) and close it.
+    """
+    _check_path(path)
+    check_instance("trace", trace, ThroughputTrace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair", "rate"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ChainParams, check_count
+from .model import ChainParams, check_count, check_instance
 from .solver import newton_solve
 
 _POLICIES = ("random-single-site", "synchronous-random-order")
@@ -93,6 +93,7 @@ def simulate(config: SimConfig) -> MarginalEstimate:
     policies run the same update loop, O(1) per site update, on a state
     padded with the two silent border pairs.
     """
+    check_instance("config", config, SimConfig)
     n, steps = config.n, config.steps
     # equal-length batches aligned to the end of the run; short runs get
     # fewer than 32 batches rather than batches shorter than one slot

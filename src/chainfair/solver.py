@@ -18,8 +18,10 @@ systems are stacked into one LAPACK gtsv call per step, and only the rows
 that solve come back. Both start a long chain from the root of a short
 chain spliced into the ring pattern (_start_rows), and run the
 full-length loop only where that start fails tol, which a short window
-chain with the same neighbourhoods shows. tangent_rows gives dx/dalpha
-at such roots, solved on the mirror half as well.
+chain with the same neighbourhoods shows (_spliced_groups holds its
+geometry). tangent_rows gives dx/dalpha at such roots on the mirror
+half: on the same window chain where the root is such a splice, on the
+full half otherwise.
 """
 
 import math
@@ -225,15 +227,41 @@ def _newton_step(alpha, z, g, k):
     return solve_tridiagonal_rows(dl, d, du, g)
 
 
+def _tangent(alpha, z, k):
+    """Solve (I - F'(y)) t = F_alpha(y)/alpha on the padded half rows z of _pad, folded at k."""
+    t, _ = _newton_step(alpha, z, padded_F(alpha, z)[:, : z.shape[1] - 3] / alpha, k)
+    return t
+
+
+def _ring_bulk(y, alpha, first, stop):
+    """Whether y[first:stop] holds the ring pattern of _ring_rows bit for bit: hi at even sites, lo at odd."""
+    hi, lo = _ring_start(alpha)
+    even, odd = first + first % 2, first + 1 - first % 2
+    return bool((y[even:stop:2] == hi).all() and (y[odd:stop:2] == lo).all())
+
+
 def tangent_rows(n, alphas, X):
-    """dx/dalpha at each row of X, the chain's root for alphas[i].
+    """dx/dalpha at each row of X, the chain's root for alphas[i], as (R, m) mirror halves.
 
     F_alpha is linear in alpha, so differentiating x = F_alpha(x) gives
     (I - F'(x)) t = F_alpha(x)/alpha. The root and the right side are
-    mirror symmetric, and so is t: _newton_step solves the system on the
-    mirror half, folded as in the Newton loop, and t is its unfolding.
-    The derivative in alpha of any objective of the root is its gradient
-    in x dotted with t. A row whose system is singular comes back nan.
+    mirror symmetric, and so is t: it is solved on the mirror half,
+    m = ceil(n/2) unknowns, folded as in the Newton loop, and comes back as
+    that half, t_{n+1-i} = t_i. The derivative in alpha of any objective of
+    the root is its gradient in x dotted with t. A row whose system is
+    singular comes back nan.
+
+    A spliced root is solved on its window chain (_spliced_groups): the
+    rows with n >= 8 L(alpha) whose half holds the ring pattern of
+    _ring_rows bit for bit between the window's head and tail, and whose
+    window passes the default tol, as the roots that newton_solve returns
+    from the window check of _start_rows do. The window holds the long
+    half's (left, site, right) triples, so its system is the long one with
+    all but 4 ring sites cut out, and the long tangent's deviation from the
+    ring's decays from both ends like the root's. Its head and tail are
+    the window tangent's, and the bulk between them repeats the window's
+    last two head sites, by site parity. Every other row is solved on the
+    full half.
 
     The folded system has no antisymmetric mode. On the whole chain it
     would: on an even chain past alpha = 3/4, I - F' has a near-null
@@ -243,9 +271,30 @@ def tangent_rows(n, alphas, X):
     m = (n + 1) // 2
     k = m - 1 - n % 2
     a = np.asarray(alphas, dtype=float)[:, None]
-    z = _pad(X[:, :m], k)
-    t, _ = _newton_step(a, z, padded_F(a, z)[:, :m] / a, k)
-    return _unfold(t, n)
+    groups = list(_spliced_groups(n, alphas))
+    if not groups:
+        # no row can take the window: one solve, without the row bookkeeping
+        # that the small-n slopes of the scans would pay on every call
+        return _tangent(a, _pad(X[:, :m], k), k)
+    t = np.empty((len(X), m))
+    full = np.ones(len(X), dtype=bool)
+    for _, w, h, rows in groups:
+        tail, kw = m - w + h, w - 1 - n % 2
+        rows = np.array([i for i in rows if _ring_bulk(X[i], alphas[i], h - 2, tail + 2)], dtype=int)
+        z, g, _ = _merit(a[rows], np.concatenate((X[rows, :h], X[rows, tail:m]), axis=1), kw)
+        ok = np.abs(g).max(axis=1) <= SolveOptions().tol
+        rows = rows[ok]
+        if not len(rows):
+            continue
+        tw = _tangent(a[rows], z[ok], kw)
+        t[rows, :h] = tw[:, :h]
+        t[rows, tail:] = tw[:, h:]
+        t[rows, h:tail:2] = tw[:, h - 2 : h - 1]
+        t[rows, h + 1 : tail : 2] = tw[:, h - 1 : h]
+        full[rows] = False
+    if full.any():
+        t[full] = _tangent(a[full], _pad(X[full, :m], k), k)
+    return t
 
 
 def _line_search(alpha, y, z, g, phi, delta, k):
@@ -349,6 +398,29 @@ def _splice_len(alpha):
     return length
 
 
+def _spliced_groups(n, alphas):
+    """The rows of alphas that a chain of n pairs splices, grouped by short chain.
+
+    Yields (n', w, h, rows) per short length L(alpha) (_splice_len): the
+    short chain's n' = L(alpha) + n % 4 pairs, the window chain's half
+    length w = ceil(n'/2) + 4, its head length h = w // 2, and the indices
+    of the rows with n >= 8 L(alpha). On a long half of m sites the window
+    is y[:h] ++ y[m - w + h:]: the short root's head, 4 ring sites and its
+    tail. Below 8 _SPLICE_MIN pairs nothing is computed.
+    """
+    if n < 8 * _SPLICE_MIN:
+        return
+    groups = {}
+    for i, a in enumerate(alphas):
+        length = _splice_len(a)
+        if n >= 8 * length:
+            groups.setdefault(length, []).append(i)
+    for length, rows in groups.items():
+        ns = length + n % 4
+        w = (ns + 1) // 2 + 4
+        yield ns, w, w // 2, rows
+
+
 def _start_rows(n, alphas, opts):
     """Newton start halves, spliced near the ends of a long chain, and the rows they solve.
 
@@ -363,37 +435,29 @@ def _start_rows(n, alphas, opts):
     leaves its last iterate: the full-length loop decides.
 
     The window chain is the short root's mirror half with 4 ring sites of
-    _ring_rows between its first and second halves: m' + 4 sites, in the
-    same phase. The long start half is the window's first half at the head
-    and its second half at the mirror end, with the ring pattern of
-    _ring_rows between. Each site of G = y - F(y) depends only on the site
-    and its two neighbours, and the window holds exactly the (left, site,
-    right) triples of the long half, so its max |G| from _merit is the long
-    half's, bit for bit. Returns the (R, m) start halves and the mask of
-    rows whose window passes tol: there the full-length loop would return
-    the start without a step. Below 8 _SPLICE_MIN pairs nothing is
-    computed and no row is marked.
+    _ring_rows between its first and second halves: w = m' + 4 sites, in
+    the same phase (_spliced_groups). The long start half is the window's
+    first h = w // 2 sites at the head and its other w - h at the mirror
+    end, with the ring pattern of _ring_rows between; tangent_rows reads
+    the same window back from a root. Each site of G = y - F(y) depends
+    only on the site and its two neighbours, and the window holds exactly
+    the (left, site, right) triples of the long half, so its max |G| from
+    _merit is the long half's, bit for bit. Returns the (R, m) start
+    halves and the mask of rows whose window passes tol: there the
+    full-length loop would return the start without a step. Below
+    8 _SPLICE_MIN pairs nothing is computed and no row is marked.
     """
     m = (n + 1) // 2
     y = _ring_rows(alphas, m)
     solved = np.zeros(len(alphas), dtype=bool)
-    if n < 8 * _SPLICE_MIN:
-        return y, solved
-    groups = {}
-    for i, a in enumerate(alphas):
-        length = _splice_len(a)
-        if n >= 8 * length:
-            groups.setdefault(length, []).append(i)
-    for length, rows in groups.items():
-        ns = length + n % 4
+    for ns, w, h, rows in _spliced_groups(n, alphas):
         picked = [alphas[i] for i in rows]
         short, _ = _newton_block(ns, picked, opts, _ring_rows(picked, (ns + 1) // 2))
-        head, w = short.shape[1] // 2, short.shape[1] + 4
         window = _ring_rows(picked, w)
-        window[:, :head] = short[:, :head]
-        window[:, head + 4 :] = short[:, head:]
-        y[rows, : w // 2] = window[:, : w // 2]
-        y[rows, m - w + w // 2 :] = window[:, w // 2 :]
+        window[:, : h - 2] = short[:, : h - 2]
+        window[:, h + 2 :] = short[:, h - 2 :]
+        y[rows, :h] = window[:, :h]
+        y[rows, m - w + h :] = window[:, h:]
         _, g, _ = _merit(np.array(picked, dtype=float)[:, None], window, w - 1 - n % 2)
         solved[rows] = np.abs(g).max(axis=1) <= opts.tol
     return y, solved

@@ -56,8 +56,10 @@ class FrameSpec:
         check_count("frame size s", self.s, least=_S_MIN)
         if self.s > _S_MAX:
             raise DomainError(f"frame size must lie in [{_S_MIN}, {_S_MAX}], got {self.s!r}")
-        # bool is refused although True == 1.0
-        if isinstance(self.d, bool) or self.d not in _RATES:
+        # check_real refuses a bool (True == 1.0) and an array, whose
+        # membership test would raise numpy's ValueError
+        check_real("rate d", self.d)
+        if self.d not in _RATES:
             raise DomainError(f"rate must be one of {_RATES}, got {self.d!r}")
 
 

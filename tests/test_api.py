@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chainfair
@@ -91,3 +92,19 @@ def unused_imports(path):
 def test_no_unused_imports(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# each raised an untyped error: TypeError from list(ns), AttributeError from
+# config.n, numpy's ValueError from the rate's membership test
+WRONG_TYPES = {
+    **{f"optimal_alpha_curve({ns!r})": (chainfair.optimal_alpha_curve, ns)
+       for ns in (None, True, 0.5, -1, np.array(0.5))},
+    **{f"simulate({config!r})": (chainfair.simulate, config) for config in (None, 0.5, [])},
+    "packet_for_alpha(0.6, array([2.0, 11.0]))": (lambda d: chainfair.packet_for_alpha(0.6, d), np.array([2.0, 11.0])),
+}
+
+
+@pytest.mark.parametrize("f, arg", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_wrong_argument_types_refused(f, arg):
+    with pytest.raises(chainfair.DomainError):
+        f(arg)

@@ -19,7 +19,7 @@ from chainfair import (
     newton_solve,
     sweep_J,
 )
-from chainfair.solver import tangent_rows
+from chainfair.solver import _unfold, tangent_rows
 
 from patching import count_solves, force_failures, off_grid
 from reference import jacobian_F
@@ -60,7 +60,7 @@ class TestTangent:
         # the tangent J_prime and the scans take, against the dense system
         params = ChainParams(n, alpha)
         x = newton_solve(params)
-        (t,) = tangent_rows(n, [alpha], x[None])
+        (t,) = _unfold(tangent_rows(n, [alpha], x[None]), n)
         system = np.eye(n) - jacobian_F(params, x)
         rhs = apply_F(params, x) / alpha
         assert np.max(np.abs(system @ t - rhs)) <= 1e-10
@@ -76,7 +76,7 @@ class TestTangent:
         # I - F' has a near-null antisymmetric mode here; the whole-chain
         # solve was off by up to 0.78 along it
         x = newton_solve(ChainParams(n, alpha))
-        (t,) = tangent_rows(n, [alpha], x[None])
+        (t,) = _unfold(tangent_rows(n, [alpha], x[None]), n)
         h = 1e-6
         fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
         np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-7)
@@ -100,6 +100,16 @@ class TestJPrime:
         a = 0.4
         assert J_prime(a, 1) == pytest.approx(-(np.log(a) + 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, 1.5, np.nan, -0.1])
+    def test_entry_outside_unit_interval_refused_in_either_half(self, bad):
+        # J' reads only the mirror half of x, but x is refused whole
+        n, alpha = 9, 0.5
+        for i in (1, n - 1):
+            x = newton_solve(ChainParams(n, alpha))
+            x[i] = bad
+            with pytest.raises(DomainError):
+                J_prime(alpha, n, x=x)
+
     def test_singular_adjoint_is_convergence_error(self):
         # at alpha = 0.8, x_1 = x_3 = 7/32 the 3 x 3 adjoint matrix has
         # determinant alpha^2 (2 - x_1 - x_3) - 1 = 0; scipy raised LinAlgError
@@ -107,12 +117,13 @@ class TestJPrime:
             J_prime(0.8, 3, x=np.array([0.21875, 0.5, 0.21875]))
 
     def test_memory_at_a_million_pairs(self):
-        # the half-chain tangent peaks at 4.5 x 8n bytes, the whole-chain
-        # one did at 9 x 8n; J drops no zeros from a positive root, so it
-        # peaks at one chain-sized array where the copy made it 2 x 8n
+        # the window tangent peaks at 1.0 x 8n bytes, its half and the
+        # gradient's; the full-half tangent did at 4.5 x 8n, the whole-chain
+        # one at 9 x 8n; J drops no zeros from a positive root, so it peaks
+        # at one chain-sized array where the copy made it 2 x 8n
         n = 10 ** 6
         x = newton_solve(ChainParams(n, 0.6826))
-        for f, bound in ((J_prime, 5.0), (J, 1.25)):
+        for f, bound in ((J_prime, 1.25), (J, 1.25)):
             tracemalloc.start()
             try:
                 f(0.6826, n, x=x)

@@ -284,6 +284,23 @@ class TestTraceCsv:
             os.fstat(1)
             print(end="", flush=True)
 
+    @pytest.mark.parametrize("path", [True, 1, None, 2.5])
+    def test_write_to_non_path_refused_and_stdout_kept(self, capsys, path):
+        # True wrote the CSV to file descriptor 1, and the with block then
+        # closed stdout
+        with capsys.disabled():
+            with pytest.raises(DomainError):
+                write_trace_csv(path, NS2_THREE_PAIRS)
+            os.fstat(1)
+            print(end="", flush=True)
+
+    @pytest.mark.parametrize("trace", [[1.0, 0.5], None, np.array([1.0, 0.5])])
+    def test_write_of_non_trace_refused_before_open(self, tmp_path, trace):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(DomainError):
+            write_trace_csv(path, trace)
+        assert not path.exists()
+
     def test_rows_sorted_by_pair(self, tmp_path):
         path = tmp_path / "shuffled.csv"
         path.write_text("pair,rate\n2,0.2\n1,1.0\n3,0.3\n")

@@ -11,6 +11,7 @@ from chainfair import (
     ChainParams,
     ConvergenceError,
     DomainError,
+    J_prime,
     SolveOptions,
     apply_F,
     compare_normalized,
@@ -21,6 +22,7 @@ from chainfair import (
     normalize,
     residual,
 )
+import chainfair.fairness as fairness_module
 import chainfair.solver as solver_module
 from chainfair.model import ring_level
 from chainfair.solver import _STACK_UNKNOWNS, newton_rows, solve_tridiagonal_rows
@@ -646,3 +648,95 @@ class TestSplicedLongChains:
         for i, x in zip(solved, X):
             assert np.array_equal(x, refs[i])
         assert len(solved) == (2 if max_iter else 4)
+
+
+# 1e-12 to 1 - 1e-9, with the first alpha past each change of L(alpha)
+# (0.335, 0.589, 0.704, 0.773, 0.827, 0.93) and both sides of 3/4
+WINDOW_ALPHAS = [1e-12, 1e-3, 0.3, 0.335, 0.5, 0.589, 0.6826, 0.704, 0.74, 0.7495, 0.7505, 0.76, 0.773, 0.8,
+                 0.827, 0.93, 0.95, 1.0 - 1e-9]
+
+
+def window_half(n, alpha):
+    """The window chain's half length w for a chain of n pairs spliced at alpha."""
+    return (solver_module._splice_len(alpha) + n % 4 + 1) // 2 + 4
+
+
+def full_half_tangent(monkeypatch, n, alphas, X):
+    """tangent_rows with every row solved on the full half, and the J' slopes from it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_spliced_groups", lambda n, alphas: iter(()))
+        return solver_module.tangent_rows(n, alphas, X), fairness_module._J_slopes(n, alphas, X)
+
+
+class TestWindowTangent:
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+    def test_window_matches_the_full_half(self, monkeypatch, alpha):
+        # a spliced root's tangent solved on its window chain, against the
+        # same system on the full half; the worst cells sit at 0.7505
+        length = solver_module._splice_len(alpha)
+        for n in [8 * length + r for r in range(4)] + [65_536, 65_537, 100_000, 100_001, 10**6 - 1, 10**6]:
+            X = newton_solve(ChainParams(n, alpha))[None]
+            seen = gtsv_sizes(monkeypatch)
+            t = solver_module.tangent_rows(n, [alpha], X)
+            (jp,) = fairness_module._J_slopes(n, [alpha], X)
+            monkeypatch.undo()
+            assert t.shape == (1, (n + 1) // 2)
+            assert 0 < max(seen) <= window_half(n, alpha), n
+            ref, (jp_ref,) = full_half_tangent(monkeypatch, n, [alpha], X)
+            assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+            assert jp == pytest.approx(jp_ref, rel=1e-12, abs=0.0), n
+
+    @pytest.mark.parametrize("alpha", [0.8, 0.9])
+    def test_window_tangent_on_even_chains_past_three_quarters(self, monkeypatch, alpha):
+        # as test_tangent_on_even_chains_past_three_quarters, on chains
+        # long enough to take the window
+        length = solver_module._splice_len(alpha)
+        h = 1e-6
+        for n in (8 * length, 8 * length + 2, 20_000):
+            x = newton_solve(ChainParams(n, alpha))
+            seen = gtsv_sizes(monkeypatch)
+            (t,) = solver_module._unfold(solver_module.tangent_rows(n, [alpha], x[None]), n)
+            monkeypatch.undo()
+            assert 0 < max(seen) <= window_half(n, alpha)
+            fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
+            np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("site", ["junction", "bulk"])
+    def test_perturbed_root_takes_the_full_half(self, monkeypatch, site):
+        # a head site next to the junction moved by 1e-3 fails the window's
+        # tol; a bulk site moved by one ulp fails the ring pattern
+        n, alpha = 100_001, 0.8
+        x = newton_solve(ChainParams(n, alpha))
+        h = window_half(n, alpha) // 2
+        i = h - 3 if site == "junction" else (n + 1) // 4
+        x[i] = x[n - 1 - i] = x[i] + 1e-3 if site == "junction" else np.nextafter(x[i], 1.0)
+        seen = gtsv_sizes(monkeypatch)
+        t = solver_module.tangent_rows(n, [alpha], x[None])
+        monkeypatch.undo()
+        assert max(seen) == (n + 1) // 2
+        ref, _ = full_half_tangent(monkeypatch, n, [alpha], x[None])
+        assert np.array_equal(t, ref)
+
+    def test_window_and_full_rows_share_a_call(self, monkeypatch):
+        # rows of two short lengths take the window, the row at 3/4 and a
+        # perturbed root the full half; each row is its own solve
+        n = 20_000
+        alphas = [0.74, 0.75, 0.76, 0.74]
+        X = np.array([newton_solve(ChainParams(n, a)) for a in alphas])
+        X[3, 100] = X[3, n - 101] = X[3, 100] + 1e-3
+        t = solver_module.tangent_rows(n, alphas, X)
+        for i, a in enumerate(alphas):
+            (row,) = solver_module.tangent_rows(n, [a], X[i : i + 1])
+            assert np.array_equal(t[i], row)
+        ref, _ = full_half_tangent(monkeypatch, n, alphas, X)
+        assert np.array_equal(t[[1, 3]], ref[[1, 3]])
+
+    @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
+    def test_big_J_prime_solves_on_the_window_only(self, monkeypatch, alpha):
+        # the full half passes 5e5 unknowns to gtsv at n = 1e6; the window
+        # of a 512- or 128-pair short chain passes 68 to 260
+        n = 10**6
+        x = newton_solve(ChainParams(n, alpha))
+        seen = gtsv_sizes(monkeypatch)
+        J_prime(alpha, n, x=x)
+        assert 0 < max(seen) <= window_half(n, alpha)
