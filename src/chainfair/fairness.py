@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows
+from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy_rows
 # apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
 from .solver import newton_rows, newton_solve, tangent_rows
@@ -133,19 +133,17 @@ def _J_slopes(n, alphas, X):
     Both factors are mirror symmetric, so the dot product is taken on the
     halves of tangent_rows, m = ceil(n/2) sites: twice the sum, less the
     centre site of an odd chain, which has no mirror twin. The gradient
-    -(ln x + 1) is taken unchecked, as in entropy_rows: the scans' roots
-    lie in (0, alpha], and J_prime checks a supplied x. It is built after
-    the tangent solve, which keeps J_prime's peak memory that of the
-    solve. A row whose system is singular is nan.
+    comes from grad_entropy_rows, unchecked: the scans' roots lie in
+    (0, alpha], and J_prime checks a supplied x. It is built after the
+    tangent solve, which keeps J_prime's peak memory that of the solve. A
+    row whose system is singular is nan.
     """
     T = tangent_rows(n, alphas, X)
-    # g = ln x + 1, the gradient negated
-    g = np.log(X[:, : T.shape[1]])
-    g += 1.0
+    g = grad_entropy_rows(X[:, : T.shape[1]])
     s = 2.0 * np.einsum("ij,ij->i", g, T)
     if n % 2:
         s -= g[:, -1] * T[:, -1]
-    return -s / n
+    return s / n
 
 
 def _search(n, grid, value, slope, width):

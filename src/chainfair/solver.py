@@ -20,8 +20,9 @@ chain spliced into the ring pattern (_start_rows), and run the
 full-length loop only where that start fails tol, which a short window
 chain with the same neighbourhoods shows (_spliced_groups holds its
 geometry). tangent_rows gives dx/dalpha at such roots on the mirror
-half: on the same window chain where the root is such a splice, on the
-full half otherwise.
+half: on the same window chain where the root is such a splice and
+kappa is not too small (_TANGENT_SPLICE_LEN), on the full half
+otherwise.
 """
 
 import math
@@ -62,6 +63,15 @@ _STACK_UNKNOWNS = 1 << 14
 # spliced.
 _SPLICE_MIN = 1 << 7
 _SPLICE_LEN = 1 << 13
+# The longest L(alpha) whose rows take the window chain in tangent_rows, so
+# kappa >= 160/2^11 = 0.078 there. Nearer 3/4 the tangent system's
+# conditioning, about 1/kappa^2, amplifies the rounding-level step where a
+# spliced root meets the ring pattern, and where the 2^13 clip holds
+# (kappa L < 160) the window also cuts the border layer short: the window
+# tangent strayed from the full half's by up to 1.1e-12 x max |t| at
+# L = 2^12, 3.4e-12 at 2^13 and 3.8e-8 under the clip, against at most
+# 1.8e-13 at L <= 2^11.
+_TANGENT_SPLICE_LEN = 1 << 11
 (_gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
@@ -252,16 +262,16 @@ def tangent_rows(n, alphas, X):
     singular comes back nan.
 
     A spliced root is solved on its window chain (_spliced_groups): the
-    rows with n >= 8 L(alpha) whose half holds the ring pattern of
-    _ring_rows bit for bit between the window's head and tail, and whose
-    window passes the default tol, as the roots that newton_solve returns
-    from the window check of _start_rows do. The window holds the long
-    half's (left, site, right) triples, so its system is the long one with
-    all but 4 ring sites cut out, and the long tangent's deviation from the
-    ring's decays from both ends like the root's. Its head and tail are
-    the window tangent's, and the bulk between them repeats the window's
-    last two head sites, by site parity. Every other row is solved on the
-    full half.
+    rows with n >= 8 L(alpha) and L(alpha) <= _TANGENT_SPLICE_LEN whose
+    half holds the ring pattern of _ring_rows bit for bit between the
+    window's head and tail, and whose window passes the default tol, as
+    the roots that newton_solve returns from the window check of
+    _start_rows do. The window holds the long half's (left, site, right)
+    triples, so its system is the long one with all but 4 ring sites cut
+    out, and the long tangent's deviation from the ring's decays from both
+    ends like the root's. Its head and tail are the window tangent's, and
+    the bulk between them repeats the window's last two head sites, by
+    site parity. Every other row is solved on the full half.
 
     The folded system has no antisymmetric mode. On the whole chain it
     would: on an even chain past alpha = 3/4, I - F' has a near-null
@@ -271,14 +281,11 @@ def tangent_rows(n, alphas, X):
     m = (n + 1) // 2
     k = m - 1 - n % 2
     a = np.asarray(alphas, dtype=float)[:, None]
-    groups = list(_spliced_groups(n, alphas))
-    if not groups:
-        # no row can take the window: one solve, without the row bookkeeping
-        # that the small-n slopes of the scans would pay on every call
-        return _tangent(a, _pad(X[:, :m], k), k)
     t = np.empty((len(X), m))
     full = np.ones(len(X), dtype=bool)
-    for _, w, h, rows in groups:
+    for ns, w, h, rows in _spliced_groups(n, alphas):
+        if ns - n % 4 > _TANGENT_SPLICE_LEN:
+            continue
         tail, kw = m - w + h, w - 1 - n % 2
         rows = np.array([i for i in rows if _ring_bulk(X[i], alphas[i], h - 2, tail + 2)], dtype=int)
         z, g, _ = _merit(a[rows], np.concatenate((X[rows, :h], X[rows, tail:m]), axis=1), kw)

@@ -228,6 +228,11 @@ class TestGradEntropy:
         with pytest.raises(DomainError):
             grad_entropy([float("nan")])
 
+    @pytest.mark.parametrize("x", [["a"], [[0.5, 0.5]], None])
+    def test_non_vector_refused(self, x):
+        with pytest.raises(DomainError):
+            grad_entropy(x)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
