@@ -29,7 +29,6 @@ from chainfair import (
     maximize_J,
     meanfield_gap,
     newton_solve,
-    optimal_alpha_curve,
     sweep_J,
 )
 from chainfair.cli import _csv
@@ -59,7 +58,7 @@ def main():
         write(f"sweep_n{n}.csv", _csv([("alpha", "J")] + rows))
         write(f"sweep_n{n}.svg", line_chart(rows, title=f"J(alpha), n={n}", xlabel="alpha", ylabel="J"))
 
-    rows = optimal_alpha_curve(NS)
+    rows = [(n, maximize_J(n).alpha_hat) for n in NS]
     write("optimal_alpha.csv", _csv([("n", "alpha_hat")] + rows))
     write("optimal_alpha.svg", line_chart(rows, title="Optimal alpha vs chain length", xlabel="n", ylabel="alpha_hat"))
 

@@ -8,10 +8,8 @@ mean-field answer against a slot-level stochastic simulation.
 """
 
 from .asymptotics import (
-    alpha_for_ring_prob,
     circle_backoff_mc,
     flat_value,
-    optimal_alpha_curve,
     ring_fixed_point,
 )
 from .errors import ChainFairError, ConvergenceError, DomainError, FitError
@@ -26,16 +24,12 @@ from .fit import (
     ThroughputTrace,
     compare_normalized,
     fit_alpha,
-    model_ratios,
-    normalize,
     read_trace_csv,
-    write_trace_csv,
 )
 from .model import (
     ChainParams,
     apply_F,
     entropy,
-    grad_entropy,
     jacobian_bands,
 )
 from .sim import (
@@ -78,7 +72,6 @@ __all__ = [
     "SimConfig",
     "SolveOptions",
     "ThroughputTrace",
-    "alpha_for_ring_prob",
     "alpha_of_packet",
     "apply_F",
     "circle_backoff_mc",
@@ -89,14 +82,10 @@ __all__ = [
     "fit_alpha",
     "fixed_point_solve",
     "flat_value",
-    "grad_entropy",
     "jacobian_bands",
     "maximize_J",
     "meanfield_gap",
-    "model_ratios",
     "newton_solve",
-    "normalize",
-    "optimal_alpha_curve",
     "packet_for_alpha",
     "read_trace_csv",
     "residual",
@@ -105,5 +94,4 @@ __all__ = [
     "sweep_J",
     "t_send",
     "t_wait",
-    "write_trace_csv",
 ]

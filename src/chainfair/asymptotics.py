@@ -1,5 +1,5 @@
 """Large-n behavior: the borderless ring model, the flat central region,
-the optimal-alpha curve, and the uniform-backoff circle experiment.
+and the uniform-backoff circle experiment.
 
 On a circle every pair sees the same environment, so the chain system
 collapses to the scalar equation x = alpha (1 - x)^2. At alpha = 3/4 the
@@ -28,14 +28,6 @@ def ring_fixed_point(alpha: float) -> float:
     return float(ring_level(alpha))
 
 
-def alpha_for_ring_prob(x: float) -> float:
-    """Inverse of ring_fixed_point: alpha = x / (1 - x)^2."""
-    check_real("x", x)
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"x must lie in [0, 1), got {x!r}")
-    return float(x / (1.0 - x) ** 2)
-
-
 def flat_value(n: int) -> tuple[float, float]:
     """Optimal alpha and the central emission probability at that alpha.
 
@@ -48,17 +40,6 @@ def flat_value(n: int) -> tuple[float, float]:
     x = newton_solve(ChainParams(n, alpha_hat))
     central = float(x[(n + 1) // 2 - 1])
     return alpha_hat, central
-
-
-def optimal_alpha_curve(ns) -> list[tuple[int, float]]:
-    """Rows of (n, optimal alpha), one per requested chain length."""
-    try:
-        ns = list(ns)
-    except TypeError:
-        raise DomainError(f"ns must be an iterable of chain lengths, got {ns!r}") from None
-    for n in ns:
-        check_count("n", n, least=2)
-    return [(int(n), maximize_J(n).alpha_hat) for n in ns]
 
 
 # rows per block: 2000 x 101 doubles is 1.6 MB, inside a per-core L2 cache

@@ -1,8 +1,8 @@
 """Least-squares calibration of alpha against measured throughput traces.
 
-Per-pair throughputs r_i are proportional to emission probabilities, so the
-pair-1-normalized ratios satisfy r_i/r_1 = x_i(alpha)/x_1(alpha) and alpha
-can be fitted without knowing the proportionality constant.
+Per-pair throughputs r_i are proportional to emission probabilities, so
+alpha is fitted to the ratios r_i/r_1 = x_i(alpha)/x_1(alpha) without the
+proportionality constant; compare_normalized lists both sides for one alpha.
 """
 
 import csv
@@ -49,18 +49,6 @@ class FitResult:
     residuals: np.ndarray
 
 
-def normalize(trace: ThroughputTrace) -> np.ndarray:
-    """Normalized ratios rho_i = r_i / r_1."""
-    check_instance("trace", trace, ThroughputTrace)
-    return trace.rates / trace.rates[0]
-
-
-def model_ratios(alpha, n: int) -> np.ndarray:
-    """Solved chain normalized by its first component, x(alpha)/x_1(alpha)."""
-    x = newton_solve(ChainParams(n, alpha))
-    return x / x[0]
-
-
 def _sse_slopes(n, alphas, X, rho):
     """d/dalpha of sum_i (x_i/x_1 - rho_i)^2 at each row of X (the root for alphas[i]).
 
@@ -103,7 +91,7 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     if not 0.0 < lo < hi < 1.0:
         raise DomainError(f"bounds must satisfy 0 < lo < hi < 1, got {bounds!r}")
     with np.errstate(over="ignore"):
-        rho = normalize(trace)
+        rho = trace.rates / trace.rates[0]
         if not np.isfinite(rho @ rho):
             raise DomainError("the trace's ratios to the first pair's rate are too large to square")
     n = len(rho)
@@ -123,28 +111,25 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
 
 
 def compare_normalized(trace: ThroughputTrace, alpha: float) -> list[tuple[int, float, float, float]]:
-    """Rows of (pair, observed_rho, model_rho, residual) for one alpha."""
-    rho = normalize(trace)
-    m = model_ratios(alpha, len(rho))
+    """Rows of (pair, r_i/r_1, x_i(alpha)/x_1(alpha), residual) for one alpha."""
+    check_instance("trace", trace, ThroughputTrace)
+    rho = trace.rates / trace.rates[0]
+    x = newton_solve(ChainParams(len(rho), alpha))
+    m = x / x[0]
     return [
         (i + 1, float(rho[i]), float(m[i]), float(m[i] - rho[i]))
         for i in range(len(rho))
     ]
 
 
-def _check_path(path):
-    """Refuse with DomainError a path that is not a str or os.PathLike."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
-
-
 def read_trace_csv(path) -> ThroughputTrace:
     """Read a trace from CSV with header 'pair,rate', pairs listed in order.
 
-    path is a str or os.PathLike: open() would take an int (a bool too) as
-    a file descriptor and close it, stdout for True.
+    path must be a str or os.PathLike, else DomainError: open() would take
+    an int (a bool too) as a file descriptor and close it, stdout for True.
     """
-    _check_path(path)
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -159,18 +144,3 @@ def read_trace_csv(path) -> ThroughputTrace:
         raise DomainError(f"{path}: pairs must be exactly 1..n")
     return ThroughputTrace(rates=np.array([r[1] for r in rows]))
 
-
-def write_trace_csv(path, trace: ThroughputTrace):
-    """Write a trace in the same 'pair,rate' format read_trace_csv expects.
-
-    A path that is not a str or os.PathLike, or a trace that is not a
-    ThroughputTrace, is refused before anything is opened: open() would
-    write to the file descriptor of an int (stdout for True) and close it.
-    """
-    _check_path(path)
-    check_instance("trace", trace, ThroughputTrace)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "rate"])
-        for i, r in enumerate(trace.rates, start=1):
-            writer.writerow([i, repr(float(r))])

@@ -156,11 +156,3 @@ def grad_entropy_rows(X):
     g = np.log(X)
     # -1 - ln x rounds as -(ln x + 1) does, one pass fewer
     return np.subtract(-1.0, g, out=g)
-
-
-def grad_entropy(x) -> np.ndarray:
-    """Gradient of entropy, -(ln x_i + 1); undefined at x_i = 0."""
-    x = check_vector("x", x)
-    if not np.all((0.0 < x) & (x <= 1.0)):
-        raise DomainError("grad_entropy requires components in (0, 1]")
-    return grad_entropy_rows(x)

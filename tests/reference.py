@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 No library code needs these: the dense Jacobian checks the banded one and
-the tangent, and the n = 3 and n = 4 closed forms check the solvers.
+the tangent, the n = 3 and n = 4 closed forms check the solvers, and the
+ring model's inverse checks ring_fixed_point.
 """
 
 import numpy as np
@@ -20,6 +21,11 @@ def jacobian_F(params: ChainParams, x) -> np.ndarray:
     jac[idx + 1, idx] = sub
     jac[idx, idx + 1] = sup
     return jac
+
+
+def alpha_for_ring_prob(x: float) -> float:
+    """Inverse of the ring model's root: the alpha at which x = alpha (1 - x)^2."""
+    return x / (1.0 - x) ** 2
 
 
 def _check_alpha(alpha):

@@ -16,7 +16,6 @@ from chainfair import (
     J,
     J_prime,
     SimConfig,
-    alpha_for_ring_prob,
     alpha_of_packet,
     circle_backoff_mc,
     exact_stationary,
@@ -73,7 +72,6 @@ def test_flat_area_reproduction_under_five_minutes():
 
 def test_ring_identities():
     assert abs(ring_fixed_point(0.75) - 1 / 3) <= 1e-12
-    assert abs(alpha_for_ring_prob(1 / 3) - 0.75) <= 1e-12
 
 
 def test_timing_mapping():

@@ -8,12 +8,10 @@ import pytest
 
 from chainfair import (
     ChainParams,
-    ThroughputTrace,
     flat_value,
     maximize_J,
     newton_solve,
     ring_fixed_point,
-    write_trace_csv,
 )
 from chainfair.cli import main
 
@@ -239,7 +237,7 @@ class TestConfigFile:
     def test_values_match_flags(self, capsys, tmp_path, monkeypatch, command, cfg, argv):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("CHAINFAIR_OUTDIR", raising=False)
-        write_trace_csv("trace.csv", ThroughputTrace(rates=[1.55, 0.04, 1.55]))
+        (tmp_path / "trace.csv").write_text("pair,rate\n1,1.55\n2,0.04\n3,1.55\n")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         results = []
@@ -369,7 +367,8 @@ class TestSimulateCommand:
 class TestFitCommand:
     def test_round_trip_through_trace_writer(self, capsys, tmp_path):
         path = tmp_path / "model.csv"
-        write_trace_csv(path, ThroughputTrace(rates=newton_solve(ChainParams(5, 0.7))))
+        x = newton_solve(ChainParams(5, 0.7))
+        path.write_text("pair,rate\n" + "".join(f"{i},{r!r}\n" for i, r in enumerate(x.tolist(), start=1)))
         code, out, _ = run(capsys, ["fit", "--input", str(path)])
         rows = parse_csv(out)
         assert code == 0
@@ -400,7 +399,7 @@ class TestFitCommand:
     def test_trace_without_a_finite_sse_is_a_usage_error(self, capsys, tmp_path):
         # the overflow was read as a numerical failure (exit 3)
         path = tmp_path / "tiny.csv"
-        write_trace_csv(path, ThroughputTrace(rates=[1e-200, 1.0, 1.0]))
+        path.write_text("pair,rate\n1,1e-200\n2,1.0\n3,1.0\n")
         code, out, err = run(capsys, ["fit", "--input", str(path)])
         assert code == 2 and out == ""
         assert "ratio" in err

