@@ -145,7 +145,8 @@ def entropy_rows(X):
 def entropy(x) -> float:
     """Shannon entropy E(x) = -sum x_i ln x_i of a vector, with the 0 ln 0 = 0 convention."""
     x = check_vector("x", x)
-    if not np.all((0.0 <= x) & (x <= 1.0)):
+    # min and max copy nothing and fail at a nan; an empty x has neither
+    if len(x) and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise DomainError("entropy requires components in [0, 1]")
     # dropping zeros copies x, so only when there are any: same terms, same sum
     return float(entropy_rows(x if x.all() else x[x > 0.0]))

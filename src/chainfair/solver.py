@@ -17,12 +17,13 @@ alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
 systems are stacked into one LAPACK gtsv call per step, and only the rows
 that solve come back. Both start a long chain from the root of a short
 chain spliced into the ring pattern (_start_rows), and run the
-full-length loop only where that start fails tol, which a short window
-chain with the same neighbourhoods shows (_spliced_groups holds its
-geometry). tangent_rows gives dx/dalpha at such roots on the mirror
-half: on the same window chain where the root is such a splice and
-kappa is not too small (_TANGENT_SPLICE_LEN), on the full half
-otherwise.
+full-length loop (_newton_block) only on the rows where that start fails
+tol, which a short window chain with the same neighbourhoods shows
+(_spliced_groups holds its geometry). tangent_rows gives dx/dalpha at
+such roots on the mirror half: on the same window chain where the root
+repeats with period 2 between the window's head and tail, the window
+passes tol and kappa is not too small (_TANGENT_SPLICE_LEN), on the full
+half otherwise.
 """
 
 import math
@@ -130,11 +131,12 @@ def fixed_point_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) 
         if np.max(np.abs(y - x)) <= opts.tol:
             return y
         x = y
+    r = residual(params, x)
     raise ConvergenceError(
         f"fixed-point iteration did not converge in {cap} sweeps "
-        f"(n={params.n}, alpha={params.alpha}, residual={residual(params, x):.3e})",
+        f"(n={params.n}, alpha={params.alpha}, residual={r:.3e})",
         last=x,
-        residual=residual(params, x),
+        residual=r,
     )
 
 
@@ -243,11 +245,20 @@ def _tangent(alpha, z, k):
     return t
 
 
-def _ring_bulk(y, alpha, first, stop):
-    """Whether y[first:stop] holds the ring pattern of _ring_rows bit for bit: hi at even sites, lo at odd."""
-    hi, lo = _ring_start(alpha)
-    even, odd = first + first % 2, first + 1 - first % 2
-    return bool((y[even:stop:2] == hi).all() and (y[odd:stop:2] == lo).all())
+def _spread(window, h, m):
+    """Long (R, m) halves from the rows of a window chain (_spliced_groups).
+
+    The head is the window's first h sites and the tail its other w - h;
+    the bulk between them repeats the window's sites h-2 and h-1, by site
+    parity.
+    """
+    tail = m - window.shape[1] + h
+    y = np.empty((len(window), m))
+    y[:, :h] = window[:, :h]
+    y[:, tail:] = window[:, h:]
+    y[:, h:tail:2] = window[:, h - 2 : h - 1]
+    y[:, h + 1 : tail : 2] = window[:, h - 1 : h]
+    return y
 
 
 def tangent_rows(n, alphas, X):
@@ -263,15 +274,17 @@ def tangent_rows(n, alphas, X):
 
     A spliced root is solved on its window chain (_spliced_groups): the
     rows with n >= 8 L(alpha) and L(alpha) <= _TANGENT_SPLICE_LEN whose
-    half holds the ring pattern of _ring_rows bit for bit between the
-    window's head and tail, and whose window passes the default tol, as
-    the roots that newton_solve returns from the window check of
-    _start_rows do. The window holds the long half's (left, site, right)
-    triples, so its system is the long one with all but 4 ring sites cut
-    out, and the long tangent's deviation from the ring's decays from both
-    ends like the root's. Its head and tail are the window tangent's, and
-    the bulk between them repeats the window's last two head sites, by
-    site parity. Every other row is solved on the full half.
+    half repeats with period 2 from the window's site h-2 to the first two
+    sites of its tail, y[h-2:tail] == y[h:tail+2], and whose window passes
+    the default tol, as the roots that newton_solve returns from the
+    window check of _start_rows do. Then the window holds the long half's
+    (left, site, right) triples, so its system is the long one with all
+    but 4 bulk sites cut out, and the long tangent's deviation from the
+    bulk's decays from both ends like the root's. The half is the window
+    tangent spread over m sites (_spread). Every other row is solved on
+    the full half. A root whose bulk holds the ring levels past 3/4 in
+    swapped phase has a phase wall in its head, where I - F' is
+    numerically singular on either path.
 
     The folded system has no antisymmetric mode. On the whole chain it
     would: on an even chain past alpha = 3/4, I - F' has a near-null
@@ -287,17 +300,13 @@ def tangent_rows(n, alphas, X):
         if ns - n % 4 > _TANGENT_SPLICE_LEN:
             continue
         tail, kw = m - w + h, w - 1 - n % 2
-        rows = np.array([i for i in rows if _ring_bulk(X[i], alphas[i], h - 2, tail + 2)], dtype=int)
+        rows = np.array([i for i in rows if np.array_equal(X[i, h - 2 : tail], X[i, h : tail + 2])], dtype=int)
         z, g, _ = _merit(a[rows], np.concatenate((X[rows, :h], X[rows, tail:m]), axis=1), kw)
         ok = np.abs(g).max(axis=1) <= SolveOptions().tol
         rows = rows[ok]
         if not len(rows):
             continue
-        tw = _tangent(a[rows], z[ok], kw)
-        t[rows, :h] = tw[:, :h]
-        t[rows, tail:] = tw[:, h:]
-        t[rows, h:tail:2] = tw[:, h - 2 : h - 1]
-        t[rows, h + 1 : tail : 2] = tw[:, h - 1 : h]
+        t[rows] = _spread(_tangent(a[rows], z[ok], kw), h, m)
         full[rows] = False
     if full.any():
         t[full] = _tangent(a[full], _pad(X[full, :m], k), k)
@@ -330,23 +339,25 @@ def _line_search(alpha, y, z, g, phi, delta, k):
             return y, z, g, phi, todo
 
 
-def _newton_block(n, alphas, opts, y):
+def _newton_block(n, alphas, opts, y, solved):
     """The half-chain Newton loop on one row per alpha, all rows at once.
 
     Starts from the (R, m) halves y and returns them, overwritten with the
-    roots or last iterates, and per row None or why its solve failed. A row
-    leaves the loop when it converges or fails; the others step on, each
-    with its own line search.
+    roots or last iterates, and per row None or why its solve failed. The
+    rows marked in solved, whose start already passes tol (_start_rows),
+    come back as started and take no work. A row leaves the loop when it
+    converges or fails; the others step on, each with its own line search.
     """
     cap = opts.max_iter if opts.max_iter is not None else _NEWTON_MAX_ITER
     m = y.shape[1]
     # 0-based index in y of the mirror neighbour x_{m+1}; -1 is the border
     k = m - 1 - n % 2
-    a = np.array(alphas, dtype=float)[:, None]
     # rows leave into the start halves, which the loop no longer needs
     out = y
     why = [None] * len(alphas)
-    live = np.arange(len(alphas))
+    live = np.flatnonzero(~solved)
+    a = np.array(alphas, dtype=float)[live, None]
+    y = y[live]
     z, g, phi = _merit(a, y, k)
 
     def leave(gone, reason=None):
@@ -459,7 +470,8 @@ def _start_rows(n, alphas, opts):
     solved = np.zeros(len(alphas), dtype=bool)
     for ns, w, h, rows in _spliced_groups(n, alphas):
         picked = [alphas[i] for i in rows]
-        short, _ = _newton_block(ns, picked, opts, _ring_rows(picked, (ns + 1) // 2))
+        start = _ring_rows(picked, (ns + 1) // 2)
+        short, _ = _newton_block(ns, picked, opts, start, np.zeros(len(rows), dtype=bool))
         window = _ring_rows(picked, w)
         window[:, : h - 2] = short[:, : h - 2]
         window[:, h + 2 :] = short[:, h - 2 :]
@@ -468,24 +480,6 @@ def _start_rows(n, alphas, opts):
         _, g, _ = _merit(np.array(picked, dtype=float)[:, None], window, w - 1 - n % 2)
         solved[rows] = np.abs(g).max(axis=1) <= opts.tol
     return y, solved
-
-
-def _solve_rows(n, alphas, opts):
-    """Mirror halves of the roots or last iterates for alphas, and per row None or why its solve failed.
-
-    The rows whose start passes the window check of _start_rows come back
-    as started; the others run the full-length _newton_block.
-    """
-    y, solved = _start_rows(n, alphas, opts)
-    if not solved.any():
-        return _newton_block(n, alphas, opts, y)
-    why = [None] * len(alphas)
-    rest = np.flatnonzero(~solved)
-    if len(rest):
-        y[rest], failed = _newton_block(n, [alphas[i] for i in rest], opts, y[rest])
-        for i, reason in zip(rest.tolist(), failed):
-            why[i] = reason
-    return y, why
 
 
 def _unfold(y, n):
@@ -507,15 +501,14 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     _STACK_UNKNOWNS half-chain unknowns, so memory stays bounded however
     many alphas come in. Each block's rows start from _start_rows, and
     only the rows whose start fails its window check run the full-length
-    loop.
+    loop. The alphas are not checked here: maximize_J, fit_alpha and
+    sweep_J check each one where it enters.
     """
     alphas = list(alphas)
-    for a in alphas:
-        ChainParams(n, a)
     per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
     for start in range(0, len(alphas), per_block):
         block = alphas[start : start + per_block]
-        y, why = _solve_rows(n, block, opts)
+        y, why = _newton_block(n, block, opts, *_start_rows(n, block, opts))
         ok = [i for i, reason in enumerate(why) if reason is None]
         yield start + np.array(ok, dtype=int), _unfold(y[ok], n)
 
@@ -540,7 +533,7 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     check_instance("params", params, ChainParams)
     check_instance("opts", opts, SolveOptions)
     n, alpha = params.n, params.alpha
-    y, (why,) = _solve_rows(n, [alpha], opts)
+    y, (why,) = _newton_block(n, [alpha], opts, *_start_rows(n, [alpha], opts))
     (x,) = _unfold(y, n)
     if why is not None:
         r = residual(params, x)

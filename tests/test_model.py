@@ -198,6 +198,15 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy([float("nan")])
 
+    def test_nan_among_valid_entries_refused(self):
+        with pytest.raises(DomainError):
+            entropy([0.5, float("nan"), 0.25])
+
+    def test_empty_is_negative_zero(self):
+        # an empty x has no min or max to check: the empty sum, negated
+        value = entropy([])
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
     @pytest.mark.parametrize("x", [np.full((2, 2), 0.5), 0.5, ["a", "b"]])
     def test_non_vector_refused(self, x):
         # a 2-D array was summed over all its entries; ["a", "b"] raised

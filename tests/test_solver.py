@@ -321,10 +321,6 @@ class TestNewtonRows:
         assert every_row < 20 * _STACK_UNKNOWNS * 8
         assert every_row < len(alphas) * n * 8
 
-    def test_invalid_alpha_is_refused(self):
-        with pytest.raises(DomainError):
-            next(newton_rows(5, [0.5, 1.5]))
-
     def test_no_alphas_no_blocks(self):
         assert list(newton_rows(5, [])) == []
 
@@ -386,7 +382,7 @@ def full_solve(n, alpha, opts=SolveOptions()):
     Returns the root or last iterate and None or why the loop failed.
     """
     start = solver_module._ring_rows([alpha], (n + 1) // 2)
-    y, (why,) = solver_module._newton_block(n, [alpha], opts, start)
+    y, (why,) = solver_module._newton_block(n, [alpha], opts, start, np.zeros(1, dtype=bool))
     return solver_module._unfold(y, n)[0], why
 
 
@@ -404,13 +400,18 @@ def gtsv_sizes(monkeypatch):
 
 
 def newton_halves(monkeypatch):
-    """Make solver._newton_block append the half length of every run, stepping or not, to the returned list."""
+    """Make solver._newton_block append the half length of every run with a row left to solve to the returned list.
+
+    A row counts whether it then steps or not; a run whose rows the window
+    check of _start_rows all solved does no work and is not recorded.
+    """
     seen = []
     real = solver_module._newton_block
 
-    def recording(n, alphas, opts, y):
-        seen.append(y.shape[1])
-        return real(n, alphas, opts, y)
+    def recording(n, alphas, opts, y, solved):
+        if not solved.all():
+            seen.append(y.shape[1])
+        return real(n, alphas, opts, y, solved)
 
     monkeypatch.setattr(solver_module, "_newton_block", recording)
     return seen
@@ -604,8 +605,8 @@ class TestSplicedLongChains:
         n, alpha = 10**6, 0.8
         real = solver_module._newton_block
 
-        def newton_block(n_block, alphas, opts, y):
-            out, why = real(n_block, alphas, opts, y)
+        def newton_block(n_block, alphas, opts, y, solved):
+            out, why = real(n_block, alphas, opts, y, solved)
             if n_block < n:
                 out[:, out.shape[1] // 2 - 1] += 1e-9
             return out, why
@@ -670,7 +671,68 @@ def full_half_tangent(monkeypatch, n, alphas, X):
         return solver_module.tangent_rows(n, alphas, X), fairness_module._J_slopes(n, alphas, X)
 
 
+def walled_root(n, alpha):
+    """A spliced root of n pairs, alpha > 3/4, whose bulk holds the ring levels phase-swapped: lo at even sites.
+
+    Both ends of a chain sit high, so the phase swaps only across a wall.
+    The wall is the central defect of an even chain of 2d pairs, d half
+    the window's head length h, put into the short chain's start. The
+    short chain is solved from there, and its window, with 4 swapped ring
+    sites at its junction, is spread over the long half as _start_rows
+    spreads a window. Returns the (1, n) root and h.
+    """
+    length = solver_module._splice_len(alpha)
+    m, ns = (n + 1) // 2, length + n % 4
+    w = window_half(n, alpha)
+    h, d = w // 2, w // 4
+    wall = newton_solve(ChainParams(2 * d, alpha))
+    start = solver_module._ring_rows([alpha], (ns + 1) // 2 + 1)[:, 1:]
+    start[0, : 3 * d // 2] = wall[: 3 * d // 2]
+    short, (why,) = solver_module._newton_block(ns, [alpha], SolveOptions(), start, np.zeros(1, dtype=bool))
+    assert why is None
+    y = solver_module._ring_rows([alpha], m + 1)[:, 1:]
+    y[:, : h - 2] = short[:, : h - 2]
+    y[:, m - w + h + 2 :] = short[:, h - 2 :]
+    return solver_module._unfold(y, n), h
+
+
 class TestWindowTangent:
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+    def test_window_rows_are_the_rows_start_rows_solved(self, monkeypatch, alpha):
+        # tangent_rows reads the window back from the root by its own
+        # condition, and takes it exactly where the window check passed
+        length = solver_module._splice_len(alpha)
+        for n in [8 * length + r for r in range(4)] + [65_537, 10**6]:
+            _, solved = solver_module._start_rows(n, [alpha], SolveOptions())
+            X = newton_solve(ChainParams(n, alpha))[None]
+            seen = gtsv_sizes(monkeypatch)
+            solver_module.tangent_rows(n, [alpha], X)
+            monkeypatch.undo()
+            assert (max(seen) <= window_half(n, alpha)) == solved[0], n
+
+    @pytest.mark.parametrize("n", [2049, 2051, 65_537])
+    def test_phase_swapped_bulk_takes_the_window(self, monkeypatch, n):
+        # the bulk repeats with period 2 and the window passes tol, so the
+        # window is taken although the bulk is not _ring_rows' pattern. At
+        # the wall I - F' is numerically singular (sigma_min about 6e-17,
+        # the wall's translation mode), so the two paths' tangents differ
+        # there by 2% of max |t|; J' hardly moves along that mode and
+        # differs by 1.5e-11 relative at n = 2049 and 2051, 4.6e-13 at 65537
+        alpha = 0.929
+        X, h = walled_root(n, alpha)
+        m = (n + 1) // 2
+        tail = m - window_half(n, alpha) + h
+        assert residual(ChainParams(n, alpha), X[0]) <= 1e-12
+        assert np.array_equal(X[0, h - 2 : tail], X[0, h : tail + 2])
+        hi, lo = solver_module._ring_start(alpha)
+        assert X[0, h - 2 + h % 2] == lo and X[0, h - 1 - h % 2] == hi
+        seen = gtsv_sizes(monkeypatch)
+        (jp,) = fairness_module._J_slopes(n, [alpha], X)
+        monkeypatch.undo()
+        assert 0 < max(seen) <= window_half(n, alpha)
+        _, (jp_ref,) = full_half_tangent(monkeypatch, n, [alpha], X)
+        assert jp == pytest.approx(jp_ref, rel=1e-10, abs=0.0)
+
     @pytest.mark.parametrize("alpha", WINDOW_ALPHAS + NEAR_ALPHAS)
     def test_window_matches_the_full_half(self, monkeypatch, alpha):
         # a spliced root's tangent solved on its window chain, against the
