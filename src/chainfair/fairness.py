@@ -8,6 +8,14 @@ slope is needed, replaces finite differencing of the whole chain solve.
 maximize_J here and fit_alpha share one search, _search: a batched scan
 of the objective's values, its slope at the best grid point and at that
 point's neighbours, and one bracketed secant on the slope, _refine.
+
+A spliced root's half is its window, the short root's head and tail,
+with a bulk that repeats the window's sites h-2 and h-1 by parity
+(solver._spliced_windows). So J, J' and the range check of a supplied x
+read each such half on its window only: a sum over the half is the
+window's, with weight 1 + (m - w)/2 at those two sites. At 10^6 pairs
+no pass takes a log over the chain, and the chain-length work left is
+the test of the period itself.
 """
 
 import math
@@ -19,7 +27,7 @@ from .errors import ConvergenceError, DomainError
 from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy_rows
 # apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
-from .solver import newton_rows, newton_solve, tangent_rows
+from .solver import _spliced_windows, newton_rows, newton_solve, tangent_rows
 
 
 @dataclass(frozen=True)
@@ -47,13 +55,86 @@ def _root(alpha, n, x):
     return check_vector("x", x, n)
 
 
+def _halves(n, alphas, X):
+    """The spliced halves of the rows of X, as their windows (solver._spliced_windows).
+
+    Half 0 of a row x is its left half x[:m], half 1 its right half
+    reversed, x[::-1][:m], m = ceil(n/2); each is tested on its own, so no
+    mirror is assumed. Returns the (2, R) mask of the spliced halves and
+    their (rows, h, windows) parts.
+    """
+    spliced = np.zeros((2, len(X)), dtype=bool)
+    parts = []
+    for side, _, h, rows, W in _spliced_windows(n, alphas, X, X[:, ::-1]):
+        spliced[side, rows] = True
+        parts.append((rows, h, W))
+    return spliced, parts
+
+
+def _pieces(n, x, spliced, parts):
+    """Arrays that between them hold every entry of the one row x, for its range check.
+
+    A spliced half holds only its window's values, so it gives its window;
+    any other half is given whole, and x itself when neither is spliced.
+    """
+    m = (n + 1) // 2
+    if not parts:
+        return [x]
+    return [W[0] for _, _, W in parts] + [y[:m] for side, y in enumerate((x, x[::-1])) if not spliced[side, 0]]
+
+
+def _terms(W):
+    """-w ln w entrywise, 0 where w = 0."""
+    return -(W * np.log(W, out=np.zeros_like(W), where=W > 0.0))
+
+
+def _J_values(n, spliced, parts, X):
+    """J at each row of X, given the spliced halves of its rows from _halves.
+
+    A row with no spliced half takes entropy_rows on the whole row. In any
+    other, a spliced half is summed on its window, with weight
+    1 + (m - w)/2 at the window's sites h-2 and h-1, which the bulk
+    repeats; the row's other half is summed whole; and the centre of an odd
+    chain, in both halves, is taken off once. Unchecked: entries must lie
+    in [0, 1], as the scans' roots and J's checked x do.
+    """
+    some = spliced.any(axis=0)
+    if not some.any():
+        return entropy_rows(X) / n
+    m = (n + 1) // 2
+    E = np.zeros(len(X))
+    E[~some] = entropy_rows(X[~some])
+    for rows, h, W in parts:
+        P = _terms(W)
+        E[rows] += P.sum(axis=1) + 0.5 * (m - W.shape[1]) * (P[:, h - 2] + P[:, h - 1])
+    for side, Y in enumerate((X, X[:, ::-1])):
+        rows = np.flatnonzero(some & ~spliced[side])
+        if len(rows):
+            E[rows] += _terms(Y[rows, :m]).sum(axis=1)
+    if n % 2:
+        E[some] -= _terms(X[some, m - 1])
+    return E / n
+
+
 def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     """Normalized entropy E(x(alpha))/n of the solved chain.
 
     The 1/n factor makes values comparable across chain lengths. Pass x to
-    reuse an already-solved emission vector; it must have length n.
+    reuse an already-solved emission vector; it must have length n, with
+    entries in [0, 1] (0 ln 0 = 0). A half of x that repeats with period 2
+    across a spliced root's bulk (solver._spliced_windows) is summed and
+    range-checked on its window only, each half by its own test; the scans
+    take J the same way (_J_values). Where neither half does, J is
+    entropy(x)/n.
     """
-    return entropy(_root(alpha, n, x)) / n
+    x = _root(alpha, n, x)
+    spliced, parts = _halves(n, [alpha], x[None])
+    if not spliced.any():
+        return entropy(x) / n
+    # min and max copy nothing and fail at a nan
+    if not all(v.min() >= 0.0 and v.max() <= 1.0 for v in _pieces(n, x, spliced, parts)):
+        raise DomainError("J requires components in [0, 1]")
+    return float(_J_values(n, spliced, parts, x[None])[0])
 
 
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
@@ -62,14 +143,17 @@ def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     This is _J_slopes on one row: the tangent and the dot product are
     taken on the mirror half of x, on its window chain where x is a
     spliced root (solver.tangent_rows). A supplied x is refused whole: an
-    entry outside (0, 1] in either half raises DomainError. Raises
-    ConvergenceError when the tangent system (I - F'(x)) t =
-    F_alpha(x)/alpha is singular.
+    entry outside (0, 1] in either half raises DomainError; a spliced half
+    is checked on its window, as J checks it. Raises ConvergenceError when
+    the tangent system (I - F'(x)) t = F_alpha(x)/alpha is singular.
+
+    A supplied root with a phase wall (past 3/4, a wall between an end and
+    the bulk) is accepted, though I - F' is numerically singular at the
+    wall (sigma_min about 6e-17), so its J' is ill-conditioned.
+    newton_solve never returns such a root.
     """
     x = _root(alpha, n, x)
-    # _J_slopes reads the mirror half, unchecked; min and max copy nothing
-    # and fail at a nan
-    if not (x.min() > 0.0 and x.max() <= 1.0):
+    if not all(v.min() > 0.0 and v.max() <= 1.0 for v in _pieces(n, x, *_halves(n, [alpha], x[None]))):
         raise DomainError("J_prime requires components in (0, 1]")
     (jp,) = _J_slopes(n, [alpha], x[None])
     if np.isnan(jp):
@@ -131,32 +215,42 @@ def _J_slopes(n, alphas, X):
     """J' at each row of X (the root for alphas[i]): grad E(x) . dx/dalpha / n.
 
     Both factors are mirror symmetric, so the dot product is taken on the
-    halves of tangent_rows, m = ceil(n/2) sites: twice the sum, less the
-    centre site of an odd chain, which has no mirror twin. The gradient
-    comes from grad_entropy_rows, unchecked: the scans' roots lie in
-    (0, alpha], and J_prime checks a supplied x. It is built after the
-    tangent solve, which keeps J_prime's peak memory that of the solve. A
-    row whose system is singular is nan.
+    mirror half, m = ceil(n/2) sites: twice the sum, less the centre site
+    of an odd chain, which has no mirror twin. A tangent part of
+    tangent_rows on a window is dotted there, with weight 1 + (m - w)/2 at
+    the window's sites h-2 and h-1, which the bulk of root and tangent
+    repeats; a whole half is dotted whole. The gradient comes from
+    grad_entropy_rows, unchecked: the scans' roots lie in (0, alpha], and
+    J_prime checks a supplied x. It is built after the tangent solve,
+    which keeps J_prime's peak memory that of the solve. A row whose
+    system is singular is nan.
     """
-    T = tangent_rows(n, alphas, X)
-    g = grad_entropy_rows(X[:, : T.shape[1]])
-    s = 2.0 * np.einsum("ij,ij->i", g, T)
-    if n % 2:
-        s -= g[:, -1] * T[:, -1]
+    m = (n + 1) // 2
+    s = np.empty(len(X))
+    for rows, h, W, T in tangent_rows(n, alphas, X):
+        g = grad_entropy_rows(W)
+        p = np.einsum("ij,ij->i", g, T)
+        if h < m:
+            p += 0.5 * (m - W.shape[1]) * (g[:, h - 2] * T[:, h - 2] + g[:, h - 1] * T[:, h - 1])
+        p *= 2.0
+        if n % 2:
+            p -= g[:, -1] * T[:, -1]
+        s[rows] = p
     return s / n
 
 
 def _search(n, grid, value, slope, width):
     """Maximize value(root) over alpha: a scan of grid closed by _refine.
 
-    value(X) and slope(alphas, X) map a stack of roots (X[i] for alphas[i])
-    to the objective and to its derivative in alpha. The scan keeps each
-    solved grid value (a value that is not finite counts as failed) but
-    only the roots of the best point so far, its solved neighbours and the
-    last solved point. slope runs once, on the best point and neighbours;
-    if the neighbour that the best point's slope points to has a slope of
-    the other sign, _refine closes that step to width, each point solved
-    by newton_rows(n, [a]) (a failed solve gives nan, which stops it).
+    value(alphas, X) and slope(alphas, X) map a stack of roots (X[i] for
+    alphas[i]) to the objective and to its derivative in alpha. The scan
+    keeps each solved grid value (a value that is not finite counts as
+    failed) but only the roots of the best point so far, its solved
+    neighbours and the last solved point. slope runs once, on the best
+    point and neighbours; if the neighbour that the best point's slope
+    points to has a slope of the other sign, _refine closes that step to
+    width, each point solved by newton_rows(n, [a]) (a failed solve gives
+    nan, which stops it).
 
     Returns None if no grid point solves, else (alpha, value, root,
     evaluations, bracket, unimodal): bracket is the grid step when no
@@ -165,7 +259,7 @@ def _search(n, grid, value, slope, width):
     vals = np.full(len(grid), np.nan)
     left = best = right = last = None  # (grid index, root)
     for rows, X in newton_rows(n, grid):
-        vals[rows] = value(X)
+        vals[rows] = value(grid[rows], X)
         for k, x in zip(rows.tolist(), X):
             if -math.inf < vals[k] < math.inf:
                 if best is None or vals[k] > vals[best[0]]:
@@ -196,7 +290,7 @@ def _search(n, grid, value, slope, width):
     ok = np.isfinite(vals)
     steps, p = np.diff(vals[ok]), np.count_nonzero(ok[:i])
     unimodal = 0 < p < len(steps) and bool(np.all(steps[:p] > 0.0) and np.all(steps[p:] < 0.0))
-    return alpha, float(value(x[None])[0]), x, len(grid) + evals, bracket, unimodal
+    return alpha, float(value([alpha], x[None])[0]), x, len(grid) + evals, bracket, unimodal
 
 
 _GRID_LO = 0.01
@@ -220,7 +314,13 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
     grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
-    found = _search(n, grid, lambda X: entropy_rows(X) / n, lambda alphas, X: _J_slopes(n, alphas, X), tol_alpha)
+    found = _search(
+        n,
+        grid,
+        lambda alphas, X: _J_values(n, *_halves(n, alphas, X), X),
+        lambda alphas, X: _J_slopes(n, alphas, X),
+        tol_alpha,
+    )
     if found is None:
         raise ConvergenceError(f"maximize_J: no grid point solved (n={n})")
     alpha_hat, J_value, _, evaluations, bracket, unimodal = found
@@ -246,5 +346,6 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
     for rows, X in newton_rows(n, [alphas[i] for i in valid]):
-        Js[[valid[k] for k in rows]] = entropy_rows(X) / n
+        cells = [valid[k] for k in rows]
+        Js[cells] = _J_values(n, *_halves(n, [alphas[i] for i in cells], X), X)
     return [(a, float(j)) for a, j in zip(alphas, Js)]

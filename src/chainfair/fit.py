@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, FitError
 from .fairness import _search
 from .model import ChainParams, check_instance, check_real, check_vector
-from .solver import _unfold, newton_solve, tangent_rows
+from .solver import _spread, _unfold, newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
 
@@ -55,10 +55,11 @@ def _sse_slopes(n, alphas, X, rho):
     The gradient in x is 2 r_i / x_1 with r = x/x_1 - rho, except entry 1,
     -2 sum_i r_i x_i / x_1^2 (r_1 = 0); dotted with the tangent dx/dalpha
     of solver.tangent_rows it gives the derivative in alpha. The gradient
-    is not mirror symmetric, so the tangent's halves are unfolded to whole
-    chains. A row whose tangent system is singular is nan.
+    is not mirror symmetric, so the tangent's parts are spread to halves
+    (solver._spread) and the halves unfolded to whole chains. A row whose
+    tangent system is singular is nan.
     """
-    T = _unfold(tangent_rows(n, alphas, X), n)
+    T = _unfold(_spread(tangent_rows(n, alphas, X), (n + 1) // 2), n)
     x1 = X[:, :1]
     r = X / x1 - rho
     grad = 2.0 * r / x1
@@ -99,7 +100,7 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     found = _search(
         n,
         np.linspace(lo, hi, _SCAN_POINTS),
-        lambda X: -np.sum((X / X[:, :1] - rho) ** 2, axis=1),
+        lambda alphas, X: -np.sum((X / X[:, :1] - rho) ** 2, axis=1),
         lambda alphas, X: -_sse_slopes(n, alphas, X, rho),
         1e-4,
     )

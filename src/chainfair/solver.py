@@ -19,11 +19,11 @@ that solve come back. Both start a long chain from the root of a short
 chain spliced into the ring pattern (_start_rows), and run the
 full-length loop (_newton_block) only on the rows where that start fails
 tol, which a short window chain with the same neighbourhoods shows
-(_spliced_groups holds its geometry). tangent_rows gives dx/dalpha at
-such roots on the mirror half: on the same window chain where the root
-repeats with period 2 between the window's head and tail, the window
-passes tol and kappa is not too small (_TANGENT_SPLICE_LEN), on the full
-half otherwise.
+(_spliced_groups holds its geometry). _spliced_windows reads such a
+window back from a root whose half repeats with period 2 between the
+window's head and tail. tangent_rows gives dx/dalpha on the mirror half:
+on that window chain where the window passes tol and kappa is not too
+small (_TANGENT_SPLICE_LEN), on the full half otherwise.
 """
 
 import math
@@ -245,46 +245,48 @@ def _tangent(alpha, z, k):
     return t
 
 
-def _spread(window, h, m):
-    """Long (R, m) halves from the rows of a window chain (_spliced_groups).
+def _spread(parts, m):
+    """The (R, m) tangent halves from the parts of tangent_rows, R rows in all.
 
-    The head is the window's first h sites and the tail its other w - h;
-    the bulk between them repeats the window's sites h-2 and h-1, by site
-    parity.
+    A window's head is its first h sites and its tail its other w - h; the
+    bulk between them repeats the window's sites h-2 and h-1, by site
+    parity. A part with h = m is a whole half.
     """
-    tail = m - window.shape[1] + h
-    y = np.empty((len(window), m))
-    y[:, :h] = window[:, :h]
-    y[:, tail:] = window[:, h:]
-    y[:, h:tail:2] = window[:, h - 2 : h - 1]
-    y[:, h + 1 : tail : 2] = window[:, h - 1 : h]
+    y = np.empty((sum(len(rows) for rows, *_ in parts), m))
+    for rows, h, _, window in parts:
+        y[rows, :h] = window[:, :h]
+        if h < m:
+            tail = m - window.shape[1] + h
+            y[rows, tail:] = window[:, h:]
+            y[rows, h:tail:2] = window[:, h - 2 : h - 1]
+            y[rows, h + 1 : tail : 2] = window[:, h - 1 : h]
     return y
 
 
 def tangent_rows(n, alphas, X):
-    """dx/dalpha at each row of X, the chain's root for alphas[i], as (R, m) mirror halves.
+    """dx/dalpha at each row of X, the chain's root for alphas[i], on the mirror half.
 
     F_alpha is linear in alpha, so differentiating x = F_alpha(x) gives
     (I - F'(x)) t = F_alpha(x)/alpha. The root and the right side are
     mirror symmetric, and so is t: it is solved on the mirror half,
-    m = ceil(n/2) unknowns, folded as in the Newton loop, and comes back as
-    that half, t_{n+1-i} = t_i. The derivative in alpha of any objective of
-    the root is its gradient in x dotted with t. A row whose system is
-    singular comes back nan.
+    m = ceil(n/2) unknowns, folded as in the Newton loop, t_{n+1-i} = t_i.
+    The derivative in alpha of any objective of the root is its gradient
+    in x dotted with t. A row whose system is singular comes back nan.
 
-    A spliced root is solved on its window chain (_spliced_groups): the
-    rows with n >= 8 L(alpha) and L(alpha) <= _TANGENT_SPLICE_LEN whose
-    half repeats with period 2 from the window's site h-2 to the first two
-    sites of its tail, y[h-2:tail] == y[h:tail+2], and whose window passes
-    the default tol, as the roots that newton_solve returns from the
-    window check of _start_rows do. Then the window holds the long half's
-    (left, site, right) triples, so its system is the long one with all
-    but 4 bulk sites cut out, and the long tangent's deviation from the
-    bulk's decays from both ends like the root's. The half is the window
-    tangent spread over m sites (_spread). Every other row is solved on
-    the full half. A root whose bulk holds the ring levels past 3/4 in
-    swapped phase has a phase wall in its head, where I - F' is
-    numerically singular on either path.
+    Returns a list of parts (rows, h, W, T), each row of X in one part: W
+    and T hold the roots X[rows] and their tangents on the rows' windows,
+    head h (as _spliced_windows), or on their whole halves, h = m; _spread
+    turns the parts into (R, m) tangent halves. A spliced root's half, as _spliced_windows
+    reads it back from the root, is solved on its window chain where
+    L(alpha) <= _TANGENT_SPLICE_LEN and the window passes the default tol,
+    as the roots that newton_solve returns from the window check of
+    _start_rows do. Then the window holds the long half's (left, site,
+    right) triples, so its system is the long one with all but 4 bulk
+    sites cut out, and the long tangent's deviation from the bulk's decays
+    from both ends like the root's: the long tangent is the window's,
+    spread. Every other row is solved on the full half. A root whose bulk
+    holds the ring levels past 3/4 in swapped phase has a phase wall in
+    its head, where I - F' is numerically singular on either path.
 
     The folded system has no antisymmetric mode. On the whole chain it
     would: on an even chain past alpha = 3/4, I - F' has a near-null
@@ -294,23 +296,22 @@ def tangent_rows(n, alphas, X):
     m = (n + 1) // 2
     k = m - 1 - n % 2
     a = np.asarray(alphas, dtype=float)[:, None]
-    t = np.empty((len(X), m))
+    parts = []
     full = np.ones(len(X), dtype=bool)
-    for ns, w, h, rows in _spliced_groups(n, alphas):
+    for _, ns, h, rows, window in _spliced_windows(n, alphas, X):
         if ns - n % 4 > _TANGENT_SPLICE_LEN:
             continue
-        tail, kw = m - w + h, w - 1 - n % 2
-        rows = np.array([i for i in rows if np.array_equal(X[i, h - 2 : tail], X[i, h : tail + 2])], dtype=int)
-        z, g, _ = _merit(a[rows], np.concatenate((X[rows, :h], X[rows, tail:m]), axis=1), kw)
+        kw = window.shape[1] - 1 - n % 2
+        z, g, _ = _merit(a[rows], window, kw)
         ok = np.abs(g).max(axis=1) <= SolveOptions().tol
-        rows = rows[ok]
-        if not len(rows):
-            continue
-        t[rows] = _spread(_tangent(a[rows], z[ok], kw), h, m)
-        full[rows] = False
+        if ok.any():
+            parts.append((rows[ok], h, window[ok], _tangent(a[rows[ok]], z[ok], kw)))
+            full[rows[ok]] = False
     if full.any():
-        t[full] = _tangent(a[full], _pad(X[full, :m], k), k)
-    return t
+        rows = np.flatnonzero(full)
+        y = X[rows, :m]
+        parts.append((rows, m, y, _tangent(a[rows], _pad(y, k), k)))
+    return parts
 
 
 def _line_search(alpha, y, z, g, phi, delta, k):
@@ -437,6 +438,40 @@ def _spliced_groups(n, alphas):
         ns = length + n % 4
         w = (ns + 1) // 2 + 4
         yield ns, w, w // 2, rows
+
+
+def _period_2(y):
+    """Whether y[:-2] == y[2:], read in memory order.
+
+    The test reads the same backwards, and a reversed view (a root's right
+    half) compares about 2.6x slower than a forward one.
+    """
+    y = y[::-1] if y.strides[0] < 0 else y
+    return bool((y[:-2] == y[2:]).all())
+
+
+def _spliced_windows(n, alphas, *Ys):
+    """The windows of the spliced halves among the rows of each Y in Ys, group by group.
+
+    Row i of a Y holds a half of a chain of n pairs for alphas[i] in its
+    first m = ceil(n/2) sites: a root, a mirror half or a root reversed
+    (its right half). Yields (side, n', h, rows, windows) per group
+    (n', w, h) of _spliced_groups and Y = Ys[side]: the rows whose half
+    repeats with period 2 from the window's site h-2 to the first two
+    sites of its tail, y[h-2:tail] == y[h:tail+2] with tail = m - w + h,
+    and their (len(rows), w) windows y[:h] ++ y[tail:m]. Such a half is
+    its window with the bulk repeating the window's sites h-2 and h-1 by
+    parity, m - w sites with an even count, so a sum over the half is the
+    window's with weight 1 + (m - w)/2 at those two sites. A nan in the
+    bulk fails the test.
+    """
+    m = (n + 1) // 2
+    for ns, w, h, rows in _spliced_groups(n, alphas):
+        tail = m - w + h
+        for side, Y in enumerate(Ys):
+            kept = np.array([i for i in rows if _period_2(Y[i, h - 2 : tail + 2])], dtype=int)
+            if len(kept):
+                yield side, ns, h, kept, np.concatenate((Y[kept, :h], Y[kept, tail:m]), axis=1)
 
 
 def _start_rows(n, alphas, opts):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chainfair.fairness as fairness_module
+import chainfair.solver as solver_module
 from chainfair import (
     ChainParams,
     ConvergenceError,
@@ -18,10 +19,11 @@ from chainfair import (
     newton_solve,
     sweep_J,
 )
-from chainfair.solver import _unfold, tangent_rows
+from chainfair.solver import _spread, _unfold, tangent_rows
 
 from patching import count_solves, force_failures, off_grid
 from reference import jacobian_F
+from test_solver import WINDOW_ALPHAS, gtsv_sizes, window_half
 
 
 GRID = np.linspace(0.01, 0.99, 99)
@@ -59,7 +61,7 @@ class TestTangent:
         # the tangent J_prime and the scans take, against the dense system
         params = ChainParams(n, alpha)
         x = newton_solve(params)
-        (t,) = _unfold(tangent_rows(n, [alpha], x[None]), n)
+        (t,) = _unfold(_spread(tangent_rows(n, [alpha], x[None]), (n + 1) // 2), n)
         system = np.eye(n) - jacobian_F(params, x)
         rhs = apply_F(params, x) / alpha
         assert np.max(np.abs(system @ t - rhs)) <= 1e-10
@@ -75,7 +77,7 @@ class TestTangent:
         # I - F' has a near-null antisymmetric mode here; the whole-chain
         # solve was off by up to 0.78 along it
         x = newton_solve(ChainParams(n, alpha))
-        (t,) = _unfold(tangent_rows(n, [alpha], x[None]), n)
+        (t,) = _unfold(_spread(tangent_rows(n, [alpha], x[None]), (n + 1) // 2), n)
         h = 1e-6
         fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
         np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-7)
@@ -116,13 +118,14 @@ class TestJPrime:
             J_prime(0.8, 3, x=np.array([0.21875, 0.5, 0.21875]))
 
     def test_memory_at_a_million_pairs(self):
-        # the window tangent peaks at 1.0 x 8n bytes, its half and the
-        # gradient's; the full-half tangent did at 4.5 x 8n, the whole-chain
-        # one at 9 x 8n; J drops no zeros from a positive root, so it peaks
-        # at one chain-sized array where the copy made it 2 x 8n
+        # J and J' of a spliced root sum on its window and peak at the bool
+        # of the period-2 test on a half, 0.0625 x 8n bytes; J' spread the
+        # window tangent over the half and peaked at 1.0 x 8n, the
+        # full-half tangent at 4.5 x 8n and the whole-chain one at 9 x 8n;
+        # J took entropy on the whole root and peaked at 1.0 x 8n
         n = 10 ** 6
         x = newton_solve(ChainParams(n, 0.6826))
-        for f, bound in ((J_prime, 1.25), (J, 1.25)):
+        for f, bound in ((J_prime, 0.125), (J, 0.125)):
             tracemalloc.start()
             try:
                 f(0.6826, n, x=x)
@@ -130,6 +133,72 @@ class TestJPrime:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * 8 * n, f.__name__
+
+
+class TestWindowSums:
+    """J and J' of a spliced root summed on its window: the bulk repeats the window's sites h-2 and h-1."""
+
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+    def test_window_sums_match_the_whole_half(self, monkeypatch, alpha):
+        # J against entropy over the whole root; J' against the window
+        # tangent spread over the half and dotted there, as it was taken,
+        # the dot summed exactly: the einsum over the half strayed from it
+        # by up to 8.6e-14 relative at 10^6 pairs, the window sum by 1.7e-16
+        length = solver_module._splice_len(alpha)
+        for n in [8 * length + r for r in range(4)] + [65_537, 100_001, 10**6]:
+            x = newton_solve(ChainParams(n, alpha))
+            spliced, _ = fairness_module._halves(n, [alpha], x[None])
+            assert spliced.all(), n
+            assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0), n
+            m = (n + 1) // 2
+            seen = gtsv_sizes(monkeypatch)
+            t = _spread(tangent_rows(n, [alpha], x[None]), m)[0]
+            jp = J_prime(alpha, n, x)
+            monkeypatch.undo()
+            assert 0 < max(seen) <= window_half(n, alpha), n
+            g = -(np.log(x[:m]) + 1.0)
+            p = g * t
+            ref = (2.0 * math.fsum(p) - (p[-1] if n % 2 else 0.0)) / n
+            assert jp == pytest.approx(ref, rel=1e-13, abs=0.0), n
+
+    @pytest.mark.parametrize("change, spliced", [("bulk", [True, False]), ("head", [True, True])])
+    def test_halves_summed_each_by_its_own_rule(self, change, spliced):
+        # J assumes no mirror: a right half whose bulk breaks the period is
+        # summed whole, one with a head of its own on its own window
+        n, alpha = 100_001, 0.8
+        x = newton_solve(ChainParams(n, alpha))
+        if change == "bulk":
+            x[n - 1 - n // 4] += 1e-3
+        else:
+            x[n - 3 :] *= 0.9
+        mask, _ = fairness_module._halves(n, [alpha], x[None])
+        assert mask[:, 0].tolist() == spliced
+        assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
+
+    def test_zeros_in_the_head(self):
+        # 0 ln 0 = 0 on the window as in entropy; the centre of an odd
+        # chain lies in both windows' tails
+        n, alpha = 100_001, 0.8
+        x = newton_solve(ChainParams(n, alpha))
+        x[[0, 1, n - 1, (n - 1) // 2]] = 0.0
+        assert fairness_module._halves(n, [alpha], x[None])[0].all()
+        assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, 0.0])
+    @pytest.mark.parametrize("site", ["head", "bulk"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_entry_outside_the_range_refused(self, bad, site, side):
+        # the range is read on the window of a spliced half and on the
+        # whole of any other half: a bulk site breaks the period
+        n, alpha = 100_001, 0.8
+        x = newton_solve(ChainParams(n, alpha))
+        i = 2 if site == "head" else n // 4
+        x[i if side == "left" else n - 1 - i] = bad
+        for f in (J, J_prime) if bad != 0.0 else (J_prime,):
+            with pytest.raises(DomainError):
+                f(alpha, n, x=x)
+        if bad == 0.0:
+            assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
 
 
 class TestRefine:
@@ -215,16 +284,17 @@ class TestMaximizeJ:
         with pytest.raises(DomainError):
             maximize_J(10, tol_alpha=tol_alpha)
 
-    @pytest.mark.parametrize("n", [1, 2, 10, 51])
+    @pytest.mark.parametrize("n", [1, 2, 10, 51, 2000, 5000])
     def test_scan_matches_pointwise_J_and_J_prime(self, monkeypatch, n):
         # the values _search keeps for the grid and the slopes it takes, as
-        # maximize_J hands them over, against J and J' solved alpha by alpha
+        # maximize_J hands them over, against J and J' solved alpha by alpha;
+        # at 2000 and 5000 pairs spliced rows take the window
         values, slopes = [], []
         real = fairness_module._search
 
         def search(n, grid, value, slope, width):
-            def logged_value(X):
-                out = value(X)
+            def logged_value(alphas, X):
+                out = value(alphas, X)
                 values.extend(out)
                 return out
 
@@ -400,10 +470,20 @@ class TestSweepJ:
 
 @pytest.mark.parametrize("n", [3, 50, 1024, 5000])
 def test_drivers_J_is_entropy_of_the_root_over_n(n):
-    # the drivers take entropy_rows on a whole block of roots; chains of
-    # 1024 and 5000 pairs at 0.95 start from a spliced root
+    # the drivers take J as J does; chains of 3 and 50 pairs by entropy_rows
+    # on the whole root, bit for bit. Chains of 1024 and 5000 pairs at 0.95
+    # start from a spliced root, and a spliced row is summed on its window,
+    # which differs from entropy in the last bits
+    def check(a, val):
+        x = newton_solve(ChainParams(n, a))
+        if n < 1024:
+            assert val == entropy(x) / n
+        else:
+            assert val == J(a, n)
+            assert val == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
+
     alphas = [0.3, 0.6826, 0.74, 0.76, 0.8, 0.95]
     for a, val in sweep_J(n, alphas):
-        assert val == entropy(newton_solve(ChainParams(n, a))) / n
+        check(a, val)
     res = maximize_J(n)
-    assert res.J_value == entropy(newton_solve(ChainParams(n, res.alpha_hat))) / n
+    check(res.alpha_hat, res.J_value)

@@ -664,11 +664,16 @@ def window_half(n, alpha):
     return (solver_module._splice_len(alpha) + n % 4 + 1) // 2 + 4
 
 
+def tangent_halves(n, alphas, X):
+    """The (R, m) tangent halves of tangent_rows, its parts spread as fit._sse_slopes spreads them."""
+    return solver_module._spread(solver_module.tangent_rows(n, alphas, X), (n + 1) // 2)
+
+
 def full_half_tangent(monkeypatch, n, alphas, X):
     """tangent_rows with every row solved on the full half, and the J' slopes from it."""
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "_spliced_groups", lambda n, alphas: iter(()))
-        return solver_module.tangent_rows(n, alphas, X), fairness_module._J_slopes(n, alphas, X)
+        return tangent_halves(n, alphas, X), fairness_module._J_slopes(n, alphas, X)
 
 
 def walled_root(n, alpha):
@@ -744,7 +749,7 @@ class TestWindowTangent:
         for n in [8 * length + r for r in range(4)] + [65_536, 65_537, 100_000, 100_001, 10**6 - 1, 10**6]:
             X = newton_solve(ChainParams(n, alpha))[None]
             seen = gtsv_sizes(monkeypatch)
-            t = solver_module.tangent_rows(n, [alpha], X)
+            t = tangent_halves(n, [alpha], X)
             (jp,) = fairness_module._J_slopes(n, [alpha], X)
             monkeypatch.undo()
             assert t.shape == (1, (n + 1) // 2)
@@ -765,7 +770,7 @@ class TestWindowTangent:
         for n in (8 * length, 8 * length + 2, 20_000):
             x = newton_solve(ChainParams(n, alpha))
             seen = gtsv_sizes(monkeypatch)
-            (t,) = solver_module._unfold(solver_module.tangent_rows(n, [alpha], x[None]), n)
+            (t,) = solver_module._unfold(tangent_halves(n, [alpha], x[None]), n)
             monkeypatch.undo()
             assert 0 < max(seen) <= window_half(n, alpha)
             fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
@@ -781,7 +786,7 @@ class TestWindowTangent:
         i = h - 3 if site == "junction" else (n + 1) // 4
         x[i] = x[n - 1 - i] = x[i] + 1e-3 if site == "junction" else np.nextafter(x[i], 1.0)
         seen = gtsv_sizes(monkeypatch)
-        t = solver_module.tangent_rows(n, [alpha], x[None])
+        t = tangent_halves(n, [alpha], x[None])
         monkeypatch.undo()
         assert max(seen) == (n + 1) // 2
         ref, _ = full_half_tangent(monkeypatch, n, [alpha], x[None])
@@ -794,9 +799,9 @@ class TestWindowTangent:
         alphas = [0.74, 0.75, 0.76, 0.74]
         X = np.array([newton_solve(ChainParams(n, a)) for a in alphas])
         X[3, 100] = X[3, n - 101] = X[3, 100] + 1e-3
-        t = solver_module.tangent_rows(n, alphas, X)
+        t = tangent_halves(n, alphas, X)
         for i, a in enumerate(alphas):
-            (row,) = solver_module.tangent_rows(n, [a], X[i : i + 1])
+            (row,) = tangent_halves(n, [a], X[i : i + 1])
             assert np.array_equal(t[i], row)
         ref, _ = full_half_tangent(monkeypatch, n, alphas, X)
         assert np.array_equal(t[[1, 3]], ref[[1, 3]])
