@@ -25,9 +25,19 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy_rows
-# apply_F, jacobian_bands and solve_banded are not called here; the benchmark's tracer wraps these bindings
-from .solver import apply_F, jacobian_bands, solve_banded  # noqa: F401
+# apply_F and jacobian_bands are not called here; the benchmark's tracer wraps these bindings
+from .solver import apply_F, jacobian_bands  # noqa: F401
 from .solver import _spliced_windows, newton_rows, newton_solve, tangent_rows
+
+
+def __getattr__(name):
+    # solve_banded is not called here either; the tracer's binding resolves
+    # on first access so that import loads no scipy
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

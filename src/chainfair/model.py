@@ -54,14 +54,17 @@ def check_vector(name, x, n=None):
     """x as a 1-d float array, of length n when given, else DomainError.
 
     Strings, bools and Python objects (None among numbers, say) are refused
-    by the array's dtype, without a loop over its entries. numpy reads
-    [True, 1.0] as float64, so a bool mixed into floats still passes.
+    by the array's dtype, without a loop over an ndarray's entries. numpy
+    reads [True, 1.0] as float64, so a sequence that is not an ndarray also
+    has its entries' types scanned for a bool.
     """
     try:
-        x = np.asarray(x)
-        if x.dtype.kind in "USOb":
+        a = np.asarray(x)
+        if a.dtype.kind in "USOb":
             raise TypeError
-        x = np.asarray(x, dtype=float)
+        if a.ndim == 1 and not isinstance(x, np.ndarray) and {bool, np.bool_} & set(map(type, x)):
+            raise TypeError
+        x = np.asarray(a, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a vector of real numbers") from None
     if x.ndim != 1 or n is not None and len(x) != n:

@@ -24,14 +24,19 @@ window back from a root whose half repeats with period 2 between the
 window's head and tail. tangent_rows gives dx/dalpha on the mirror half:
 on that window chain where the window passes tol and kappa is not too
 small (_TANGENT_SPLICE_LEN), on the full half otherwise.
+
+LAPACK gtsv is bound at the first solve (_gtsv), not at import: loading
+scipy.linalg took 0.28-0.32 s of the package's 0.42-0.45 s import on a
+2-core Xeon, and the simulator, the exact law, the circle Monte Carlo,
+the fixed-point solver and the CLI commands built on them never solve a
+linear system.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-# solve_banded is not called here; the benchmark's tracer wraps this binding
-from scipy.linalg import get_lapack_funcs, solve_banded  # noqa: F401
 
 from .errors import ConvergenceError, DomainError
 from .model import (
@@ -73,7 +78,28 @@ _SPLICE_LEN = 1 << 13
 # L = 2^12, 3.4e-12 at 2^13 and 3.8e-8 under the clip, against at most
 # 1.8e-13 at L <= 2^11.
 _TANGENT_SPLICE_LEN = 1 << 11
-(_gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+
+def __getattr__(name):
+    # solve_banded is not called here; the benchmark's tracer wraps this
+    # binding, which resolves on first access so that import loads no scipy
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@functools.cache
+def _lapack_gtsv():
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+def _gtsv(dl, d, du, b):
+    """LAPACK gtsv on one tridiagonal system: (du2, d, du, x, info)."""
+    return _lapack_gtsv()(dl, d, du, b)
 
 
 @dataclass(frozen=True)

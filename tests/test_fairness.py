@@ -44,11 +44,13 @@ class TestJ:
         assert J(a, 1) == pytest.approx(-a * np.log(a), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "alpha, n, x", [(0.5, 10, np.full(5, 0.2)), (1.5, 3, np.full(3, 0.2)), (0.5, 2, ["a", "b"])]
+        "alpha, n, x",
+        [(0.5, 10, np.full(5, 0.2)), (1.5, 3, np.full(3, 0.2)), (0.5, 2, ["a", "b"]), (0.5, 3, [0.3, True, 0.3])],
     )
     def test_supplied_x_validated_as_in_J_prime(self, alpha, n, x):
         # J returned 0.1609 for a half-length x and a value for alpha = 1.5;
-        # ["a", "b"] raised numpy's ValueError
+        # ["a", "b"] raised numpy's ValueError; J returned 0.2408 for
+        # [0.3, True, 0.3]
         for f in (J, J_prime):
             with pytest.raises(DomainError):
                 f(alpha, n, x=x)

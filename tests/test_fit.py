@@ -52,10 +52,14 @@ class TestThroughputTrace:
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 
-    @pytest.mark.parametrize("rates", [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]], {1: 2}, ["1.5", "2"]])
+    @pytest.mark.parametrize(
+        "rates",
+        [["a", "b"], [1.0, "b"], [[1.0, 2.0], [3.0]], {1: 2}, ["1.5", "2"], [1.0, True, 1.0], [1.0, np.True_, 1.0]],
+    )
     def test_unreadable_rates_refused(self, rates):
         # each raised numpy's ValueError ({1: 2} its TypeError); ["1.5", "2"]
-        # was read as numbers
+        # was read as numbers, and a bool among floats as 1.0, so that
+        # fit_alpha(ThroughputTrace([1.0, True, 1.0])) returned alpha_fit = 0.05
         with pytest.raises(DomainError):
             ThroughputTrace(rates=rates)
 

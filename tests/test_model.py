@@ -68,11 +68,12 @@ class TestCheckVector:
         x = check_vector("v", [1, 2, 3], 3)
         assert x.dtype == float and x.tolist() == [1.0, 2.0, 3.0]
 
-    # [True, False] and ["1.5", "2"] were read as numbers, and [1.0, None] as [1.0, nan]
+    # [True, False] and ["1.5", "2"] were read as numbers, [1.0, None] as
+    # [1.0, nan], and a bool among floats as 1.0 or 0.0
     @pytest.mark.parametrize(
         "value",
         [["a", "b"], [[1.0, 2.0], [3.0]], {1: 2}, None, 0.5, np.ones((2, 2)), [True, False], ["1.5", "2"],
-         [1.0, None], np.array([b"1"])],
+         [1.0, None], np.array([b"1"]), [1.0, True], (0.5, np.False_, 2)],
     )
     def test_others_refused(self, value):
         with pytest.raises(DomainError, match="^v must be a"):
