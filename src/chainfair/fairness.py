@@ -9,13 +9,10 @@ maximize_J here and fit_alpha share one search, _search: a batched scan
 of the objective's values, its slope at the best grid point and at that
 point's neighbours, and one bracketed secant on the slope, _refine.
 
-A spliced root's half is its window, the short root's head and tail,
-with a bulk that repeats the window's sites h-2 and h-1 by parity
-(solver._spliced_windows). So J, J' and the range check of a supplied x
-read each such half on its window only: a sum over the half is the
-window's, with weight 1 + (m - w)/2 at those two sites. At 10^6 pairs
-no pass takes a log over the chain, and the chain-length work left is
-the test of the period itself.
+J and J' read a root as a part of solver.newton_rows: a spliced root's
+window, summed with weight 1 + (m - w)/2 at the sites h-2 and h-1 that
+its bulk repeats, or a whole half, unfolded and summed whole. At 10^6
+pairs the only chain-length pass left is the period test of a caller's x.
 """
 
 import math
@@ -25,9 +22,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy_rows
-# apply_F and jacobian_bands are not called here; the benchmark's tracer wraps these bindings
-from .solver import apply_F, jacobian_bands  # noqa: F401
-from .solver import _spliced_windows, newton_rows, newton_solve, tangent_rows
+# apply_F, jacobian_bands and newton_solve are not called here; the benchmark's tracer wraps these bindings
+from .solver import apply_F, jacobian_bands, newton_solve  # noqa: F401
+from .solver import SolveOptions, _solve_part, _spliced_windows, _unfold, newton_rows, tangent_rows
 
 
 def __getattr__(name):
@@ -57,73 +54,47 @@ class OptResult:
     unimodal: bool = True
 
 
-def _root(alpha, n, x):
-    """The root for (n, alpha): solved when x is None, else x checked against both."""
-    params = ChainParams(n, alpha)
-    if x is None:
-        return newton_solve(params)
-    return check_vector("x", x, n)
+def _halves(alpha, n, x):
+    """x checked against (n, alpha), and its halves as parts (h, W) of one row.
 
-
-def _halves(n, alphas, X):
-    """The spliced halves of the rows of X, as their windows (solver._spliced_windows).
-
-    Half 0 of a row x is its left half x[:m], half 1 its right half
-    reversed, x[::-1][:m], m = ceil(n/2); each is tested on its own, so no
-    mirror is assumed. Returns the (2, R) mask of the spliced halves and
-    their (rows, h, windows) parts.
+    The left half and the right half reversed are each read back on their
+    own (solver._spliced_windows): no mirror is assumed.
     """
-    spliced = np.zeros((2, len(X)), dtype=bool)
-    parts = []
-    for side, _, h, rows, W in _spliced_windows(n, alphas, X, X[:, ::-1]):
-        spliced[side, rows] = True
-        parts.append((rows, h, W))
-    return spliced, parts
+    ChainParams(n, alpha)
+    x = check_vector("x", x, n)
+    m = (n + 1) // 2
+    return x, _spliced_windows(n, alpha, x[:m], x[::-1][:m])
 
 
-def _pieces(n, x, spliced, parts):
-    """Arrays that between them hold every entry of the one row x, for its range check.
+def _chain_sums(n, halves):
+    """-sum x ln x over the chains whose left and right halves are the parts (h, W) of halves.
 
-    A spliced half holds only its window's values, so it gives its window;
-    any other half is given whole, and x itself when neither is spliced.
+    A window is summed with weight 1 + (m - w)/2 at its sites h-2 and h-1,
+    which the bulk repeats, and the centre of an odd chain, in both
+    halves, is taken off once. Unchecked: entries in [0, 1].
     """
     m = (n + 1) // 2
-    if not parts:
-        return [x]
-    return [W[0] for _, _, W in parts] + [y[:m] for side, y in enumerate((x, x[::-1])) if not spliced[side, 0]]
+    E = 0.0
+    for h, W in halves:
+        # -w ln w, 0 where w = 0
+        P = -(W * np.log(W, out=np.zeros_like(W), where=W > 0.0))
+        s = P.sum(axis=1)
+        if h < m:
+            s += 0.5 * (m - W.shape[1]) * (P[:, h - 2] + P[:, h - 1])
+        E = E + s
+    return E - P[:, -1] if n % 2 else E
 
 
-def _terms(W):
-    """-w ln w entrywise, 0 where w = 0."""
-    return -(W * np.log(W, out=np.zeros_like(W), where=W > 0.0))
+def _J_values(n, h, W):
+    """J at each root of a part (h, W) of solver.newton_rows.
 
-
-def _J_values(n, spliced, parts, X):
-    """J at each row of X, given the spliced halves of its rows from _halves.
-
-    A row with no spliced half takes entropy_rows on the whole row. In any
-    other, a spliced half is summed on its window, with weight
-    1 + (m - w)/2 at the window's sites h-2 and h-1, which the bulk
-    repeats; the row's other half is summed whole; and the centre of an odd
-    chain, in both halves, is taken off once. Unchecked: entries must lie
-    in [0, 1], as the scans' roots and J's checked x do.
+    A whole half, h = m, is unfolded and summed by entropy_rows, so its J
+    is entropy(x)/n bit for bit; a window stands for both halves
+    (_chain_sums). Unchecked: entries in (0, 1], as the scans' roots are.
     """
-    some = spliced.any(axis=0)
-    if not some.any():
-        return entropy_rows(X) / n
-    m = (n + 1) // 2
-    E = np.zeros(len(X))
-    E[~some] = entropy_rows(X[~some])
-    for rows, h, W in parts:
-        P = _terms(W)
-        E[rows] += P.sum(axis=1) + 0.5 * (m - W.shape[1]) * (P[:, h - 2] + P[:, h - 1])
-    for side, Y in enumerate((X, X[:, ::-1])):
-        rows = np.flatnonzero(some & ~spliced[side])
-        if len(rows):
-            E[rows] += _terms(Y[rows, :m]).sum(axis=1)
-    if n % 2:
-        E[some] -= _terms(X[some, m - 1])
-    return E / n
+    if h == (n + 1) // 2:
+        return entropy_rows(_unfold(h, W, n)) / n
+    return _chain_sums(n, [(h, W)] * 2) / n
 
 
 def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
@@ -132,40 +103,45 @@ def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     The 1/n factor makes values comparable across chain lengths. Pass x to
     reuse an already-solved emission vector; it must have length n, with
     entries in [0, 1] (0 ln 0 = 0). A half of x that repeats with period 2
-    across a spliced root's bulk (solver._spliced_windows) is summed and
-    range-checked on its window only, each half by its own test; the scans
-    take J the same way (_J_values). Where neither half does, J is
-    entropy(x)/n.
+    across a spliced root's bulk is summed and range-checked on its window
+    only, each half by its own test (_halves); where neither half does, J
+    is entropy(x)/n. A solved root is summed as the scans sum it.
     """
-    x = _root(alpha, n, x)
-    spliced, parts = _halves(n, [alpha], x[None])
-    if not spliced.any():
+    if x is None:
+        return float(_J_values(n, *_solve_part(ChainParams(n, alpha), SolveOptions()))[0])
+    x, halves = _halves(alpha, n, x)
+    if all(h == (n + 1) // 2 for h, _ in halves):
         return entropy(x) / n
     # min and max copy nothing and fail at a nan
-    if not all(v.min() >= 0.0 and v.max() <= 1.0 for v in _pieces(n, x, spliced, parts)):
+    if not all(W.min() >= 0.0 and W.max() <= 1.0 for _, W in halves):
         raise DomainError("J requires components in [0, 1]")
-    return float(_J_values(n, spliced, parts, x[None])[0])
+    return float(_chain_sums(n, halves)[0] / n)
 
 
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     """Derivative dJ/dalpha, grad J dotted with the tangent dx/dalpha.
 
     This is _J_slopes on one row: the tangent and the dot product are
-    taken on the mirror half of x, on its window chain where x is a
-    spliced root (solver.tangent_rows). A supplied x is refused whole: an
-    entry outside (0, 1] in either half raises DomainError; a spliced half
-    is checked on its window, as J checks it. Raises ConvergenceError when
-    the tangent system (I - F'(x)) t = F_alpha(x)/alpha is singular.
+    taken on the mirror half of the root, on its window chain where it is
+    a spliced root (solver.tangent_rows). A supplied x is refused whole:
+    an entry outside (0, 1] in either half raises DomainError; a spliced
+    half is checked on its window, as J checks it, and the tangent takes
+    the left half's part from that check. Raises ConvergenceError when the
+    tangent system (I - F'(x)) t = F_alpha(x)/alpha is singular.
 
     A supplied root with a phase wall (past 3/4, a wall between an end and
     the bulk) is accepted, though I - F' is numerically singular at the
     wall (sigma_min about 6e-17), so its J' is ill-conditioned.
     newton_solve never returns such a root.
     """
-    x = _root(alpha, n, x)
-    if not all(v.min() > 0.0 and v.max() <= 1.0 for v in _pieces(n, x, *_halves(n, [alpha], x[None]))):
-        raise DomainError("J_prime requires components in (0, 1]")
-    (jp,) = _J_slopes(n, [alpha], x[None])
+    if x is None:
+        part = _solve_part(ChainParams(n, alpha), SolveOptions())
+    else:
+        _, halves = _halves(alpha, n, x)
+        if not all(W.min() > 0.0 and W.max() <= 1.0 for _, W in halves):
+            raise DomainError("J_prime requires components in (0, 1]")
+        part = halves[0]
+    (jp,) = _J_slopes(n, [alpha], [(np.zeros(1, dtype=int), *part)])
     if np.isnan(jp):
         raise ConvergenceError(f"J_prime: singular tangent system (n={n}, alpha={alpha})")
     return float(jp)
@@ -221,23 +197,22 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
     return best, hi - lo, evals
 
 
-def _J_slopes(n, alphas, X):
-    """J' at each row of X (the root for alphas[i]): grad E(x) . dx/dalpha / n.
+def _J_slopes(n, alphas, parts):
+    """J' at each alpha from the roots of parts: grad E(x) . dx/dalpha / n.
 
     Both factors are mirror symmetric, so the dot product is taken on the
     mirror half, m = ceil(n/2) sites: twice the sum, less the centre site
-    of an odd chain, which has no mirror twin. A tangent part of
-    tangent_rows on a window is dotted there, with weight 1 + (m - w)/2 at
-    the window's sites h-2 and h-1, which the bulk of root and tangent
-    repeats; a whole half is dotted whole. The gradient comes from
-    grad_entropy_rows, unchecked: the scans' roots lie in (0, alpha], and
-    J_prime checks a supplied x. It is built after the tangent solve,
-    which keeps J_prime's peak memory that of the solve. A row whose
-    system is singular is nan.
+    of an odd chain, which has no mirror twin. A window part of
+    tangent_rows is dotted there, with weight 1 + (m - w)/2 at its sites
+    h-2 and h-1, which the bulk of root and tangent repeats. The gradient
+    comes from grad_entropy_rows, unchecked: the scans' roots lie in
+    (0, alpha], and J_prime checks a supplied x. It is built after the
+    tangent solve, which keeps J_prime's peak memory that of the solve. A
+    row whose system is singular is nan.
     """
     m = (n + 1) // 2
-    s = np.empty(len(X))
-    for rows, h, W, T in tangent_rows(n, alphas, X):
+    s = np.empty(len(alphas))
+    for rows, h, W, T in tangent_rows(n, alphas, parts):
         g = grad_entropy_rows(W)
         p = np.einsum("ij,ij->i", g, T)
         if h < m:
@@ -252,15 +227,16 @@ def _J_slopes(n, alphas, X):
 def _search(n, grid, value, slope, width):
     """Maximize value(root) over alpha: a scan of grid closed by _refine.
 
-    value(alphas, X) and slope(alphas, X) map a stack of roots (X[i] for
-    alphas[i]) to the objective and to its derivative in alpha. The scan
-    keeps each solved grid value (a value that is not finite counts as
-    failed) but only the roots of the best point so far, its solved
-    neighbours and the last solved point. slope runs once, on the best
-    point and neighbours; if the neighbour that the best point's slope
-    points to has a slope of the other sign, _refine closes that step to
-    width, each point solved by newton_rows(n, [a]) (a failed solve gives
-    nan, which stops it).
+    value(alphas, h, W) maps the roots of a part of newton_rows (W[i] for
+    alphas[i]) to the objective, and slope(alphas, parts) maps parts whose
+    rows index alphas to its derivative at each alpha. The scan keeps each
+    solved grid value (a value that is not finite counts as failed) but
+    only the roots, rows (h, w) of parts, of the best point so far, its
+    solved neighbours and the last solved point. slope runs once, on the
+    best point and neighbours; if the neighbour that the best point's
+    slope points to has a slope of the other sign, _refine closes that
+    step to width, each point solved by newton_rows(n, [a]) (a failed
+    solve gives nan, which stops it).
 
     Returns None if no grid point solves, else (alpha, value, root,
     evaluations, bracket, unimodal): bracket is the grid step when no
@@ -268,27 +244,32 @@ def _search(n, grid, value, slope, width):
     """
     vals = np.full(len(grid), np.nan)
     left = best = right = last = None  # (grid index, root)
-    for rows, X in newton_rows(n, grid):
-        vals[rows] = value(grid[rows], X)
-        for k, x in zip(rows.tolist(), X):
+    for rows, parts in newton_rows(n, grid):
+        roots = {}
+        for part_rows, h, W in parts:
+            vals[part_rows] = value(grid[part_rows], h, W)
+            roots.update(zip(part_rows.tolist(), [(h, w) for w in W]))
+        for k in rows.tolist():
             if -math.inf < vals[k] < math.inf:
                 if best is None or vals[k] > vals[best[0]]:
-                    left, best, right = last, (k, x), None
+                    left, best, right = last, (k, roots[k]), None
                 elif right is None:
-                    right = (k, x)
-                last = (k, x)
+                    right = (k, roots[k])
+                last = (k, roots[k])
     if best is None:
         return None
     near = dict(row for row in (left, best, right) if row)
-    s = dict(zip(near, slope(grid[list(near)], np.array(list(near.values())))))
-    roots = {float(grid[k]): x for k, x in near.items()}
+    near_parts = [(np.array([i]), h, w[None]) for i, (h, w) in enumerate(near.values())]
+    s = dict(zip(near, slope(grid[list(near)], near_parts)))
+    roots = {float(grid[k]): root for k, root in near.items()}
 
     def at(a):
-        ((rows, X),) = newton_rows(n, [a])
+        ((rows, parts),) = newton_rows(n, [a])
         if not len(rows):
             return math.nan
-        roots[a] = X[0]
-        return slope([a], X)[0]
+        ((_, h, W),) = parts
+        roots[a] = h, W[0]
+        return slope([a], parts)[0]
 
     i = best[0]
     j = right if s[i] > 0.0 else left
@@ -296,11 +277,11 @@ def _search(n, grid, value, slope, width):
     if j and s[i] * s[j[0]] < 0.0:
         a, b = sorted((i, j[0]))
         alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width)
-    x = roots[alpha]
+    h, w = roots[alpha]
     ok = np.isfinite(vals)
     steps, p = np.diff(vals[ok]), np.count_nonzero(ok[:i])
     unimodal = 0 < p < len(steps) and bool(np.all(steps[:p] > 0.0) and np.all(steps[p:] < 0.0))
-    return alpha, float(value([alpha], x[None])[0]), x, len(grid) + evals, bracket, unimodal
+    return alpha, float(value([alpha], h, w[None])[0]), (h, w), len(grid) + evals, bracket, unimodal
 
 
 _GRID_LO = 0.01
@@ -327,8 +308,8 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     found = _search(
         n,
         grid,
-        lambda alphas, X: _J_values(n, *_halves(n, alphas, X), X),
-        lambda alphas, X: _J_slopes(n, alphas, X),
+        lambda alphas, h, W: _J_values(n, h, W),
+        lambda alphas, parts: _J_slopes(n, alphas, parts),
         tol_alpha,
     )
     if found is None:
@@ -355,7 +336,7 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     alphas = [float(a) for a in alphas]
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
-    for rows, X in newton_rows(n, [alphas[i] for i in valid]):
-        cells = [valid[k] for k in rows]
-        Js[cells] = _J_values(n, *_halves(n, [alphas[i] for i in cells], X), X)
+    for _, parts in newton_rows(n, [alphas[i] for i in valid]):
+        for rows, h, W in parts:
+            Js[[valid[k] for k in rows]] = _J_values(n, h, W)
     return [(a, float(j)) for a, j in zip(alphas, Js)]

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, FitError
 from .fairness import _search
 from .model import ChainParams, check_instance, check_real, check_vector
-from .solver import _spread, _unfold, newton_solve, tangent_rows
+from .solver import _STACK_UNKNOWNS, _unfold, newton_solve, tangent_rows
 
 _SCAN_POINTS = 33
 
@@ -49,22 +49,25 @@ class FitResult:
     residuals: np.ndarray
 
 
-def _sse_slopes(n, alphas, X, rho):
-    """d/dalpha of sum_i (x_i/x_1 - rho_i)^2 at each row of X (the root for alphas[i]).
+def _sse_slopes(n, alphas, parts, rho):
+    """d/dalpha of sum_i (x_i/x_1 - rho_i)^2 at each alpha, from the roots of parts.
 
     The gradient in x is 2 r_i / x_1 with r = x/x_1 - rho, except entry 1,
     -2 sum_i r_i x_i / x_1^2 (r_1 = 0); dotted with the tangent dx/dalpha
     of solver.tangent_rows it gives the derivative in alpha. The gradient
-    is not mirror symmetric, so the tangent's parts are spread to halves
-    (solver._spread) and the halves unfolded to whole chains. A row whose
-    tangent system is singular is nan.
+    is not mirror symmetric, so each tangent part's roots and tangents are
+    unfolded to whole chains (solver._unfold). A row whose tangent system
+    is singular is nan.
     """
-    T = _unfold(_spread(tangent_rows(n, alphas, X), (n + 1) // 2), n)
-    x1 = X[:, :1]
-    r = X / x1 - rho
-    grad = 2.0 * r / x1
-    grad[:, 0] = -2.0 * np.sum(r * X, axis=1) / x1[:, 0] ** 2
-    return np.einsum("ij,ij->i", grad, T)
+    s = np.empty(len(alphas))
+    for rows, h, W, T in tangent_rows(n, alphas, parts):
+        X = _unfold(h, W, n)
+        x1 = X[:, :1]
+        r = X / x1 - rho
+        grad = 2.0 * r / x1
+        grad[:, 0] = -2.0 * np.sum(r * X, axis=1) / x1[:, 0] ** 2
+        s[rows] = np.einsum("ij,ij->i", grad, _unfold(h, T, n))
+    return s
 
 
 def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)) -> FitResult:
@@ -80,9 +83,13 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
     whose SSE is not finite are left out, and a refinement solve that
     fails stops the search; if every grid alpha fails, FitError. A trace
     whose ratios rho_i square to an infinite sum is refused with
-    DomainError before any solve, since its SSE overflows at every alpha.
+    DomainError before any solve, since its SSE overflows at every alpha,
+    and so is a trace of two pairs: their root has x_1 = x_2 at every
+    alpha, so its SSE does not depend on alpha.
     """
     check_instance("trace", trace, ThroughputTrace)
+    if len(trace.rates) == 2:
+        raise DomainError("a two-pair trace cannot be fitted: x_1 = x_2 at every alpha")
     try:
         lo, hi = bounds
     except (TypeError, ValueError):
@@ -97,16 +104,25 @@ def fit_alpha(trace: ThroughputTrace, bounds: tuple[float, float] = (0.05, 0.99)
             raise DomainError("the trace's ratios to the first pair's rate are too large to square")
     n = len(rho)
 
+    def value(alphas, h, W):
+        # a part of windows can hold many rows: unfold them a few at a time
+        step = max(1, _STACK_UNKNOWNS // n)
+        if len(W) > step:
+            return np.concatenate([value(alphas, h, W[i : i + step]) for i in range(0, len(W), step)])
+        X = _unfold(h, W, n)
+        return -np.sum((X / X[:, :1] - rho) ** 2, axis=1)
+
     found = _search(
         n,
         np.linspace(lo, hi, _SCAN_POINTS),
-        lambda alphas, X: -np.sum((X / X[:, :1] - rho) ** 2, axis=1),
-        lambda alphas, X: -_sse_slopes(n, alphas, X, rho),
+        value,
+        lambda alphas, parts: -_sse_slopes(n, alphas, parts, rho),
         1e-4,
     )
     if found is None:
         raise FitError("model evaluation failed across the whole alpha grid")
-    alpha_fit, _, x, *_ = found
+    alpha_fit, _, (h, w), *_ = found
+    (x,) = _unfold(h, w[None], n)
     resid = x / x[0] - rho
     return FitResult(alpha_fit=alpha_fit, sse=float(np.sum(resid ** 2)), residuals=resid)
 

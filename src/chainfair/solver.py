@@ -19,11 +19,16 @@ that solve come back. Both start a long chain from the root of a short
 chain spliced into the ring pattern (_start_rows), and run the
 full-length loop (_newton_block) only on the rows where that start fails
 tol, which a short window chain with the same neighbourhoods shows
-(_spliced_groups holds its geometry). _spliced_windows reads such a
-window back from a root whose half repeats with period 2 between the
-window's head and tail. tangent_rows gives dx/dalpha on the mirror half:
-on that window chain where the window passes tol and kappa is not too
-small (_TANGENT_SPLICE_LEN), on the full half otherwise.
+(_widths holds its geometry).
+
+A solved row travels as a part (rows, h, W): a spliced root as its
+window, whose bulk repeats the window's sites h-2 and h-1 by parity
+(_spread), any other as its whole mirror half, h = m. _unfold writes a
+part out whole; the scans and tangent_rows read parts as they are, and
+_spliced_windows reads a caller's half back into one.
+tangent_rows gives dx/dalpha on the mirror half: on the window chain
+where the window passes tol and kappa is not too small
+(_TANGENT_SPLICE_LEN), on the full half otherwise.
 
 LAPACK gtsv is bound at the first solve (_gtsv), not at import: loading
 scipy.linalg took 0.28-0.32 s of the package's 0.42-0.45 s import on a
@@ -186,7 +191,7 @@ def _ring_start(alpha):
 
 def _ring_rows(alphas, m):
     """(R, m) mirror halves holding the ring pattern hi, lo, hi, ... of each alpha."""
-    levels = np.array([_ring_start(a) for a in alphas])
+    levels = np.array([_ring_start(a) for a in alphas]).reshape(-1, 2)
     y = np.empty((len(alphas), m))
     y[:, 0::2] = levels[:, :1]
     y[:, 1::2] = levels[:, 1:]
@@ -271,26 +276,39 @@ def _tangent(alpha, z, k):
     return t
 
 
-def _spread(parts, m):
-    """The (R, m) tangent halves from the parts of tangent_rows, R rows in all.
+def _spread(y, h, W):
+    """Write the roots of a part (h, W) into the (R, m) half rows y; returns y.
 
-    A window's head is its first h sites and its tail its other w - h; the
-    bulk between them repeats the window's sites h-2 and h-1, by site
-    parity. A part with h = m is a whole half.
+    A window's first h sites go at the head and its other w - h at the end;
+    the bulk between, an even count, repeats sites h-2 and h-1 and is filled
+    in one pass as complex128 pairs, in memory order (y may run reversed).
     """
-    y = np.empty((sum(len(rows) for rows, *_ in parts), m))
-    for rows, h, _, window in parts:
-        y[rows, :h] = window[:, :h]
-        if h < m:
-            tail = m - window.shape[1] + h
-            y[rows, tail:] = window[:, h:]
-            y[rows, h:tail:2] = window[:, h - 2 : h - 1]
-            y[rows, h + 1 : tail : 2] = window[:, h - 1 : h]
+    tail = y.shape[1] - W.shape[1] + h
+    y[:, :h] = W[:, :h]
+    if h < tail:
+        y[:, tail:] = W[:, h:]
+        bulk, pair = y[:, h:tail], W[:, h - 2 : h]
+        if bulk.strides[1] < 0:
+            bulk, pair = bulk[:, ::-1], pair[:, ::-1]
+        bulk.view(np.complex128)[:] = np.ascontiguousarray(pair).view(np.complex128)
     return y
 
 
-def tangent_rows(n, alphas, X):
-    """dx/dalpha at each row of X, the chain's root for alphas[i], on the mirror half.
+def _unfold(h, W, n):
+    """The whole chains of a part (h, W): each half spread (_spread), x_{n+1-i} = x_i."""
+    m = (n + 1) // 2
+    x = np.empty((len(W), n))
+    if h == m:
+        x[:, :m] = W
+        x[:, m:] = W[:, : n - m][:, ::-1]
+        return x
+    for y in (x[:, :m], x[:, ::-1][:, :m]):
+        _spread(y, h, W)
+    return x
+
+
+def tangent_rows(n, alphas, parts):
+    """dx/dalpha at the roots of parts, on the mirror half.
 
     F_alpha is linear in alpha, so differentiating x = F_alpha(x) gives
     (I - F'(x)) t = F_alpha(x)/alpha. The root and the right side are
@@ -299,45 +317,40 @@ def tangent_rows(n, alphas, X):
     The derivative in alpha of any objective of the root is its gradient
     in x dotted with t. A row whose system is singular comes back nan.
 
-    Returns a list of parts (rows, h, W, T), each row of X in one part: W
-    and T hold the roots X[rows] and their tangents on the rows' windows,
-    head h (as _spliced_windows), or on their whole halves, h = m; _spread
-    turns the parts into (R, m) tangent halves. A spliced root's half, as _spliced_windows
-    reads it back from the root, is solved on its window chain where
-    L(alpha) <= _TANGENT_SPLICE_LEN and the window passes the default tol,
-    as the roots that newton_solve returns from the window check of
-    _start_rows do. Then the window holds the long half's (left, site,
-    right) triples, so its system is the long one with all but 4 bulk
-    sites cut out, and the long tangent's deviation from the bulk's decays
-    from both ends like the root's: the long tangent is the window's,
-    spread. Every other row is solved on the full half. A root whose bulk
-    holds the ring levels past 3/4 in swapped phase has a phase wall in
-    its head, where I - F' is numerically singular on either path.
+    parts are parts (rows, h, W) of newton_rows, W[i] the root for
+    alphas[rows[i]]; each row comes back in one part (rows, h, W, T), T on
+    the sites of W. A window with L(alpha) <= _TANGENT_SPLICE_LEN that
+    passes the default tol, as newton_rows' windows do, is solved on its
+    window chain: it holds the long half's (left, site, right) triples, so
+    the long tangent's deviation from the bulk's decays from both ends like
+    the root's, and the long tangent is the window's, spread. Every other
+    row is solved on the full half, h = m. A root whose bulk holds the ring
+    levels past 3/4 in swapped phase has a phase wall in its head, where
+    I - F' is numerically singular on either path.
 
-    The folded system has no antisymmetric mode. On the whole chain it
-    would: on an even chain past alpha = 3/4, I - F' has a near-null
-    antisymmetric mode (sigma_min down to 1e-16), along which a
-    whole-chain solve's error reaches O(1).
+    The folded system has no antisymmetric mode. The whole chain's I - F'
+    has a near-null one on an even chain past alpha = 3/4 (sigma_min down
+    to 1e-16), along which a whole-chain solve's error reaches O(1).
     """
     m = (n + 1) // 2
     k = m - 1 - n % 2
     a = np.asarray(alphas, dtype=float)[:, None]
-    parts = []
-    full = np.ones(len(X), dtype=bool)
-    for _, ns, h, rows, window in _spliced_windows(n, alphas, X):
-        if ns - n % 4 > _TANGENT_SPLICE_LEN:
-            continue
-        kw = window.shape[1] - 1 - n % 2
-        z, g, _ = _merit(a[rows], window, kw)
-        ok = np.abs(g).max(axis=1) <= SolveOptions().tol
-        if ok.any():
-            parts.append((rows[ok], h, window[ok], _tangent(a[rows[ok]], z[ok], kw)))
-            full[rows[ok]] = False
-    if full.any():
-        rows = np.flatnonzero(full)
-        y = X[rows, :m]
-        parts.append((rows, m, y, _tangent(a[rows], _pad(y, k), k)))
-    return parts
+    longest = (_TANGENT_SPLICE_LEN + n % 4 + 1) // 2 + 4
+    out, full = [], []
+    for rows, h, W in parts:
+        if h < m and W.shape[1] <= longest:
+            kw = W.shape[1] - 1 - n % 2
+            z, g, _ = _merit(a[rows], W, kw)
+            ok = np.abs(g).max(axis=1) <= SolveOptions().tol
+            if ok.any():
+                out.append((rows[ok], h, W[ok], _tangent(a[rows[ok]], z[ok], kw)))
+            rows, W = rows[~ok], W[~ok]
+        if len(rows):
+            full.append((rows, W if h == m else _spread(np.empty((len(W), m)), h, W)))
+    if full:
+        rows, y = full[0] if len(full) == 1 else (np.concatenate(c) for c in zip(*full))
+        out.append((rows, m, y, _tangent(a[rows], _pad(y, k), k)))
+    return out
 
 
 def _line_search(alpha, y, z, g, phi, delta, k):
@@ -366,14 +379,13 @@ def _line_search(alpha, y, z, g, phi, delta, k):
             return y, z, g, phi, todo
 
 
-def _newton_block(n, alphas, opts, y, solved):
+def _newton_block(n, alphas, opts, y):
     """The half-chain Newton loop on one row per alpha, all rows at once.
 
     Starts from the (R, m) halves y and returns them, overwritten with the
-    roots or last iterates, and per row None or why its solve failed. The
-    rows marked in solved, whose start already passes tol (_start_rows),
-    come back as started and take no work. A row leaves the loop when it
-    converges or fails; the others step on, each with its own line search.
+    roots or last iterates, and per row None or why its solve failed. A row
+    leaves the loop when it converges or fails; the others step on, each
+    with its own line search.
     """
     cap = opts.max_iter if opts.max_iter is not None else _NEWTON_MAX_ITER
     m = y.shape[1]
@@ -382,9 +394,8 @@ def _newton_block(n, alphas, opts, y, solved):
     # rows leave into the start halves, which the loop no longer needs
     out = y
     why = [None] * len(alphas)
-    live = np.flatnonzero(~solved)
-    a = np.array(alphas, dtype=float)[live, None]
-    y = y[live]
+    live = np.arange(len(alphas))
+    a = np.array(alphas, dtype=float)[:, None]
     z, g, phi = _merit(a, y, k)
 
     def leave(gone, reason=None):
@@ -443,27 +454,21 @@ def _splice_len(alpha):
     return length
 
 
-def _spliced_groups(n, alphas):
-    """The rows of alphas that a chain of n pairs splices, grouped by short chain.
+def _widths(n, alphas):
+    """The unknowns of each alpha's part on a chain of n pairs, a list of ints.
 
-    Yields (n', w, h, rows) per short length L(alpha) (_splice_len): the
-    short chain's n' = L(alpha) + n % 4 pairs, the window chain's half
-    length w = ceil(n'/2) + 4, its head length h = w // 2, and the indices
-    of the rows with n >= 8 L(alpha). On a long half of m sites the window
-    is y[:h] ++ y[m - w + h:]: the short root's head, 4 ring sites and its
-    tail. Below 8 _SPLICE_MIN pairs nothing is computed.
+    Where n >= 8 L(alpha) (_splice_len), the window chain's w =
+    ceil(n'/2) + 4, n' = L(alpha) + n % 4; on a long half its window is
+    y[:h] ++ y[m - w + h:], h = w // 2. Elsewhere m = ceil(n/2).
     """
-    if n < 8 * _SPLICE_MIN:
-        return
-    groups = {}
-    for i, a in enumerate(alphas):
-        length = _splice_len(a)
-        if n >= 8 * length:
-            groups.setdefault(length, []).append(i)
-    for length, rows in groups.items():
-        ns = length + n % 4
-        w = (ns + 1) // 2 + 4
-        yield ns, w, w // 2, rows
+    m = (n + 1) // 2
+    widths = [m] * len(alphas)
+    if n >= 8 * _SPLICE_MIN:
+        for i, a in enumerate(alphas):
+            length = _splice_len(a)
+            if n >= 8 * length:
+                widths[i] = (length + n % 4 + 1) // 2 + 4
+    return widths
 
 
 def _period_2(y):
@@ -476,32 +481,28 @@ def _period_2(y):
     return bool((y[:-2] == y[2:]).all())
 
 
-def _spliced_windows(n, alphas, *Ys):
-    """The windows of the spliced halves among the rows of each Y in Ys, group by group.
+def _spliced_windows(n, alpha, *halves):
+    """Each half y in halves of a chain of n pairs for alpha, as a part (h, W) of one row.
 
-    Row i of a Y holds a half of a chain of n pairs for alphas[i] in its
-    first m = ceil(n/2) sites: a root, a mirror half or a root reversed
-    (its right half). Yields (side, n', h, rows, windows) per group
-    (n', w, h) of _spliced_groups and Y = Ys[side]: the rows whose half
-    repeats with period 2 from the window's site h-2 to the first two
-    sites of its tail, y[h-2:tail] == y[h:tail+2] with tail = m - w + h,
-    and their (len(rows), w) windows y[:h] ++ y[tail:m]. Such a half is
-    its window with the bulk repeating the window's sites h-2 and h-1 by
-    parity, m - w sites with an even count, so a sum over the half is the
-    window's with weight 1 + (m - w)/2 at those two sites. A nan in the
-    bulk fails the test.
+    y holds m = ceil(n/2) sites: a left half, or a right half reversed.
+    Where the chain splices (_widths) and y[h-2:tail] == y[h:tail+2],
+    tail = m - w + h, the part is the window y[:h] ++ y[tail:], which
+    _spread turns back into y, so a sum over the half is the window's with
+    weight 1 + (m - w)/2 at its sites h-2 and h-1. Any other half is given
+    whole, h = m. A nan in the bulk fails the test.
     """
     m = (n + 1) // 2
-    for ns, w, h, rows in _spliced_groups(n, alphas):
-        tail = m - w + h
-        for side, Y in enumerate(Ys):
-            kept = np.array([i for i in rows if _period_2(Y[i, h - 2 : tail + 2])], dtype=int)
-            if len(kept):
-                yield side, ns, h, kept, np.concatenate((Y[kept, :h], Y[kept, tail:m]), axis=1)
+    (w,) = _widths(n, [alpha])
+    h = w // 2
+    tail = m - w + h
+    return [
+        (h, np.concatenate((y[:h], y[tail:]))[None]) if w < m and _period_2(y[h - 2 : tail + 2]) else (m, y[None])
+        for y in halves
+    ]
 
 
-def _start_rows(n, alphas, opts):
-    """Newton start halves, spliced near the ends of a long chain, and the rows they solve.
+def _start_rows(n, alphas, opts, widths):
+    """Newton starts for a block of alphas, spliced near the ends of a long chain, and the rows they solve.
 
     Away from its ends a long chain sits on the ring pattern, up to border
     layers that decay like e^{-kappa i}. So for n >= 8 L(alpha)
@@ -513,65 +514,88 @@ def _start_rows(n, alphas, opts):
     meets the mirror in the same phase. A short solve that fails still
     leaves its last iterate: the full-length loop decides.
 
-    The window chain is the short root's mirror half with 4 ring sites of
-    _ring_rows between its first and second halves: w = m' + 4 sites, in
-    the same phase (_spliced_groups). The long start half is the window's
-    first h = w // 2 sites at the head and its other w - h at the mirror
-    end, with the ring pattern of _ring_rows between; tangent_rows reads
-    the same window back from a root. Each site of G = y - F(y) depends
-    only on the site and its two neighbours, and the window holds exactly
-    the (left, site, right) triples of the long half, so its max |G| from
-    _merit is the long half's, bit for bit. Returns the (R, m) start
-    halves and the mask of rows whose window passes tol: there the
-    full-length loop would return the start without a step. Below
-    8 _SPLICE_MIN pairs nothing is computed and no row is marked.
+    The window chain is the short root's mirror half with 4 ring sites
+    between its first and second halves, w = m' + 4 sites (_widths), and
+    spread over the long half (_spread) it is the long start half. Each
+    site of G = y - F(y) depends only on the site and its two neighbours,
+    so the window's max |G| from _merit is the long half's, bit for bit.
+    Where that passes tol the full-length loop would return the start
+    without a step: the window is the root. Returns the parts (rows, h, W)
+    of those windows, the indices of the other rows and only their
+    (R', m) start halves, the ring pattern or the window spread.
     """
     m = (n + 1) // 2
-    y = _ring_rows(alphas, m)
-    solved = np.zeros(len(alphas), dtype=bool)
-    for ns, w, h, rows in _spliced_groups(n, alphas):
-        picked = [alphas[i] for i in rows]
-        start = _ring_rows(picked, (ns + 1) // 2)
-        short, _ = _newton_block(ns, picked, opts, start, np.zeros(len(rows), dtype=bool))
+    parts, failed, rest = [], [], [i for i, w in enumerate(widths) if w == m]
+    for w in dict.fromkeys(w for w in widths if w < m):
+        # n' has the parity of n, so w - 4 = ceil(n'/2) gives n'
+        ns, h, rows = 2 * (w - 4) - n % 2, w // 2, np.array([i for i, v in enumerate(widths) if v == w])
+        picked = [alphas[i] for i in rows.tolist()]
+        short, _ = _newton_block(ns, picked, opts, _ring_rows(picked, (ns + 1) // 2))
         window = _ring_rows(picked, w)
         window[:, : h - 2] = short[:, : h - 2]
         window[:, h + 2 :] = short[:, h - 2 :]
-        y[rows, :h] = window[:, :h]
-        y[rows, m - w + h :] = window[:, h:]
         _, g, _ = _merit(np.array(picked, dtype=float)[:, None], window, w - 1 - n % 2)
-        solved[rows] = np.abs(g).max(axis=1) <= opts.tol
-    return y, solved
-
-
-def _unfold(y, n):
-    """Whole chains from their mirror halves: x_{n+1-i} = x_i."""
-    m = y.shape[1]
-    x = np.empty((len(y), n))
-    x[:, :m] = y
-    x[:, m:] = y[:, : n - m][:, ::-1]
-    return x
+        ok = np.abs(g).max(axis=1) <= opts.tol
+        if ok.any():
+            parts.append((rows[ok], h, window[ok]))
+        if not ok.all():
+            failed.append((rows[~ok], h, window[~ok]))
+            rest += rows[~ok].tolist()
+    rest = sorted(rest)
+    y = _ring_rows([alphas[i] for i in rest], m)
+    for rows, h, window in failed:
+        y[np.searchsorted(rest, rows)] = _spread(np.empty((len(rows), m)), h, window)
+    return parts, np.array(rest, dtype=int), y
 
 
 def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
-    Yields (indices, roots) for consecutive blocks of alphas, in input
-    order: roots[i] is the root for alphas[indices[i]], bit for bit what
-    newton_solve returns for it. A row whose solve fails is left out
-    together with its index. A block holds as many rows as fit in
-    _STACK_UNKNOWNS half-chain unknowns, so memory stays bounded however
-    many alphas come in. Each block's rows start from _start_rows, and
-    only the rows whose start fails its window check run the full-length
-    loop. The alphas are not checked here: maximize_J, fit_alpha and
-    sweep_J check each one where it enters.
+    Yields (indices, parts) for consecutive blocks of alphas, in input
+    order: the block's solved rows, and parts (rows, h, W) holding the
+    roots for alphas[rows], each bit for bit newton_solve's once unfolded
+    (_unfold); a failed row is left out. A block holds as many rows as fit
+    in _STACK_UNKNOWNS unknowns, a row counting its width (_widths), so
+    memory stays bounded however many alphas come in; the rows whose start
+    fails its window check (_start_rows) run the full-length loop at most
+    _STACK_UNKNOWNS // m at a time. The alphas are not checked here:
+    maximize_J, fit_alpha and sweep_J check each one where it enters.
     """
     alphas = list(alphas)
-    per_block = max(1, _STACK_UNKNOWNS // ((n + 1) // 2))
-    for start in range(0, len(alphas), per_block):
-        block = alphas[start : start + per_block]
-        y, why = _newton_block(n, block, opts, *_start_rows(n, block, opts))
-        ok = [i for i, reason in enumerate(why) if reason is None]
-        yield start + np.array(ok, dtype=int), _unfold(y[ok], n)
+    m = (n + 1) // 2
+    widths = _widths(n, alphas)
+    step, start = max(1, _STACK_UNKNOWNS // m), 0
+    while start < len(alphas):
+        stop, total = start + 1, widths[start]
+        while stop < len(alphas) and total + widths[stop] <= _STACK_UNKNOWNS:
+            total, stop = total + widths[stop], stop + 1
+        block = alphas[start:stop]
+        parts, rest, y = _start_rows(n, block, opts, widths[start:stop])
+        why = []
+        for i in range(0, len(rest), step):
+            why += _newton_block(n, [block[j] for j in rest[i : i + step].tolist()], opts, y[i : i + step])[1]
+        ok = [k for k, reason in enumerate(why) if reason is None]
+        if ok:
+            parts.append((rest[ok], m, y[ok]) if len(ok) < len(y) else (rest, m, y))
+        solved = parts[0][0] if len(parts) == 1 else np.sort(np.concatenate([rest[:0]] + [p[0] for p in parts]))
+        yield start + solved, [(start + rows, h, W) for rows, h, W in parts]
+        start = stop
+
+
+def _solve_part(params, opts):
+    """newton_solve's root as a part (h, W) of one row (newton_rows), or its ConvergenceError."""
+    check_instance("params", params, ChainParams)
+    check_instance("opts", opts, SolveOptions)
+    n, alpha = params.n, params.alpha
+    parts, _, y = _start_rows(n, [alpha], opts, _widths(n, [alpha]))
+    if parts:
+        return parts[0][1:]
+    y, (why,) = _newton_block(n, [alpha], opts, y)
+    if why is not None:
+        (x,) = _unfold(y.shape[1], y, n)
+        r = residual(params, x)
+        raise ConvergenceError(f"newton_solve {why} (n={n}, alpha={alpha}, residual={r:.3e})", last=x, residual=r)
+    return y.shape[1], y
 
 
 def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np.ndarray:
@@ -584,23 +608,14 @@ def newton_solve(params: ChainParams, opts: SolveOptions = SolveOptions()) -> np
     system. Each step is backtracked until ||G||_2^2 passes the Armijo
     test. The start is the ring root (_ring_start), spliced near the ends
     of a long chain (_start_rows); a spliced start that passes the window
-    check there is returned without a full-length pass. The returned
-    root keeps the start's layout: past alpha = 3/4 the components
-    alternate high/low inward from both ends, with a central defect
-    x_{n/2} = x_{n/2+1} for even n. Raises ConvergenceError (with the last
-    iterate and residual) when the step cap is hit or the line search
-    cannot reduce the merit.
+    check there is written straight from its window into the returned
+    chain (_unfold), with no full-length pass. The returned root keeps the
+    start's layout: past alpha = 3/4 the components alternate high/low
+    inward from both ends, with a central defect x_{n/2} = x_{n/2+1} for
+    even n. Raises ConvergenceError (with the last iterate and residual)
+    when the step cap is hit or the line search cannot reduce the merit.
     """
-    check_instance("params", params, ChainParams)
-    check_instance("opts", opts, SolveOptions)
-    n, alpha = params.n, params.alpha
-    y, (why,) = _newton_block(n, [alpha], opts, *_start_rows(n, [alpha], opts))
-    (x,) = _unfold(y, n)
-    if why is not None:
-        r = residual(params, x)
-        raise ConvergenceError(
-            f"newton_solve {why} (n={n}, alpha={alpha}, residual={r:.3e})", last=x, residual=r
-        )
+    (x,) = _unfold(*_solve_part(params, opts), params.n)
     return x
 
 

@@ -5,6 +5,8 @@ and fit_alpha and the rows of sweep_J are solved, so a test can make a
 chosen alpha fail or count the serial solves of a maximization or fit.
 """
 
+import numpy as np
+
 import chainfair.fairness as fairness_module
 
 
@@ -13,16 +15,17 @@ def force_failures(monkeypatch, bad):
 
     bad is a set of alphas or a predicate on alpha. The scans' batches and
     the refinements' one-alpha solves both go through newton_rows; a forced
-    row is left out of its block, as a failed one is.
+    row is left out of its block and its part, as a failed one is.
     """
     fails = bad if callable(bad) else bad.__contains__
     real = fairness_module.newton_rows
 
     def rows(n, alphas, *args):
         alphas = list(alphas)
-        for indices, X in real(n, alphas, *args):
-            keep = [k for k, i in enumerate(indices) if not fails(alphas[i])]
-            yield indices[keep], X[keep]
+        for indices, parts in real(n, alphas, *args):
+            keep = [np.array([not fails(alphas[i]) for i in rows], dtype=bool) for rows, _, _ in parts]
+            parts = [(rows[k], h, W[k]) for (rows, h, W), k in zip(parts, keep) if k.any()]
+            yield indices[[not fails(alphas[i]) for i in indices]], parts
 
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
 

@@ -404,6 +404,15 @@ class TestFitCommand:
         assert code == 2 and out == ""
         assert "ratio" in err
 
+    def test_two_pair_trace_is_a_usage_error(self, capsys, tmp_path):
+        # x_1 = x_2 at every alpha, so no alpha fits better than another:
+        # the fit printed alpha_fit,0.05 and exited 0
+        path = tmp_path / "two.csv"
+        path.write_text("pair,rate\n1,1.0\n2,0.5\n")
+        code, out, err = run(capsys, ["fit", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert "two-pair" in err
+
     @pytest.mark.parametrize("row", ["1,abc", "x,1.0", "1"])
     def test_malformed_trace(self, capsys, tmp_path, row):
         path = tmp_path / "bad.csv"

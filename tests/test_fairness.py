@@ -19,11 +19,11 @@ from chainfair import (
     newton_solve,
     sweep_J,
 )
-from chainfair.solver import _spread, _unfold, tangent_rows
+from chainfair.solver import _unfold
 
 from patching import count_solves, force_failures, off_grid
 from reference import jacobian_F
-from test_solver import WINDOW_ALPHAS, gtsv_sizes, window_half
+from test_solver import WINDOW_ALPHAS, gtsv_sizes, tangent_halves, window_half
 
 
 GRID = np.linspace(0.01, 0.99, 99)
@@ -63,7 +63,7 @@ class TestTangent:
         # the tangent J_prime and the scans take, against the dense system
         params = ChainParams(n, alpha)
         x = newton_solve(params)
-        (t,) = _unfold(_spread(tangent_rows(n, [alpha], x[None]), (n + 1) // 2), n)
+        (t,) = _unfold((n + 1) // 2, tangent_halves(n, [alpha], x[None]), n)
         system = np.eye(n) - jacobian_F(params, x)
         rhs = apply_F(params, x) / alpha
         assert np.max(np.abs(system @ t - rhs)) <= 1e-10
@@ -79,7 +79,7 @@ class TestTangent:
         # I - F' has a near-null antisymmetric mode here; the whole-chain
         # solve was off by up to 0.78 along it
         x = newton_solve(ChainParams(n, alpha))
-        (t,) = _unfold(_spread(tangent_rows(n, [alpha], x[None]), (n + 1) // 2), n)
+        (t,) = _unfold((n + 1) // 2, tangent_halves(n, [alpha], x[None]), n)
         h = 1e-6
         fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
         np.testing.assert_allclose(t, fd, rtol=0.0, atol=1e-7)
@@ -137,6 +137,36 @@ class TestJPrime:
             assert peak <= bound * 8 * n, f.__name__
 
 
+    @pytest.mark.parametrize("f", [J, J_prime])
+    def test_memory_of_a_solved_root_at_a_billion_pairs(self, f):
+        # J and J' without x read the solved root's window and build no
+        # chain-length array; the start half alone would take 4 GB
+        f(0.8, 1000)
+        tracemalloc.start()
+        try:
+            f(0.8, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_half_period_tested_once_each(self, monkeypatch):
+        # the tangent takes the left half's part from the range check; it
+        # was tested again for the tangent, 3 tests of a half in all
+        n, alpha = 10**6, 0.6826
+        x = newton_solve(ChainParams(n, alpha))
+        calls = []
+        real = solver_module._period_2
+
+        def period_2(y):
+            calls.append(len(y))
+            return real(y)
+
+        monkeypatch.setattr(solver_module, "_period_2", period_2)
+        J_prime(alpha, n, x)
+        assert len(calls) == 2
+
+
 class TestWindowSums:
     """J and J' of a spliced root summed on its window: the bulk repeats the window's sites h-2 and h-1."""
 
@@ -149,12 +179,12 @@ class TestWindowSums:
         length = solver_module._splice_len(alpha)
         for n in [8 * length + r for r in range(4)] + [65_537, 100_001, 10**6]:
             x = newton_solve(ChainParams(n, alpha))
-            spliced, _ = fairness_module._halves(n, [alpha], x[None])
-            assert spliced.all(), n
-            assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0), n
             m = (n + 1) // 2
+            _, halves = fairness_module._halves(alpha, n, x)
+            assert all(h < m for h, _ in halves), n
+            assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0), n
             seen = gtsv_sizes(monkeypatch)
-            t = _spread(tangent_rows(n, [alpha], x[None]), m)[0]
+            (t,) = tangent_halves(n, [alpha], x[None])
             jp = J_prime(alpha, n, x)
             monkeypatch.undo()
             assert 0 < max(seen) <= window_half(n, alpha), n
@@ -173,8 +203,8 @@ class TestWindowSums:
             x[n - 1 - n // 4] += 1e-3
         else:
             x[n - 3 :] *= 0.9
-        mask, _ = fairness_module._halves(n, [alpha], x[None])
-        assert mask[:, 0].tolist() == spliced
+        _, halves = fairness_module._halves(alpha, n, x)
+        assert [h < (n + 1) // 2 for h, _ in halves] == spliced
         assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
 
     def test_zeros_in_the_head(self):
@@ -183,7 +213,8 @@ class TestWindowSums:
         n, alpha = 100_001, 0.8
         x = newton_solve(ChainParams(n, alpha))
         x[[0, 1, n - 1, (n - 1) // 2]] = 0.0
-        assert fairness_module._halves(n, [alpha], x[None])[0].all()
+        _, halves = fairness_module._halves(alpha, n, x)
+        assert all(h < (n + 1) // 2 for h, _ in halves)
         assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, 0.0])
@@ -295,13 +326,13 @@ class TestMaximizeJ:
         real = fairness_module._search
 
         def search(n, grid, value, slope, width):
-            def logged_value(alphas, X):
-                out = value(alphas, X)
-                values.extend(out)
+            def logged_value(alphas, h, W):
+                out = value(alphas, h, W)
+                values.extend(zip(alphas, out))
                 return out
 
-            def logged_slope(alphas, X):
-                out = slope(alphas, X)
+            def logged_slope(alphas, parts):
+                out = slope(alphas, parts)
                 slopes.extend(zip(alphas, out))
                 return out
 
@@ -309,7 +340,8 @@ class TestMaximizeJ:
 
         monkeypatch.setattr(fairness_module, "_search", search)
         maximize_J(n)
-        assert values[: len(GRID)] == [J(float(a), n) for a in GRID]
+        # a block's values come part by part
+        assert sorted(values[: len(GRID)]) == [(a, J(float(a), n)) for a in GRID]
         assert len(slopes) >= 2
         for a, s in slopes:
             assert s == J_prime(float(a), n)
@@ -355,9 +387,9 @@ class TestMaximizeJ:
         rows = []
         real = fairness_module.tangent_rows
 
-        def tangent(n, alphas, X):
-            rows.append(len(X))
-            return real(n, alphas, X)
+        def tangent(n, alphas, parts):
+            rows.append(sum(len(part[0]) for part in parts))
+            return real(n, alphas, parts)
 
         monkeypatch.setattr(fairness_module, "tangent_rows", tangent)
         res = maximize_J(n)
@@ -456,6 +488,21 @@ class TestSweepJ:
         rows = sweep_J(5, [dtype("nan"), dtype("inf"), dtype(0.5)])
         assert np.isnan(rows[0][1]) and np.isnan(rows[1][1])
         assert rows[2][1] == J(0.5, 5)
+
+    def test_memory_of_a_huge_sweep(self):
+        # spliced rows are valued on their windows; a start half of 10^8
+        # pairs would take 400 MB
+        alphas = [0.3, 0.5, 0.8, 0.95]
+        sweep_J(1000, alphas)
+        tracemalloc.start()
+        try:
+            rows = sweep_J(10**8, alphas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        for (_, big), (_, ref) in zip(rows, sweep_J(10**5, alphas)):
+            assert big == pytest.approx(ref, rel=1e-3)
 
     @pytest.mark.parametrize("alphas", [None, 0.5])
     def test_non_iterable_alphas_refused(self, alphas):

@@ -20,6 +20,7 @@ from chainfair import (
 )
 
 from patching import count_solves, force_failures, off_grid
+from test_solver import unfolded
 
 NS2_THREE_PAIRS = ThroughputTrace(rates=[1.55, 0.04, 1.55])
 
@@ -32,6 +33,12 @@ def ratios(n, alpha):
     """The solved chain over its first pair, x(alpha)/x_1(alpha)."""
     x = newton_solve(ChainParams(n, alpha))
     return x / x[0]
+
+
+def whole_part(x):
+    """The root x as the one part of its whole mirror half."""
+    m = (len(x) + 1) // 2
+    return [(np.zeros(1, dtype=int), m, x[None, :m])]
 
 
 def observed(trace, alpha=0.5):
@@ -169,6 +176,18 @@ class TestFitAlpha:
         with pytest.raises(DomainError):
             fit_alpha(ThroughputTrace(rates=rates))
 
+    @pytest.mark.parametrize("rates", [[1.0, 1.0], [1.0, 3.0]])
+    def test_two_pair_trace_refused(self, monkeypatch, rates):
+        # the root of two pairs has x_1 = x_2 at every alpha, so the SSE is
+        # constant in alpha: these returned alpha_fit = 0.05 with sse 0.0
+        # and 4.0
+        def no_solve(*args):
+            raise AssertionError("the trace was solved before it was refused")
+
+        monkeypatch.setattr(fairness_module, "newton_rows", no_solve)
+        with pytest.raises(DomainError, match="two-pair"):
+            fit_alpha(ThroughputTrace(rates=rates))
+
     def test_all_solves_failing_is_fit_error(self, monkeypatch):
         force_failures(monkeypatch, lambda a: True)
         with pytest.raises(FitError):
@@ -224,7 +243,7 @@ class TestFitAlpha:
             for alpha in (0.3, 0.5, 0.7, 0.862):
                 fd = (sse(alpha + h) - sse(alpha - h)) / (2 * h)
                 x = newton_solve(ChainParams(n, alpha))
-                (slope,) = fit_module._sse_slopes(n, [alpha], x[None], rho)
+                (slope,) = fit_module._sse_slopes(n, [alpha], whole_part(x), rho)
                 worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
         assert worst <= 1e-6
 
@@ -241,7 +260,7 @@ class TestFitAlpha:
             return float(np.sum((ratios(n, a) - rho) ** 2))
 
         fd = (sse(alpha + h) - sse(alpha - h)) / (2 * h)
-        (slope,) = fit_module._sse_slopes(n, [alpha], x[None], rho)
+        (slope,) = fit_module._sse_slopes(n, [alpha], whole_part(x), rho)
         assert slope == pytest.approx(fd, rel=1e-6)
 
 
@@ -324,14 +343,14 @@ class TestModelRatios:
         alphas = np.linspace(0.05, 0.99, 33)
         blocks = list(fairness_module.newton_rows(n, alphas))
         rows = np.concatenate([r for r, _ in blocks])
-        X = np.concatenate([x for _, x in blocks])
         assert rows.tolist() == list(range(33))
-        assert X.shape == (33, n)
-        for a, x in zip(alphas, X):
-            assert np.array_equal(x, newton_solve(ChainParams(n, float(a))))
+        roots = unfolded(n, [part for _, parts in blocks for part in parts])
+        for i, a in enumerate(alphas):
+            assert np.array_equal(roots[i], newton_solve(ChainParams(n, float(a))))
 
     def test_failed_rows_are_left_out(self, monkeypatch):
         force_failures(monkeypatch, {0.6})
-        ((rows, X),) = fairness_module.newton_rows(5, [0.3, 0.6, 0.9])
+        ((rows, parts),) = fairness_module.newton_rows(5, [0.3, 0.6, 0.9])
         assert rows.tolist() == [0, 2]
-        assert np.array_equal(X, [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])
+        roots = unfolded(5, parts)
+        assert np.array_equal([roots[0], roots[2]], [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])

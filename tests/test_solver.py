@@ -243,12 +243,19 @@ ROW_ALPHAS = [1e-300] + [round(0.05 * k, 2) for k in range(1, 16)] + [0.7501, 0.
 MIXED_ALPHAS = [0.05, 0.5, 0.7499, 0.75, 0.7501, 0.8, 0.95, 1.0 - 2.0**-52, 1e-300, 0.3]
 
 
+def unfolded(n, parts):
+    """The whole roots of parts of newton_rows, by row index."""
+    return {i: x for rows, h, W in parts for i, x in zip(rows.tolist(), solver_module._unfold(h, W, n))}
+
+
 def all_rows(n, alphas, opts=SolveOptions()):
     """Flatten newton_rows into each alpha's root, or None where its solve failed."""
     out = [None] * len(alphas)
-    for rows, X in newton_rows(n, alphas, opts):
-        for i, x in zip(rows.tolist(), X):
-            out[i] = x
+    for rows, parts in newton_rows(n, alphas, opts):
+        roots = unfolded(n, parts)
+        assert sorted(roots) == rows.tolist()
+        for i in rows.tolist():
+            out[i] = roots[i]
     return out
 
 
@@ -287,12 +294,16 @@ class TestNewtonRows:
         assert mixed >= 3
 
     def test_blocks_respect_the_stack_cap(self):
+        # a row counts its window chain's w unknowns where the chain
+        # splices, its half's m elsewhere
         n, m = 5000, 2500
         alphas = np.linspace(0.01, 0.99, 99)
-        sizes = [len(X) for _, X in newton_rows(n, alphas)]
-        assert sum(sizes) == 99
-        assert max(sizes) * m <= _STACK_UNKNOWNS
-        assert len(sizes) > 1
+        blocks = list(newton_rows(n, alphas))
+        assert sum(len(rows) for rows, _ in blocks) == 99
+        unknowns = [sum(W.size for _, _, W in parts) for _, parts in blocks]
+        assert max(unknowns) <= _STACK_UNKNOWNS
+        assert {W.shape[1] for _, parts in blocks for _, _, W in parts} > {m}
+        assert len(blocks) > 1
         assert len(all_rows(10**6, [0.6])) == 1
 
     def test_memory_bounded_by_the_stack_cap(self):
@@ -381,9 +392,9 @@ def full_solve(n, alpha, opts=SolveOptions()):
 
     Returns the root or last iterate and None or why the loop failed.
     """
-    start = solver_module._ring_rows([alpha], (n + 1) // 2)
-    y, (why,) = solver_module._newton_block(n, [alpha], opts, start, np.zeros(1, dtype=bool))
-    return solver_module._unfold(y, n)[0], why
+    m = (n + 1) // 2
+    y, (why,) = solver_module._newton_block(n, [alpha], opts, solver_module._ring_rows([alpha], m))
+    return solver_module._unfold(m, y, n)[0], why
 
 
 def gtsv_sizes(monkeypatch):
@@ -400,18 +411,17 @@ def gtsv_sizes(monkeypatch):
 
 
 def newton_halves(monkeypatch):
-    """Make solver._newton_block append the half length of every run with a row left to solve to the returned list.
+    """Make solver._newton_block append the half length of every run to the returned list.
 
-    A row counts whether it then steps or not; a run whose rows the window
-    check of _start_rows all solved does no work and is not recorded.
+    A row counts whether it then steps or not; a row whose window check of
+    _start_rows passes runs no full-length loop.
     """
     seen = []
     real = solver_module._newton_block
 
-    def recording(n, alphas, opts, y, solved):
-        if not solved.all():
-            seen.append(y.shape[1])
-        return real(n, alphas, opts, y, solved)
+    def recording(n, alphas, opts, y):
+        seen.append(y.shape[1])
+        return real(n, alphas, opts, y)
 
     monkeypatch.setattr(solver_module, "_newton_block", recording)
     return seen
@@ -439,14 +449,23 @@ class TestSplicedLongChains:
         # for bit, and marks the row solved exactly when it passes tol
         full_merit = solver_module._merit
         seen = window_merits(monkeypatch)
-        y, solved = solver_module._start_rows(n, [alpha], SolveOptions())
+        widths = solver_module._widths(n, [alpha])
+        parts, rest, y = solver_module._start_rows(n, [alpha], SolveOptions(), widths)
         length = solver_module._splice_len(alpha)
-        if n < 8 * length:
-            assert seen == [] and not solved.any()
-            return
         m, window = (n + 1) // 2, (length + n % 4 + 1) // 2 + 4
+        if n < 8 * length:
+            assert seen == [] and not parts and widths == [m]
+            return
         width, window_max = seen[-1]
-        assert width == window
+        assert width == window == widths[0]
+        # a row whose window passes comes back as its window, the others
+        # as the window spread over the start half
+        solved = np.array([bool(parts)])
+        assert len(rest) == (not parts)
+        if parts:
+            ((_, h, W),) = parts
+            assert W.shape == (1, window)
+            y = solver_module._spread(np.empty((1, m)), h, W)
         _, g, _ = full_merit(np.array([[alpha]]), y, m - 1 - n % 2)
         full_max = np.abs(g).max(axis=1)
         assert window_max.tobytes() == full_max.tobytes()
@@ -552,10 +571,11 @@ class TestSplicedLongChains:
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", len(alphas) * ((n + 1) // 2))
         lengths = {solver_module._splice_len(a) for a in alphas if n >= 8 * solver_module._splice_len(a)}
         assert len(lengths) >= 3
-        ((rows, X),) = newton_rows(n, alphas)
+        ((rows, parts),) = newton_rows(n, alphas)
         assert rows.tolist() == list(range(len(alphas)))
-        for x, ref in zip(X, refs):
-            assert np.array_equal(x, ref)
+        roots = unfolded(n, parts)
+        for i, ref in enumerate(refs):
+            assert np.array_equal(roots[i], ref)
 
     @pytest.mark.parametrize("n", [1024, 100_000])
     @pytest.mark.parametrize("alpha", [1e-300, 1e-12, 1.0 - 1e-12])
@@ -578,12 +598,12 @@ class TestSplicedLongChains:
     def test_splice_is_taken_for_every_residue_mod_4(self, monkeypatch, n):
         # a short chain of the wrong residue meets the bulk pattern out of
         # phase past alpha = 3/4, and the full-length loop would step; here
-        # every block holds one row, so no gtsv call may exceed a short half
+        # the rows share a block, so no gtsv call may exceed their short
+        # halves stacked
         alphas = [0.3, 0.6826, 0.8, 0.95]
         seen = gtsv_sizes(monkeypatch)
         assert all(x is not None for x in all_rows(n, alphas))
-        longest = max(solver_module._splice_len(a) for a in alphas)
-        assert 0 < max(seen) <= (longest + n % 4 + 1) // 2
+        assert 0 < max(seen) <= sum((solver_module._splice_len(a) + n % 4 + 1) // 2 for a in alphas)
 
     @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
     def test_big_solve_memory(self, alpha):
@@ -594,10 +614,11 @@ class TestSplicedLongChains:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a spliced start that passes the window check peaks at 1.5 x 8n
-        # bytes, its half and the unfolded root; a full-length step peaks
-        # at 6 x 8n
-        assert peak < 1.75 * 8 * n
+        # a spliced start that passes the window check is written straight
+        # into the root, 1.0 x 8n bytes; with its start half and the
+        # unfolded root it peaked at 1.5 x 8n, and a full-length step
+        # peaks at 6 x 8n
+        assert peak < 1.25 * 8 * n
 
     def test_rejected_splice_falls_through(self, monkeypatch):
         # a short root off by 1e-9 at the site next to the junction fails
@@ -605,8 +626,8 @@ class TestSplicedLongChains:
         n, alpha = 10**6, 0.8
         real = solver_module._newton_block
 
-        def newton_block(n_block, alphas, opts, y, solved):
-            out, why = real(n_block, alphas, opts, y, solved)
+        def newton_block(n_block, alphas, opts, y):
+            out, why = real(n_block, alphas, opts, y)
             if n_block < n:
                 out[:, out.shape[1] // 2 - 1] += 1e-9
             return out, why
@@ -641,11 +662,12 @@ class TestSplicedLongChains:
             except ConvergenceError as err:
                 refs.append(err)
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", 1 << 20)
-        ((rows, X),) = newton_rows(n, alphas, opts)
+        ((rows, parts),) = newton_rows(n, alphas, opts)
         solved = [i for i, ref in enumerate(refs) if not isinstance(ref, ConvergenceError)]
         assert rows.tolist() == solved
-        for i, x in zip(solved, X):
-            assert np.array_equal(x, refs[i])
+        roots = unfolded(n, parts)
+        for i in solved:
+            assert np.array_equal(roots[i], refs[i])
         assert len(solved) == (2 if max_iter else 4)
 
 
@@ -664,16 +686,27 @@ def window_half(n, alpha):
     return (solver_module._splice_len(alpha) + n % 4 + 1) // 2 + 4
 
 
+def parts_of(n, alphas, X):
+    """The roots X[i] for alphas[i] as parts of one row each, read back from the left half as J_prime reads a supplied x."""
+    m = (n + 1) // 2
+    return [(np.array([i]), *solver_module._spliced_windows(n, a, x[:m])[0]) for i, (a, x) in enumerate(zip(alphas, X))]
+
+
 def tangent_halves(n, alphas, X):
-    """The (R, m) tangent halves of tangent_rows, its parts spread as fit._sse_slopes spreads them."""
-    return solver_module._spread(solver_module.tangent_rows(n, alphas, X), (n + 1) // 2)
+    """The (R, m) tangent halves of tangent_rows at the roots X, its parts spread over the half."""
+    m = (n + 1) // 2
+    t = np.empty((len(X), m))
+    for rows, h, _, T in solver_module.tangent_rows(n, alphas, parts_of(n, alphas, X)):
+        t[rows] = solver_module._spread(np.empty((len(rows), m)), h, T)
+    return t
 
 
-def full_half_tangent(monkeypatch, n, alphas, X):
+def full_half_tangent(n, alphas, X):
     """tangent_rows with every row solved on the full half, and the J' slopes from it."""
-    with monkeypatch.context() as patch:
-        patch.setattr(solver_module, "_spliced_groups", lambda n, alphas: iter(()))
-        return tangent_halves(n, alphas, X), fairness_module._J_slopes(n, alphas, X)
+    m = (n + 1) // 2
+    whole = [(np.arange(len(X)), m, X[:, :m])]
+    ((_, _, _, t),) = solver_module.tangent_rows(n, alphas, whole)
+    return t, fairness_module._J_slopes(n, alphas, whole)
 
 
 def walled_root(n, alpha):
@@ -693,12 +726,12 @@ def walled_root(n, alpha):
     wall = newton_solve(ChainParams(2 * d, alpha))
     start = solver_module._ring_rows([alpha], (ns + 1) // 2 + 1)[:, 1:]
     start[0, : 3 * d // 2] = wall[: 3 * d // 2]
-    short, (why,) = solver_module._newton_block(ns, [alpha], SolveOptions(), start, np.zeros(1, dtype=bool))
+    short, (why,) = solver_module._newton_block(ns, [alpha], SolveOptions(), start)
     assert why is None
     y = solver_module._ring_rows([alpha], m + 1)[:, 1:]
     y[:, : h - 2] = short[:, : h - 2]
     y[:, m - w + h + 2 :] = short[:, h - 2 :]
-    return solver_module._unfold(y, n), h
+    return solver_module._unfold(m, y, n), h
 
 
 class TestWindowTangent:
@@ -708,12 +741,12 @@ class TestWindowTangent:
         # condition, and takes it exactly where the window check passed
         length = solver_module._splice_len(alpha)
         for n in [8 * length + r for r in range(4)] + [65_537, 10**6]:
-            _, solved = solver_module._start_rows(n, [alpha], SolveOptions())
+            parts, _, _ = solver_module._start_rows(n, [alpha], SolveOptions(), solver_module._widths(n, [alpha]))
             X = newton_solve(ChainParams(n, alpha))[None]
             seen = gtsv_sizes(monkeypatch)
-            solver_module.tangent_rows(n, [alpha], X)
+            solver_module.tangent_rows(n, [alpha], parts_of(n, [alpha], X))
             monkeypatch.undo()
-            assert (max(seen) <= window_half(n, alpha)) == solved[0], n
+            assert (max(seen) <= window_half(n, alpha)) == bool(parts), n
 
     @pytest.mark.parametrize("n", [2049, 2051, 65_537])
     def test_phase_swapped_bulk_takes_the_window(self, monkeypatch, n):
@@ -732,10 +765,10 @@ class TestWindowTangent:
         hi, lo = solver_module._ring_start(alpha)
         assert X[0, h - 2 + h % 2] == lo and X[0, h - 1 - h % 2] == hi
         seen = gtsv_sizes(monkeypatch)
-        (jp,) = fairness_module._J_slopes(n, [alpha], X)
+        (jp,) = fairness_module._J_slopes(n, [alpha], parts_of(n, [alpha], X))
         monkeypatch.undo()
         assert 0 < max(seen) <= window_half(n, alpha)
-        _, (jp_ref,) = full_half_tangent(monkeypatch, n, [alpha], X)
+        _, (jp_ref,) = full_half_tangent(n, [alpha], X)
         assert jp == pytest.approx(jp_ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("alpha", WINDOW_ALPHAS + NEAR_ALPHAS)
@@ -750,14 +783,14 @@ class TestWindowTangent:
             X = newton_solve(ChainParams(n, alpha))[None]
             seen = gtsv_sizes(monkeypatch)
             t = tangent_halves(n, [alpha], X)
-            (jp,) = fairness_module._J_slopes(n, [alpha], X)
+            (jp,) = fairness_module._J_slopes(n, [alpha], parts_of(n, [alpha], X))
             monkeypatch.undo()
             assert t.shape == (1, (n + 1) // 2)
             if alpha in NEAR_ALPHAS:
                 assert max(seen) == (n + 1) // 2, n
             else:
                 assert 0 < max(seen) <= window_half(n, alpha), n
-            ref, (jp_ref,) = full_half_tangent(monkeypatch, n, [alpha], X)
+            ref, (jp_ref,) = full_half_tangent(n, [alpha], X)
             assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref)), n
             assert jp == pytest.approx(jp_ref, rel=1e-12, abs=0.0), n
 
@@ -770,7 +803,7 @@ class TestWindowTangent:
         for n in (8 * length, 8 * length + 2, 20_000):
             x = newton_solve(ChainParams(n, alpha))
             seen = gtsv_sizes(monkeypatch)
-            (t,) = solver_module._unfold(tangent_halves(n, [alpha], x[None]), n)
+            (t,) = solver_module._unfold((n + 1) // 2, tangent_halves(n, [alpha], x[None]), n)
             monkeypatch.undo()
             assert 0 < max(seen) <= window_half(n, alpha)
             fd = (newton_solve(ChainParams(n, alpha + h)) - newton_solve(ChainParams(n, alpha - h))) / (2 * h)
@@ -789,7 +822,7 @@ class TestWindowTangent:
         t = tangent_halves(n, [alpha], x[None])
         monkeypatch.undo()
         assert max(seen) == (n + 1) // 2
-        ref, _ = full_half_tangent(monkeypatch, n, [alpha], x[None])
+        ref, _ = full_half_tangent(n, [alpha], x[None])
         assert np.array_equal(t, ref)
 
     def test_window_and_full_rows_share_a_call(self, monkeypatch):
@@ -803,7 +836,7 @@ class TestWindowTangent:
         for i, a in enumerate(alphas):
             (row,) = tangent_halves(n, [a], X[i : i + 1])
             assert np.array_equal(t[i], row)
-        ref, _ = full_half_tangent(monkeypatch, n, alphas, X)
+        ref, _ = full_half_tangent(n, alphas, X)
         assert np.array_equal(t[[1, 3]], ref[[1, 3]])
 
     @pytest.mark.parametrize("alpha", [0.6826, 0.8, 0.95])
