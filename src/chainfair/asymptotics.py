@@ -25,7 +25,7 @@ def ring_fixed_point(alpha: float) -> float:
     check_real("alpha", alpha)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    return float(ring_level(alpha))
+    return ring_level(float(alpha))
 
 
 def flat_value(n: int) -> tuple[float, float]:
@@ -44,6 +44,8 @@ def flat_value(n: int) -> tuple[float, float]:
 
 # rows per block: 2000 x 101 doubles is 1.6 MB, inside a per-core L2 cache
 _MC_ROWS = 2000
+# blocks whose wins a byte-wide count can hold: each adds at most 1 per cell
+_MC_FOLD = 255
 
 
 def circle_backoff_mc(n_pairs: int, trials: int, seed: int) -> np.ndarray:
@@ -55,24 +57,37 @@ def circle_backoff_mc(n_pairs: int, trials: int, seed: int) -> np.ndarray:
     numpy's PCG64. The trials stream through one fixed block of rows, so
     memory stays constant in trials, and the result does not depend on the
     block size: the uniforms are the stream of rng.random((trials, n_pairs)).
+
+    A block is held flat, row after row, so each side's comparison is one
+    contiguous pass of every entry against the next; that pass also
+    compares a row's first entry with the previous row's last, so the wrap
+    cells (each row's first on the left, last on the right) are then
+    overwritten with the row's own cyclic comparison. Wins add per cell
+    into a byte, folded into the total every _MC_FOLD blocks, before any
+    byte can wrap, and once at the end.
     """
     check_count("n_pairs", n_pairs, least=3)
     check_count("trials", trials)
     check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
-    m = min(_MC_ROWS, trials)
-    block = np.empty((m, n_pairs))
-    below_left = np.empty((m, n_pairs), dtype=bool)
-    below_right = np.empty((m, n_pairs), dtype=bool)
+    size = min(_MC_ROWS, trials) * n_pairs
+    block = np.empty(size)
+    below_left = np.empty(size, dtype=bool)
+    below_right = np.empty(size, dtype=bool)
+    count = np.zeros(size, dtype=np.uint8)
     wins = np.zeros(n_pairs, dtype=np.int64)
-    for done in range(0, trials, _MC_ROWS):
-        m = min(_MC_ROWS, trials - done)
-        u, left, right = block[:m], below_left[:m], below_right[:m]
-        rng.random(out=u)
-        np.less(u[:, 1:], u[:, :-1], out=left[:, 1:])
-        np.less(u[:, :1], u[:, -1:], out=left[:, :1])
-        np.less(u[:, :-1], u[:, 1:], out=right[:, :-1])
-        np.less(u[:, -1:], u[:, :1], out=right[:, -1:])
-        left &= right
-        wins += left.sum(axis=0)
+    for fold in range(0, trials, _MC_FOLD * _MC_ROWS):
+        for done in range(fold, min(trials, fold + _MC_FOLD * _MC_ROWS), _MC_ROWS):
+            size = min(_MC_ROWS, trials - done) * n_pairs
+            u, left, right = block[:size], below_left[:size], below_right[:size]
+            rng.random(out=u)
+            np.less(u[1:], u[:-1], out=left[1:])
+            np.less(u[:-1], u[1:], out=right[:-1])
+            first, last = u[::n_pairs], u[n_pairs - 1 :: n_pairs]
+            np.less(first, last, out=left[::n_pairs])
+            np.less(last, first, out=right[n_pairs - 1 :: n_pairs])
+            left &= right
+            count[:size] += left.view(np.uint8)
+        wins += count.reshape(-1, n_pairs).sum(axis=0, dtype=np.int64)
+        count.fill(0)
     return wins / trials

@@ -135,9 +135,10 @@ def ring_level(alpha):
 
     Written as the quotient 2a / (2a + 1 + sqrt(4a + 1)). The textbook form
     (2a + 1 - sqrt(4a + 1)) / (2a) cancels as alpha -> 0: it gives 1.11e-8
-    at alpha = 1e-8 and 0 at alpha = 1e-12.
+    at alpha = 1e-8 and 0 at alpha = 1e-12. alpha is a scalar: math.sqrt
+    takes no array.
     """
-    return 2.0 * alpha / (2.0 * alpha + 1.0 + np.sqrt(4.0 * alpha + 1.0))
+    return 2.0 * alpha / (2.0 * alpha + 1.0 + math.sqrt(4.0 * alpha + 1.0))
 
 
 def entropy_rows(X):

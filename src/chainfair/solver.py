@@ -179,12 +179,14 @@ def _ring_start(alpha):
     hi + lo = 2 - 1/alpha and hi lo = ((1 - alpha)/alpha)^2. Both levels
     equal c = 1/3 at alpha = 3/4, so this is one start rule. The low level
     is taken as a quotient: the difference of the quadratic formula cancels
-    as alpha -> 1.
+    as alpha -> 1. The arithmetic is Python float: on a scan's np.float64
+    alphas, numpy scalar arithmetic made _splice_len 1.8x slower.
     """
+    alpha = float(alpha)
     if alpha <= 0.75:
         hi = lo = ring_level(alpha)
     else:
-        hi = (2.0 - 1.0 / alpha + np.sqrt(4.0 * alpha - 3.0) / alpha) / 2.0
+        hi = (2.0 - 1.0 / alpha + math.sqrt(4.0 * alpha - 3.0) / alpha) / 2.0
         lo = ((1.0 - alpha) / alpha) ** 2 / hi
     return hi, lo
 
@@ -438,8 +440,9 @@ def _border_rate(alpha):
     this is cosh(kappa) = 1/(2 alpha (1 - c)); past it p = 2 (1 - alpha);
     kappa = 0 at 3/4.
     """
+    alpha = float(alpha)
     hi, lo = _ring_start(alpha)
-    p = float(2.0 * alpha * alpha * (1.0 - hi) * (1.0 - lo))
+    p = 2.0 * alpha * alpha * (1.0 - hi) * (1.0 - lo)
     # p underflows to 0 as alpha -> 0, where kappa grows without bound, and
     # rounding leaves 1/p - 1 a few ulp under 1 at 3/4
     return 0.5 * math.acosh(max(1.0 / p - 1.0, 1.0)) if p > 0.0 else math.inf

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chainfair import (
     ChainParams,
     DomainError,
+    asymptotics,
     circle_backoff_mc,
     flat_value,
     maximize_J,
@@ -151,13 +152,29 @@ class TestCircleBackoffMC:
         c = circle_backoff_mc(5, 30_000, seed=43)
         assert not np.array_equal(a, c)
 
+    @staticmethod
+    def rolled_wins(n_pairs, trials, seed):
+        """Win counts of one np.roll pass over the whole (trials, n_pairs) draw."""
+        u = np.random.default_rng(seed).random((trials, n_pairs))
+        return ((u < np.roll(u, 1, axis=1)) & (u < np.roll(u, -1, axis=1))).sum(axis=0)
+
     def test_chunking_invisible(self):
-        # result depends only on the seed, not on internal block boundaries:
-        # it equals one np.roll pass over the whole (trials, n_pairs) draw
+        # result depends only on the seed, not on internal block boundaries
         for n_pairs, trials in [(4, 99_999), (101, 5_001), (3, 1)]:
-            u = np.random.default_rng(9).random((trials, n_pairs))
-            wins = ((u < np.roll(u, 1, axis=1)) & (u < np.roll(u, -1, axis=1))).sum(axis=0)
+            wins = self.rolled_wins(n_pairs, trials, seed=9)
             assert np.array_equal(circle_backoff_mc(n_pairs, trials, seed=9), wins / trials)
+
+    @pytest.mark.parametrize("n_pairs", [3, 4])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_count_folds_and_row_wraps_invisible(self, monkeypatch, rows, n_pairs):
+        # blocks of 1 and 2 rows put each row's wrap cells at a block edge or
+        # a row seam, and 2,001 trials (a partial last block at 2 rows) give
+        # some cell of the byte-wide count more than 255 wins, so it must
+        # fold before it wraps
+        monkeypatch.setattr(asymptotics, "_MC_ROWS", rows)
+        wins = self.rolled_wins(n_pairs, 2_001, seed=5)
+        assert wins.max() > 255 * rows
+        assert np.array_equal(circle_backoff_mc(n_pairs, 2_001, seed=5), wins / 2_001)
 
     def test_memory_constant_in_trials(self):
         tracemalloc.start()
@@ -166,7 +183,7 @@ class TestCircleBackoffMC:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 4e6
 
     @pytest.mark.parametrize(
         "kw",
