@@ -166,7 +166,13 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
     evaluations.
     """
     w0 = hi - lo
-    budget = math.ceil(math.log2(w0 / width)) + 1 if w0 > width else 0
+    budget = 0
+    if w0 > width:
+        # w0 / width overflows at a subnormal width, the difference of the
+        # logs does not; elsewhere the ratio's own log is kept, since the
+        # difference can round across an integer where the ratio is 2^k
+        ratio = w0 / width
+        budget = math.ceil(math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(width)) + 1
     # aim a hair under width, so that rounding of the ends cannot leave the
     # worst-case bracket a few ulps over it and cost one more evaluation
     aim = width * (1.0 - 1e-9)
@@ -178,7 +184,7 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
         c = hi - s_hi * w / (s_hi - s_lo)
         nudge = 0.1 * w * w / w0
         c = c + math.copysign(nudge, mid - c) if nudge < abs(mid - c) else mid
-        slack = max(aim * 2.0 ** (budget - evals - 1) - 0.5 * w, 0.0)
+        slack = max(math.ldexp(aim, budget - evals - 1) - 0.5 * w, 0.0)
         c = min(max(c, mid - slack), mid + slack)
         c = c if lo < c < hi else mid
         if not lo < c < hi:

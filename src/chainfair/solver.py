@@ -30,16 +30,21 @@ tangent_rows gives dx/dalpha on the mirror half: on the window chain
 where the window passes tol and kappa is not too small
 (_TANGENT_SPLICE_LEN), on the full half otherwise.
 
-LAPACK gtsv is bound at the first solve (_gtsv), not at import: loading
-scipy.linalg took 0.28-0.32 s of the package's 0.42-0.45 s import on a
-2-core Xeon, and the simulator, the exact law, the circle Monte Carlo,
-the fixed-point solver and the CLI commands built on them never solve a
-linear system.
+LAPACK gtsv is bound at the first solve (_gtsv), not at import, and
+that solve loads scipy and its Fortran LAPACK extension only, not the
+scipy.linalg package: 14-24 ms on a 2-core Xeon, where scipy.linalg took
+0.20-0.27 s. The simulator, the exact law, the circle Monte Carlo, the
+fixed-point solver and the CLI commands built on them never solve a
+linear system and load no scipy at all.
 """
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -97,9 +102,25 @@ def __getattr__(name):
 
 @functools.cache
 def _lapack_gtsv():
-    from scipy.linalg.lapack import dgtsv
+    """LAPACK dgtsv from scipy's Fortran extension, without the scipy.linalg package.
 
-    return dgtsv
+    The package's __init__ took 0.20-0.27 s (numpy.f2py and numpy.testing
+    among it); the extension loads in about 5 ms once import scipy has set
+    up the wheel's shared-library paths. Loading a single-phase extension
+    puts it in sys.modules, where a later import of scipy.linalg would take
+    it without binding it as the package's attribute, so it is taken out:
+    that import loads it again, and CPython hands it the same routines.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        import scipy
+
+        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        flapack = module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        sys.modules.pop(name, None)
+    return flapack.dgtsv
 
 
 def _gtsv(dl, d, du, b):

@@ -11,7 +11,10 @@ a missing one would otherwise show up only in the benchmark's traced run.
 No package module or script imports a name it never uses, except the
 tracer's shim bindings, marked "# noqa: F401"; the solve_banded shims
 resolve through a module __getattr__ instead, so that importing the
-package loads no scipy. Only the first Newton or tangent step does.
+package loads no scipy. Only the first Newton or tangent step does, and it
+loads scipy and its Fortran LAPACK extension only, not the scipy.linalg
+package; a caller's own import of scipy.linalg, before or after, gives the
+solver the same LAPACK routine.
 """
 
 import ast
@@ -145,7 +148,8 @@ def test_wrong_argument_types_refused(f, arg):
         f(arg)
 
 
-NO_SOLVE = textwrap.dedent(
+# prints the hex of a root as its last line; argv[1] is a trace CSV
+FIRST_SOLVE = textwrap.dedent(
     """
     import sys
 
@@ -170,14 +174,62 @@ NO_SOLVE = textwrap.dedent(
     ):
         assert chainfair.cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
-    cf.newton_solve(params)
-    assert "scipy.linalg" in sys.modules
+
+    # every solving entry point, then the caller's own scipy.linalg
+    import numpy as np
+
+    from chainfair import solver
+
+    root = cf.newton_solve(cf.ChainParams(7, 0.8))
+    cf.J_prime(0.6, 5)
+    cf.maximize_J(10)
+    cf.fit_alpha(cf.ThroughputTrace(rates=[1.55, 0.04, 1.55]))
+    for argv in (
+        ["solve", "--n", "5", "--alpha", "0.8"],
+        ["optimize", "--n", "10"],
+        ["sweep", "--n", "10", "--points", "4"],
+        ["fit", "--input", sys.argv[1]],
+        ["flat", "--ns", "10,20"],
+    ):
+        assert chainfair.cli.main(argv) == 0, argv
+    assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+    import scipy.linalg
+
+    assert scipy.linalg._flapack.dgtsv is solver._lapack_gtsv()
+    assert scipy.linalg.lapack.dgtsv is solver._lapack_gtsv()
+    y = scipy.linalg.solve_banded((1, 1), np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 0.0]]), np.ones(2))
+    assert np.allclose(y, 1.0 / 3.0), y
+    print(root.tobytes().hex())
+    """
+)
+
+# a caller that imported scipy.linalg first: the solver takes its routine
+SCIPY_FIRST = textwrap.dedent(
+    """
+    import scipy.linalg
+
+    import chainfair as cf
+    from chainfair import solver
+
+    root = cf.newton_solve(cf.ChainParams(7, 0.8))
+    assert solver._lapack_gtsv() is scipy.linalg.lapack.dgtsv
+    print(root.tobytes().hex())
     """
 )
 
 
-def test_scipy_loaded_at_the_first_solve_only():
-    # import chainfair loaded scipy.linalg, 0.3 s of its 0.45 s, though the
-    # simulator, the exact law and the commands above solve no linear system
-    proc = subprocess.run([sys.executable, "-c", NO_SOLVE], capture_output=True, text=True)
+def run_python(source, *args):
+    proc = subprocess.run([sys.executable, "-c", source, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_scipy_loaded_at_the_first_solve_only(tmp_path):
+    # import chainfair loaded scipy.linalg, 0.3 s of its 0.45 s, though the
+    # simulator, the exact law and the commands above solve no linear system;
+    # then the first solve loaded it all, 0.20-0.27 s, for one LAPACK routine
+    trace = tmp_path / "trace.csv"
+    trace.write_text("pair,rate\n1,1.55\n2,0.04\n3,1.55\n", encoding="utf-8")
+    root = run_python(FIRST_SOLVE, str(trace))
+    assert run_python(SCIPY_FIRST) == root

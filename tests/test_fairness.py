@@ -428,7 +428,7 @@ class TestMaximizeJ:
         assert len(calls) == len(set(calls))
         assert res.evaluations == 99 + len(calls)
 
-    @pytest.mark.parametrize("tol_alpha", [1e-16, 1e-300])
+    @pytest.mark.parametrize("tol_alpha", [1e-16, 1e-300, 1e-310, 5e-324])
     def test_tolerance_below_float_spacing_returns(self, monkeypatch, tol_alpha):
         # solved alpha = 0.553679143534189 without end; the cap turns a
         # regression into a failure instead of a hang
