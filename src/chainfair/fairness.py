@@ -9,10 +9,11 @@ maximize_J here and fit_alpha share one search, _search: a batched scan
 of the objective's values, its slope at the best grid point and at that
 point's neighbours, and one bracketed secant on the slope, _refine.
 
-J and J' read a root as a part of solver.newton_rows: a spliced root's
-window, summed with weight 1 + (m - w)/2 at the sites h-2 and h-1 that
-its bulk repeats, or a whole half, unfolded and summed whole. At 10^6
-pairs the only chain-length pass left is the period test of a caller's x.
+J and J' take per-site values on a root's parts (solver.newton_rows), a
+spliced root's window or a whole half: entropy_terms for J, their slopes
+times the tangent for J'. solver._chain_sums adds them up over the chain.
+On a spliced root of 10^6 pairs the only chain-length pass left is the
+period test of a caller's x.
 """
 
 import math
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ChainParams, check_count, check_real, check_vector, entropy, entropy_rows, grad_entropy_rows
+from .model import ChainParams, check_count, check_real, check_vector, entropy_terms, grad_entropy_rows
 # apply_F, jacobian_bands and newton_solve are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, newton_solve  # noqa: F401
-from .solver import SolveOptions, _solve_part, _spliced_windows, _unfold, newton_rows, tangent_rows
+from .solver import SolveOptions, _chain_sums, _solve_part, _spliced_windows, newton_rows, tangent_rows
 
 
 def __getattr__(name):
@@ -66,35 +67,9 @@ def _halves(alpha, n, x):
     return x, _spliced_windows(n, alpha, x[:m], x[::-1][:m])
 
 
-def _chain_sums(n, halves):
-    """-sum x ln x over the chains whose left and right halves are the parts (h, W) of halves.
-
-    A window is summed with weight 1 + (m - w)/2 at its sites h-2 and h-1,
-    which the bulk repeats, and the centre of an odd chain, in both
-    halves, is taken off once. Unchecked: entries in [0, 1].
-    """
-    m = (n + 1) // 2
-    E = 0.0
-    for h, W in halves:
-        # -w ln w, 0 where w = 0
-        P = -(W * np.log(W, out=np.zeros_like(W), where=W > 0.0))
-        s = P.sum(axis=1)
-        if h < m:
-            s += 0.5 * (m - W.shape[1]) * (P[:, h - 2] + P[:, h - 1])
-        E = E + s
-    return E - P[:, -1] if n % 2 else E
-
-
 def _J_values(n, h, W):
-    """J at each root of a part (h, W) of solver.newton_rows.
-
-    A whole half, h = m, is unfolded and summed by entropy_rows, so its J
-    is entropy(x)/n bit for bit; a window stands for both halves
-    (_chain_sums). Unchecked: entries in (0, 1], as the scans' roots are.
-    """
-    if h == (n + 1) // 2:
-        return entropy_rows(_unfold(h, W, n)) / n
-    return _chain_sums(n, [(h, W)] * 2) / n
+    """J at each root of a part (h, W) of solver.newton_rows, which stands for both halves; unchecked."""
+    return _chain_sums(n, [(h, entropy_terms(W))] * 2) / n
 
 
 def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
@@ -104,18 +79,18 @@ def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     reuse an already-solved emission vector; it must have length n, with
     entries in [0, 1] (0 ln 0 = 0). A half of x that repeats with period 2
     across a spliced root's bulk is summed and range-checked on its window
-    only, each half by its own test (_halves); where neither half does, J
-    is entropy(x)/n. A solved root is summed as the scans sum it.
+    only, each half by its own test (_halves). x is summed as the scans
+    sum a root (_J_values): where neither half is spliced and x has no
+    zero entry, J(x) is entropy(x)/n bit for bit; entropy drops zeros, so
+    with zeros the two agree to rounding (4e-16 relative over 80 random x).
     """
     if x is None:
         return float(_J_values(n, *_solve_part(ChainParams(n, alpha), SolveOptions()))[0])
-    x, halves = _halves(alpha, n, x)
-    if all(h == (n + 1) // 2 for h, _ in halves):
-        return entropy(x) / n
+    _, halves = _halves(alpha, n, x)
     # min and max copy nothing and fail at a nan
     if not all(W.min() >= 0.0 and W.max() <= 1.0 for _, W in halves):
         raise DomainError("J requires components in [0, 1]")
-    return float(_chain_sums(n, halves)[0] / n)
+    return float(_chain_sums(n, [(h, entropy_terms(W)) for h, W in halves])[0] / n)
 
 
 def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
@@ -206,27 +181,18 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
 def _J_slopes(n, alphas, parts):
     """J' at each alpha from the roots of parts: grad E(x) . dx/dalpha / n.
 
-    Both factors are mirror symmetric, so the dot product is taken on the
-    mirror half, m = ceil(n/2) sites: twice the sum, less the centre site
-    of an odd chain, which has no mirror twin. A window part of
-    tangent_rows is dotted there, with weight 1 + (m - w)/2 at its sites
-    h-2 and h-1, which the bulk of root and tangent repeats. The gradient
-    comes from grad_entropy_rows, unchecked: the scans' roots lie in
-    (0, alpha], and J_prime checks a supplied x. It is built after the
-    tangent solve, which keeps J_prime's peak memory that of the solve. A
-    row whose system is singular is nan.
+    Both factors are mirror symmetric, so their per-site products are
+    taken on the parts of tangent_rows and added up by solver._chain_sums,
+    as J adds up its terms. grad_entropy_rows is unchecked: the scans'
+    roots lie in (0, alpha], and J_prime checks a supplied x. It runs
+    after the tangent solve, which keeps J_prime's peak memory that of the
+    solve. A row whose system is singular is nan.
     """
-    m = (n + 1) // 2
     s = np.empty(len(alphas))
     for rows, h, W, T in tangent_rows(n, alphas, parts):
-        g = grad_entropy_rows(W)
-        p = np.einsum("ij,ij->i", g, T)
-        if h < m:
-            p += 0.5 * (m - W.shape[1]) * (g[:, h - 2] * T[:, h - 2] + g[:, h - 1] * T[:, h - 1])
-        p *= 2.0
-        if n % 2:
-            p -= g[:, -1] * T[:, -1]
-        s[rows] = p
+        V = grad_entropy_rows(W)
+        V *= T
+        s[rows] = _chain_sums(n, [(h, V)] * 2)
     return s / n
 
 

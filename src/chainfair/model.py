@@ -141,9 +141,9 @@ def ring_level(alpha):
     return 2.0 * alpha / (2.0 * alpha + 1.0 + math.sqrt(4.0 * alpha + 1.0))
 
 
-def entropy_rows(X):
-    """-sum x ln x along the last axis, unchecked: every entry must lie in (0, 1]."""
-    return -np.sum(X * np.log(X), axis=-1)
+def entropy_terms(X):
+    """-x ln x entrywise, +0.0 at x = 0 and x = 1, unchecked: every entry must lie in [0, 1]."""
+    return 0.0 - X * np.log(X, out=np.zeros_like(X), where=X > 0.0)
 
 
 def entropy(x) -> float:
@@ -152,12 +152,13 @@ def entropy(x) -> float:
     # min and max copy nothing and fail at a nan; an empty x has neither
     if len(x) and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise DomainError("entropy requires components in [0, 1]")
-    # dropping zeros copies x, so only when there are any: same terms, same sum
-    return float(entropy_rows(x if x.all() else x[x > 0.0]))
+    # dropping zeros copies x, so only when there are any
+    x = x if x.all() else x[x > 0.0]
+    return float(-np.sum(x * np.log(x)))
 
 
 def grad_entropy_rows(X):
-    """Gradient of entropy_rows, -(ln x + 1) entrywise, unchecked: every entry must lie in (0, 1]."""
+    """The slopes of entropy_terms, -(ln x + 1) entrywise, unchecked: every entry must lie in (0, 1]."""
     g = np.log(X)
     # -1 - ln x rounds as -(ln x + 1) does, one pass fewer
     return np.subtract(-1.0, g, out=g)

@@ -25,7 +25,8 @@ A solved row travels as a part (rows, h, W): a spliced root as its
 window, whose bulk repeats the window's sites h-2 and h-1 by parity
 (_spread), any other as its whole mirror half, h = m. _unfold writes a
 part out whole; the scans and tangent_rows read parts as they are, and
-_spliced_windows reads a caller's half back into one.
+_spliced_windows reads a caller's half back into one. _chain_sums, the
+one sum behind J and J', adds up per-site values given on two halves.
 tangent_rows gives dx/dalpha on the mirror half: on the window chain
 where the window passes tol and kappa is not too small
 (_TANGENT_SPLICE_LEN), on the full half otherwise.
@@ -318,16 +319,40 @@ def _spread(y, h, W):
 
 
 def _unfold(h, W, n):
-    """The whole chains of a part (h, W): each half spread (_spread), x_{n+1-i} = x_i."""
+    """The whole chains of a part (h, W): each half spread (_spread), x_{n+1-i} = x_i.
+
+    _chain_sums lays out two whole halves as this lays out one.
+    """
     m = (n + 1) // 2
     x = np.empty((len(W), n))
-    if h == m:
-        x[:, :m] = W
-        x[:, m:] = W[:, : n - m][:, ::-1]
-        return x
     for y in (x[:, :m], x[:, ::-1][:, :m]):
         _spread(y, h, W)
     return x
+
+
+def _chain_sums(n, halves):
+    """Sums over chains of per-site values given on their halves, parts (h, V) of one row per chain.
+
+    halves holds the left half and the right half reversed (_spliced_windows),
+    or one part twice. Two whole halves are laid out as their chain, as
+    _unfold lays one out, and summed as np.sum sums that chain. A window is
+    summed with weight 1 + (m - w)/2 at its sites h-2 and h-1, which the
+    bulk repeats; an odd chain's centre, in both halves, comes off once.
+    """
+    m = (n + 1) // 2
+    (h, left), (k, right) = halves
+    if h == k == m:
+        x = np.empty((len(left), n))
+        x[:, :m] = left
+        x[:, ::-1][:, :m] = right
+        return x.sum(axis=1)
+    total = 0.0
+    for h, V in halves:
+        s = V.sum(axis=1)
+        if h < m:
+            s += 0.5 * (m - V.shape[1]) * (V[:, h - 2] + V[:, h - 1])
+        total = total + s
+    return total - right[:, -1] if n % 2 else total
 
 
 def tangent_rows(n, alphas, parts):

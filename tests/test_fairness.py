@@ -37,6 +37,9 @@ class TestJ:
     def test_reuses_supplied_x(self):
         x = newton_solve(ChainParams(4, 0.4))
         assert J(0.4, 4, x=x) == J(0.4, 4)
+        # an x of zeros and ones has entropy +0.0; J returned -0.0
+        for alpha, x in ((0.5, [0.0, 0.0, 0.0]), (0.3, [1.0])):
+            assert math.copysign(1.0, J(alpha, len(x), x=x)) == 1.0
 
     def test_n1_analytic(self):
         # single pair: x = alpha, J = -alpha log alpha
@@ -112,6 +115,28 @@ class TestJPrime:
             x[i] = bad
             with pytest.raises(DomainError):
                 J_prime(alpha, n, x=x)
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(n, a) for n in (1, 2, 3, 50, 1023) for a in (0.3, 0.6826, 0.75, 0.8, 0.95)]
+        + [(5000, 0.749), (20_000, 0.7499), (100_001, 0.75), (100_001, 0.7501)],
+    )
+    def test_full_half_slope_matches_the_exact_sum(self, monkeypatch, n, alpha):
+        # J' of a root whose tangent is solved on the full half, against
+        # the same products summed exactly, as
+        # TestWindowSums::test_window_sums_match_the_whole_half checks a
+        # window: the doubled einsum over the half strayed from it by
+        # 1.4e-13 to 3.0e-13 relative at the last four cells
+        x = newton_solve(ChainParams(n, alpha))
+        m = (n + 1) // 2
+        seen = gtsv_sizes(monkeypatch)
+        (t,) = tangent_halves(n, [alpha], x[None])
+        jp = J_prime(alpha, n, x)
+        monkeypatch.undo()
+        assert max(seen) == m
+        p = -(np.log(x[:m]) + 1.0) * t
+        ref = (2.0 * math.fsum(p) - (p[-1] if n % 2 else 0.0)) / n
+        assert jp == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_singular_adjoint_is_convergence_error(self):
         # at alpha = 0.8, x_1 = x_3 = 7/32 the 3 x 3 adjoint matrix has
@@ -519,12 +544,15 @@ class TestSweepJ:
 
 @pytest.mark.parametrize("n", [3, 50, 1024, 5000])
 def test_drivers_J_is_entropy_of_the_root_over_n(n):
-    # the drivers take J as J does; chains of 3 and 50 pairs by entropy_rows
-    # on the whole root, bit for bit. Chains of 1024 and 5000 pairs at 0.95
-    # start from a spliced root, and a spliced row is summed on its window,
-    # which differs from entropy in the last bits
+    # the drivers take J as J does, with or without x: the entropy_terms
+    # of a root's halves summed by solver._chain_sums. Chains of 3 and 50
+    # pairs are whole halves, laid out as the root and summed as entropy
+    # sums it, bit for bit. Chains of 1024 and 5000 pairs at 0.95 start
+    # from a spliced root, and a spliced row is summed on its window, which
+    # differs from entropy in the last bits
     def check(a, val):
         x = newton_solve(ChainParams(n, a))
+        assert J(a, n, x) == val
         if n < 1024:
             assert val == entropy(x) / n
         else:
