@@ -53,14 +53,14 @@ def check_instance(name, value, cls):
 def check_vector(name, x, n=None):
     """x as a 1-d float array, of length n when given, else DomainError.
 
-    Strings, bools and Python objects (None among numbers, say) are refused
-    by the array's dtype, without a loop over an ndarray's entries. numpy
-    reads [True, 1.0] as float64, so a sequence that is not an ndarray also
-    has its entries' types scanned for a bool.
+    Strings, bools, complex numbers and Python objects (None among numbers,
+    say) are refused by the array's dtype, with no loop over an ndarray's
+    entries. numpy reads [True, 1.0] as float64, so a sequence that is not
+    an ndarray also has its entries' types scanned for a bool.
     """
     try:
         a = np.asarray(x)
-        if a.dtype.kind in "USOb":
+        if a.dtype.kind in "USObc":
             raise TypeError
         if a.ndim == 1 and not isinstance(x, np.ndarray) and {bool, np.bool_} & set(map(type, x)):
             raise TypeError

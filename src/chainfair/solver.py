@@ -26,7 +26,7 @@ window, whose bulk repeats the window's sites h-2 and h-1 by parity
 (_spread), any other as its whole mirror half, h = m. _unfold writes a
 part out whole; the scans and tangent_rows read parts as they are, and
 _spliced_windows reads a caller's half back into one. _chain_sums, the
-one sum behind J and J', adds up per-site values given on two halves.
+one sum behind J and J', adds up a half's per-site values over its chain.
 tangent_rows gives dx/dalpha on the mirror half: on the window chain
 where the window passes tol and kappa is not too small
 (_TANGENT_SPLICE_LEN), on the full half otherwise.
@@ -111,6 +111,8 @@ def _lapack_gtsv():
     puts it in sys.modules, where a later import of scipy.linalg would take
     it without binding it as the package's attribute, so it is taken out:
     that import loads it again, and CPython hands it the same routines.
+    A scipy that keeps no extension at that path gives the same routine
+    through scipy.linalg.lapack, with the package.
     """
     name = "scipy.linalg._flapack"
     flapack = sys.modules.get(name)
@@ -118,6 +120,10 @@ def _lapack_gtsv():
         import scipy
 
         spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            from scipy.linalg.lapack import dgtsv
+
+            return dgtsv
         flapack = module_from_spec(spec)
         spec.loader.exec_module(flapack)
         sys.modules.pop(name, None)
@@ -319,10 +325,7 @@ def _spread(y, h, W):
 
 
 def _unfold(h, W, n):
-    """The whole chains of a part (h, W): each half spread (_spread), x_{n+1-i} = x_i.
-
-    _chain_sums lays out two whole halves as this lays out one.
-    """
+    """The whole chains of a part (h, W): each half spread (_spread), x_{n+1-i} = x_i."""
     m = (n + 1) // 2
     x = np.empty((len(W), n))
     for y in (x[:, :m], x[:, ::-1][:, :m]):
@@ -330,29 +333,18 @@ def _unfold(h, W, n):
     return x
 
 
-def _chain_sums(n, halves):
-    """Sums over chains of per-site values given on their halves, parts (h, V) of one row per chain.
+def _chain_sums(n, h, V):
+    """Sums over mirror-symmetric chains of per-site values given on one half, a part (h, V) of one row per chain.
 
-    halves holds the left half and the right half reversed (_spliced_windows),
-    or one part twice. Two whole halves are laid out as their chain, as
-    _unfold lays one out, and summed as np.sum sums that chain. A window is
-    summed with weight 1 + (m - w)/2 at its sites h-2 and h-1, which the
-    bulk repeats; an odd chain's centre, in both halves, comes off once.
+    A window is summed with weight 1 + (m - w)/2 at its sites h-2 and h-1,
+    which the bulk repeats (_spread); the half's sum is doubled, and an odd
+    chain's centre, in both halves, comes off once.
     """
     m = (n + 1) // 2
-    (h, left), (k, right) = halves
-    if h == k == m:
-        x = np.empty((len(left), n))
-        x[:, :m] = left
-        x[:, ::-1][:, :m] = right
-        return x.sum(axis=1)
-    total = 0.0
-    for h, V in halves:
-        s = V.sum(axis=1)
-        if h < m:
-            s += 0.5 * (m - V.shape[1]) * (V[:, h - 2] + V[:, h - 1])
-        total = total + s
-    return total - right[:, -1] if n % 2 else total
+    s = 2.0 * V.sum(axis=1)
+    if h < m:
+        s += (m - V.shape[1]) * (V[:, h - 2] + V[:, h - 1])
+    return s - V[:, -1] if n % 2 else s
 
 
 def tangent_rows(n, alphas, parts):
@@ -383,10 +375,9 @@ def tangent_rows(n, alphas, parts):
     m = (n + 1) // 2
     k = m - 1 - n % 2
     a = np.asarray(alphas, dtype=float)[:, None]
-    longest = (_TANGENT_SPLICE_LEN + n % 4 + 1) // 2 + 4
     out, full = [], []
     for rows, h, W in parts:
-        if h < m and W.shape[1] <= longest:
+        if h < m and W.shape[1] <= _window_width(n, _TANGENT_SPLICE_LEN):
             kw = W.shape[1] - 1 - n % 2
             z, g, _ = _merit(a[rows], W, kw)
             ok = np.abs(g).max(axis=1) <= SolveOptions().tol
@@ -503,12 +494,17 @@ def _splice_len(alpha):
     return length
 
 
+def _window_width(n, length):
+    """The window chain's sites w = ceil(n'/2) + 4 for a chain of n pairs spliced at L = length, n' = L + n % 4."""
+    return (length + n % 4 + 1) // 2 + 4
+
+
 def _widths(n, alphas):
     """The unknowns of each alpha's part on a chain of n pairs, a list of ints.
 
-    Where n >= 8 L(alpha) (_splice_len), the window chain's w =
-    ceil(n'/2) + 4, n' = L(alpha) + n % 4; on a long half its window is
-    y[:h] ++ y[m - w + h:], h = w // 2. Elsewhere m = ceil(n/2).
+    Where n >= 8 L(alpha) (_splice_len), the window chain's w
+    (_window_width); on a long half its window is y[:h] ++ y[m - w + h:],
+    h = w // 2. Elsewhere m = ceil(n/2).
     """
     m = (n + 1) // 2
     widths = [m] * len(alphas)
@@ -516,7 +512,7 @@ def _widths(n, alphas):
         for i, a in enumerate(alphas):
             length = _splice_len(a)
             if n >= 8 * length:
-                widths[i] = (length + n % 4 + 1) // 2 + 4
+                widths[i] = _window_width(n, length)
     return widths
 
 

@@ -218,6 +218,32 @@ SCIPY_FIRST = textwrap.dedent(
     """
 )
 
+# a scipy that keeps no extension at the private path: the first solve
+# takes the same routine from scipy.linalg.lapack, where find_spec's None
+# raised AttributeError; the patch binds the solver module's PathFinder only
+NO_PRIVATE_PATH = textwrap.dedent(
+    """
+    import sys
+
+    import chainfair as cf
+    from chainfair import solver
+
+    class PathFinder:
+        @staticmethod
+        def find_spec(name, path=None):
+            return None
+
+    solver.PathFinder = PathFinder
+    solver._lapack_gtsv.cache_clear()
+    assert "scipy" not in sys.modules
+    root = cf.newton_solve(cf.ChainParams(7, 0.8))
+    import scipy.linalg
+
+    assert solver._lapack_gtsv() is scipy.linalg.lapack.dgtsv
+    print(root.tobytes().hex())
+    """
+)
+
 
 def run_python(source, *args):
     proc = subprocess.run([sys.executable, "-c", source, *args], capture_output=True, text=True)
@@ -233,3 +259,8 @@ def test_scipy_loaded_at_the_first_solve_only(tmp_path):
     trace.write_text("pair,rate\n1,1.55\n2,0.04\n3,1.55\n", encoding="utf-8")
     root = run_python(FIRST_SOLVE, str(trace))
     assert run_python(SCIPY_FIRST) == root
+
+
+def test_lapack_taken_from_scipy_linalg_without_the_private_path():
+    root = chainfair.newton_solve(chainfair.ChainParams(7, 0.8))
+    assert run_python(NO_PRIVATE_PATH) == root.tobytes().hex()

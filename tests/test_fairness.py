@@ -19,6 +19,7 @@ from chainfair import (
     newton_solve,
     sweep_J,
 )
+from chainfair.model import entropy_terms
 from chainfair.solver import _unfold
 
 from patching import count_solves, force_failures, off_grid
@@ -57,6 +58,21 @@ class TestJ:
         for f in (J, J_prime):
             with pytest.raises(DomainError):
                 f(alpha, n, x=x)
+
+    def test_memory_of_two_whole_halves_at_a_million_pairs(self):
+        # at 3/4 neither half is spliced; J laid the two halves' terms out
+        # as a fresh chain and peaked at 2.0 x 8n bytes, where one half's
+        # log and terms at a time take 1.0 x 8n
+        n = 10**6
+        x = newton_solve(ChainParams(n, 0.75))
+        J(0.75, n, x)
+        tracemalloc.start()
+        try:
+            J(0.75, n, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n
 
 
 class TestTangent:
@@ -218,11 +234,24 @@ class TestWindowSums:
             ref = (2.0 * math.fsum(p) - (p[-1] if n % 2 else 0.0)) / n
             assert jp == pytest.approx(ref, rel=1e-13, abs=0.0), n
 
-    @pytest.mark.parametrize("change, spliced", [("bulk", [True, False]), ("head", [True, True])])
+    @pytest.mark.parametrize(
+        "change, spliced", [("bulk", [True, False]), ("head", [True, True]), ("whole", [False, False])]
+    )
     def test_halves_summed_each_by_its_own_rule(self, change, spliced):
         # J assumes no mirror: a right half whose bulk breaks the period is
-        # summed whole, one with a head of its own on its own window
-        n, alpha = 100_001, 0.8
+        # summed whole, one with a head of its own on its own window, and
+        # two whole halves that differ each by its own chain sum
+        alpha = 0.8
+        if change == "whole":
+            rng = np.random.default_rng(0)
+            for n in (100_000, 100_001):
+                x = rng.uniform(size=n)
+                _, halves = fairness_module._halves(alpha, n, x)
+                assert [h < (n + 1) // 2 for h, _ in halves] == spliced
+                val = J(alpha, n, x)
+                assert abs(val - math.fsum(entropy_terms(x)) / n) <= 1e-15 * val, n
+            return
+        n = 100_001
         x = newton_solve(ChainParams(n, alpha))
         if change == "bulk":
             x[n - 1 - n // 4] += 1e-3
@@ -545,19 +574,16 @@ class TestSweepJ:
 @pytest.mark.parametrize("n", [3, 50, 1024, 5000])
 def test_drivers_J_is_entropy_of_the_root_over_n(n):
     # the drivers take J as J does, with or without x: the entropy_terms
-    # of a root's halves summed by solver._chain_sums. Chains of 3 and 50
-    # pairs are whole halves, laid out as the root and summed as entropy
-    # sums it, bit for bit. Chains of 1024 and 5000 pairs at 0.95 start
-    # from a spliced root, and a spliced row is summed on its window, which
-    # differs from entropy in the last bits
+    # of a root's half summed by solver._chain_sums. Chains of 3 and 50
+    # pairs are whole halves; chains of 1024 and 5000 pairs at 0.95 start
+    # from a spliced root, summed on its window. Either sum is within
+    # 1e-15 relative of the exactly summed terms
     def check(a, val):
         x = newton_solve(ChainParams(n, a))
         assert J(a, n, x) == val
-        if n < 1024:
-            assert val == entropy(x) / n
-        else:
+        assert abs(val - math.fsum(entropy_terms(x)) / n) <= 1e-15 * val
+        if n >= 1024:
             assert val == J(a, n)
-            assert val == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
 
     alphas = [0.3, 0.6826, 0.74, 0.76, 0.8, 0.95]
     for a, val in sweep_J(n, alphas):

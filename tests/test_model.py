@@ -69,11 +69,12 @@ class TestCheckVector:
         assert x.dtype == float and x.tolist() == [1.0, 2.0, 3.0]
 
     # [True, False] and ["1.5", "2"] were read as numbers, [1.0, None] as
-    # [1.0, nan], and a bool among floats as 1.0 or 0.0
+    # [1.0, nan], a bool among floats as 1.0 or 0.0, and a complex entry
+    # as its real part
     @pytest.mark.parametrize(
         "value",
         [["a", "b"], [[1.0, 2.0], [3.0]], {1: 2}, None, 0.5, np.ones((2, 2)), [True, False], ["1.5", "2"],
-         [1.0, None], np.array([b"1"]), [1.0, True], (0.5, np.False_, 2)],
+         [1.0, None], np.array([b"1"]), [1.0, True], (0.5, np.False_, 2), [0.5 + 1j, 0.2], np.array([1j])],
     )
     def test_others_refused(self, value):
         with pytest.raises(DomainError, match="^v must be a"):
