@@ -1,10 +1,13 @@
 """Command line front end.
 
-Each subcommand wraps one library operation and prints CSV (or a small SVG
-chart where a figure is the natural output). All floats are written with
-repr so identical invocations produce byte-identical files. A flag's value
-comes from the command line, else from the --config file, else from its
-default.
+Each subcommand's handler wraps one library operation and returns its
+rows, the CSV table with its header, and its chart: a zero-argument
+callable that builds a small SVG for the commands that take --format svg
+(solve, sweep, flat, fit), else None. main alone renders (the chart is
+built under --format svg only), writes to --output or stdout, and reports
+an error. All floats are written with repr so identical invocations
+produce byte-identical files. A flag's value comes from the command line,
+else from the --config file, else from its default.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
 """
@@ -31,7 +34,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _OUTDIR_ENV = "CHAINFAIR_OUTDIR"
-_FORMATS = ("csv", "svg")
 
 
 def _cell(v):
@@ -62,27 +64,21 @@ def _timing(opts) -> MacTiming:
         raise DomainError(f"unknown timing field: {e}") from None
 
 
-def _cmd_solve(opts) -> str:
+def _cmd_solve(opts):
     params = ChainParams(opts["n"], opts["alpha"])
-    method = opts["method"]
-    solve = {"newton": newton_solve, "fixed-point": fixed_point_solve}[method]
+    solve = {"newton": newton_solve, "fixed-point": fixed_point_solve}[opts["method"]]
     x = solve(params, _solve_options(opts))
-    if opts["format"] == "svg":
-        return line_chart(
-            list(zip(range(1, params.n + 1), x)),
-            title=f"Emission probabilities (n={params.n}, alpha={params.alpha})",
-            xlabel="pair",
-            ylabel="x",
-        )
-    return _csv([("pair", "x")] + [(i + 1, float(v)) for i, v in enumerate(x)])
+    rows = [("pair", "x")] + [(i + 1, float(v)) for i, v in enumerate(x)]
+    title = f"Emission probabilities (n={params.n}, alpha={params.alpha})"
+    return rows, lambda: line_chart(rows[1:], title=title, xlabel="pair", ylabel="x")
 
 
-def _cmd_optimize(opts) -> str:
+def _cmd_optimize(opts):
     res = maximize_J(opts["n"], tol_alpha=opts["tol_alpha"])
-    return _csv([(f.name, getattr(res, f.name)) for f in dataclasses.fields(res)])
+    return [(f.name, getattr(res, f.name)) for f in dataclasses.fields(res)], None
 
 
-def _cmd_sweep(opts) -> str:
+def _cmd_sweep(opts):
     n, lo, hi, points = opts["n"], opts["alpha_min"], opts["alpha_max"], opts["points"]
     if points < 2 or not 0.0 < lo < hi < 1.0:
         raise DomainError(
@@ -91,73 +87,46 @@ def _cmd_sweep(opts) -> str:
         )
     step = (hi - lo) / (points - 1)
     rows = sweep_J(n, [lo + k * step for k in range(points)])
-    if opts["format"] == "svg":
-        return line_chart(rows, title=f"J(alpha), n={n}", xlabel="alpha", ylabel="J")
-    return _csv([("alpha", "J")] + rows)
+    chart = lambda: line_chart(rows, title=f"J(alpha), n={n}", xlabel="alpha", ylabel="J")
+    return [("alpha", "J")] + rows, chart
 
 
-def _cmd_ring(opts) -> str:
-    alpha = opts["alpha"]
-    return _csv([("alpha", alpha), ("x", ring_fixed_point(alpha))])
+def _cmd_ring(opts):
+    return [("alpha", opts["alpha"]), ("x", ring_fixed_point(opts["alpha"]))], None
 
 
-def _cmd_flat(opts) -> str:
-    rows = []
-    for n in opts["ns"]:
-        alpha_hat, central = flat_value(n)
-        rows.append((n, alpha_hat, central))
-    if opts["format"] == "svg":
-        return line_chart(
-            [(n, a) for n, a, _ in rows],
-            title="Optimal alpha vs chain length",
-            xlabel="n",
-            ylabel="alpha_hat",
-        )
-    return _csv([("n", "alpha_hat", "flat_value")] + rows)
-
-
-def _cmd_simulate(opts) -> str:
-    config = SimConfig(
-        n=opts["n"],
-        alpha=opts["alpha"],
-        steps=opts["steps"],
-        burn_in=opts["burn_in"],
-        seed=opts["seed"],
-        policy=opts["policy"],
+def _cmd_flat(opts):
+    rows = [(n, *flat_value(n)) for n in opts["ns"]]
+    chart = lambda: line_chart(
+        [(n, a) for n, a, _ in rows], title="Optimal alpha vs chain length", xlabel="n", ylabel="alpha_hat"
     )
-    est = simulate(config)
-    rows = [
-        (i + 1, float(xh), float(se))
-        for i, (xh, se) in enumerate(zip(est.x_hat, est.stderr))
-    ]
-    return _csv([("pair", "x_hat", "stderr")] + rows)
+    return [("n", "alpha_hat", "flat_value")] + rows, chart
 
 
-def _cmd_fit(opts) -> str:
+def _cmd_simulate(opts):
+    est = simulate(SimConfig(**{k: opts[k] for k in ("n", "alpha", "steps", "burn_in", "seed", "policy")}))
+    rows = [(i + 1, float(xh), float(se)) for i, (xh, se) in enumerate(zip(est.x_hat, est.stderr))]
+    return [("pair", "x_hat", "stderr")] + rows, None
+
+
+def _cmd_fit(opts):
     trace = read_trace_csv(opts["input"])
     res = fit_alpha(trace, bounds=(opts["lo"], opts["hi"]))
     table = compare_normalized(trace, res.alpha_fit)
-    if opts["format"] == "svg":
-        labels = [str(pair) for pair, _, _, _ in table]
-        observed = [obs for _, obs, _, _ in table]
-        model = [mod for _, _, mod, _ in table]
-        return bar_chart(
-            labels,
-            [("observed", observed), ("model", model)],
-            title=f"Normalized throughput, alpha_fit={res.alpha_fit:.4f}",
-            xlabel="pair",
-            ylabel="rate / rate_1",
-        )
-    rows = [("alpha_fit", res.alpha_fit), ("sse", res.sse)]
-    rows.append(("pair", "observed", "model", "residual"))
-    rows.extend(table)
-    return _csv(rows)
+    rows = [("alpha_fit", res.alpha_fit), ("sse", res.sse), ("pair", "observed", "model", "residual"), *table]
+    chart = lambda: bar_chart(
+        [str(pair) for pair, _, _, _ in table],
+        [("observed", [obs for _, obs, _, _ in table]), ("model", [mod for _, _, mod, _ in table])],
+        title=f"Normalized throughput, alpha_fit={res.alpha_fit:.4f}",
+        xlabel="pair",
+        ylabel="rate / rate_1",
+    )
+    return rows, chart
 
 
-def _cmd_packet(opts) -> str:
-    timing = _timing(opts)
-    size = packet_for_alpha(opts["alpha"], opts["rate"], timing)
-    return _csv([("bytes", size)])
+def _cmd_packet(opts):
+    size = packet_for_alpha(opts["alpha"], opts["rate"], _timing(opts))
+    return [("bytes", size)], None
 
 
 def _int_list(text):
@@ -178,43 +147,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, handler, required, help_, columns):
+    def add(name, handler, required, help_, columns, draws=False):
         sp = sub.add_parser(name, help=help_, description=f"{help_} Output: {columns}.")
         sp.add_argument("--config", help="JSON file; keys mirror long flag names")
         sp.add_argument("--output", help=f"output path (default stdout; ${_OUTDIR_ENV} prefixes relative paths)")
+        if draws:
+            sp.add_argument("--format", choices=("csv", "svg"), default="csv")
         # main checks the required flags after the config file's values are in,
         # and reads the flags' types and choices from sp to convert those values
         sp.set_defaults(handler=handler, required=required, parser=sp)
         return sp
 
-    sp = add("solve", _cmd_solve, ("n", "alpha"), "Solve the n-pair chain at one alpha.", "CSV pair,x")
+    sp = add("solve", _cmd_solve, ("n", "alpha"), "Solve the n-pair chain at one alpha.", "CSV pair,x", True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--method", choices=("newton", "fixed-point"), default="newton")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--max-iter", type=int)
-    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
     sp = add("optimize", _cmd_optimize, ("n",), "Maximize the fairness index J over alpha.",
              "CSV alpha_hat,J_value,evaluations,bracket,unimodal key/value rows")
     sp.add_argument("--n", type=int)
     sp.add_argument("--tol-alpha", type=float, default=1e-4)
 
-    sp = add("sweep", _cmd_sweep, ("n",), "Evaluate J over an alpha grid.", "CSV alpha,J")
+    sp = add("sweep", _cmd_sweep, ("n",), "Evaluate J over an alpha grid.", "CSV alpha,J", True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--alpha-min", type=float, default=0.05)
     sp.add_argument("--alpha-max", type=float, default=0.95)
     sp.add_argument("--points", type=int, default=19)
-    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
     sp = add("ring", _cmd_ring, ("alpha",), "Ring (translation invariant) fixed point.",
              "CSV alpha,x key/value rows")
     sp.add_argument("--alpha", type=float)
 
     sp = add("flat", _cmd_flat, ("ns",), "Optimal alpha and central probability per chain length.",
-             "CSV n,alpha_hat,flat_value")
+             "CSV n,alpha_hat,flat_value", True)
     sp.add_argument("--ns", type=_int_list, help="comma-separated chain lengths, e.g. 100,500")
-    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
     sp = add("simulate", _cmd_simulate, ("n", "alpha", "steps"),
              "Slot-level stochastic simulation marginals.", "CSV pair,x_hat,stderr")
@@ -227,11 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="random-single-site")
 
     sp = add("fit", _cmd_fit, ("input",), "Least-squares alpha fit to a measured trace.",
-             "CSV alpha_fit,sse rows then pair,observed,model,residual")
+             "CSV alpha_fit,sse rows then pair,observed,model,residual", True)
     sp.add_argument("--input", help="trace CSV with header pair,rate")
     sp.add_argument("--lo", type=float, default=0.05)
     sp.add_argument("--hi", type=float, default=0.99)
-    sp.add_argument("--format", choices=_FORMATS, default="csv")
 
     sp = add("packet", _cmd_packet, ("alpha", "rate"), "Packet size realizing a target alpha.",
              "CSV bytes,<int>")
@@ -299,27 +266,17 @@ def main(argv=None) -> int:
         missing = ["--" + k.replace("_", "-") for k in args.required if opts[k] is None]
         if missing:
             raise DomainError(f"missing required value(s): {', '.join(missing)}")
-        text = args.handler(opts)
-    except (DomainError, json.JSONDecodeError, OSError) as e:
-        print(f"chainfair {command}: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as e:
-        print(f"chainfair {command}: error: {e}", file=sys.stderr)
-        if e.residual is not None and not math.isnan(e.residual):
-            print(f"chainfair {command}: residual: {e.residual!r}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ChainFairError as e:
-        print(f"chainfair {command}: error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if args.output:
-        target = _resolve_output(args.output)
-        try:
-            with open(target, "w", encoding="utf-8", newline="") as f:
+        rows, chart = args.handler(opts)
+        text = chart() if opts.get("format") == "svg" else _csv(rows)
+        if args.output:
+            with open(_resolve_output(args.output), "w", encoding="utf-8", newline="") as f:
                 f.write(text)
-        except OSError as e:
-            print(f"chainfair {command}: error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
+    except (ChainFairError, json.JSONDecodeError, OSError) as e:
+        print(f"chainfair {command}: error: {e}", file=sys.stderr)
+        if isinstance(e, ConvergenceError) and e.residual is not None and not math.isnan(e.residual):
+            print(f"chainfair {command}: residual: {e.residual!r}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(e, (DomainError, json.JSONDecodeError, OSError)) else EXIT_NUMERIC
+    if not args.output:
         sys.stdout.write(text)
     return EXIT_OK
 

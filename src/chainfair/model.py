@@ -142,7 +142,15 @@ def ring_level(alpha):
 
 
 def entropy_terms(X):
-    """-x ln x entrywise, +0.0 at x = 0 and x = 1, unchecked: every entry must lie in [0, 1]."""
+    """-x ln x entrywise, +0.0 at x = 0 and x = 1, unchecked: every entry must lie in [0, 1].
+
+    A reversed last axis (a root's right half) is evaluated in memory order
+    and its terms returned reversed: numpy's log runs several times slower
+    on a reversed view and rounds some entries differently from the forward
+    loop, so mirror halves would not give equal terms.
+    """
+    if X.strides[-1] < 0:
+        return entropy_terms(X[..., ::-1])[..., ::-1]
     return 0.0 - X * np.log(X, out=np.zeros_like(X), where=X > 0.0)
 
 

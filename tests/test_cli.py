@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfair import (
     ChainParams,
@@ -290,6 +294,108 @@ class TestOutputRouting:
         target = tmp_path / "direct.csv"
         code, _, _ = run(capsys, ["ring", "--alpha", "0.5", "--output", str(target)])
         assert code == 0 and target.exists()
+
+    def test_output_into_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, ["ring", "--alpha", "0.5", "--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("chainfair ring: error: ")
+
+    def test_numerical_failure_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CHAINFAIR_OUTDIR", raising=False)
+        argv = ["solve", "--n", "50", "--alpha", "0.9", "--method", "fixed-point", "--max-iter", "200",
+                "--output", "r.csv"]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        error, residual = err.splitlines()
+        assert error.startswith("chainfair solve: error: ")
+        assert residual.startswith("chainfair solve: residual: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, draws",
+        [
+            (["solve", "--n", "4", "--alpha", "0.5"], True),
+            (["sweep", "--n", "4", "--points", "3"], True),
+            (["flat", "--ns", "5"], True),
+            (["fit", "--input", "trace.csv"], True),
+            (["optimize", "--n", "4"], False),
+            (["ring", "--alpha", "0.5"], False),
+            (["simulate", "--n", "2", "--alpha", "0.5", "--steps", "100"], False),
+            (["packet", "--alpha", "0.6", "--rate", "2"], False),
+        ],
+    )
+    def test_svg_format_only_for_the_commands_that_draw(self, capsys, tmp_path, monkeypatch, argv, draws):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trace.csv").write_text("pair,rate\n1,1.55\n2,0.04\n3,1.55\n")
+        code, out, err = run(capsys, [*argv, "--format", "svg"])
+        if draws:
+            assert code == 0 and err == ""
+            assert ET.fromstring(out).tag.endswith("svg")
+        else:
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --format svg" in err
+
+
+# one valid value per flag, small enough that each call ends in milliseconds
+# (five fixed-point sweeps do not reach tol, so solve can exit 3); "@trace",
+# "@missing" and "@dir" stand for a good trace, a missing path and a directory
+VALID = {
+    "solve": {"n": [7], "alpha": [0.6], "method": ["fixed-point"], "tol": [1e-10], "max-iter": [5],
+              "format": ["svg"]},
+    "optimize": {"n": [10], "tol-alpha": [1e-2]},
+    "sweep": {"n": [10], "alpha-min": [0.2], "alpha-max": [0.8], "points": [5], "format": ["svg"]},
+    "ring": {"alpha": [0.6]},
+    "flat": {"ns": [[5, 8]], "format": ["svg"]},
+    "simulate": {"n": [3], "alpha": [0.5], "steps": [500], "burn-in": [50], "seed": [3],
+                 "policy": ["synchronous-random-order"]},
+    "fit": {"input": ["@trace", "@missing", "@dir"], "lo": [0.1], "hi": [0.95], "format": ["svg"]},
+    "packet": {"alpha": [0.6], "rate": [2], "timing": [{"cw_min": 0}]},
+}
+POOL = ["x", None, True, float("nan"), float("inf"), -1, 0, 1e308, [], {}]
+
+
+@st.composite
+def configs(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    flags = VALID[command]
+    # a valid value half the time, so that whole valid configs are drawn too
+    values = {k: st.sampled_from(v) | st.sampled_from(POOL) for k, v in flags.items()}
+    cfg = draw(st.fixed_dictionaries({}, optional=values))
+    return command, cfg
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    (d / "trace.csv").write_text("pair,rate\n1,1.55\n2,0.04\n3,1.55\n")
+    return d
+
+
+class TestExitContract:
+    @given(case=configs())
+    @settings(max_examples=200, deadline=None)
+    def test_any_config_exits_0_2_or_3_with_one_error_line(self, trace_dir, case):
+        command, cfg = case
+        paths = {"@trace": trace_dir / "trace.csv", "@missing": trace_dir / "missing.csv", "@dir": trace_dir}
+        cfg = {k: str(paths[v]) if isinstance(v, str) and v in paths else v for k, v in cfg.items()}
+        path = trace_dir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == ""
+            return
+        assert out == ""
+        lines = err.splitlines()
+        assert err.endswith("\n") and lines[0].startswith(f"chainfair {command}: error: ")
+        assert len(lines) == 1 or code == 3 and len(lines) == 2 and lines[1].startswith(
+            f"chainfair {command}: residual: "
+        )
 
 
 class TestOptimizeCommand:

@@ -74,6 +74,16 @@ class TestJ:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * n
 
+    def test_terms_of_two_mirror_halves_equal_at_a_million_pairs(self):
+        # J reads the right half as a reversed view; numpy's strided log
+        # rounded 108 of its 5 x 10^5 terms differently from the left half's
+        n = 10**6
+        x = newton_solve(ChainParams(n, 0.75))
+        m = (n + 1) // 2
+        left, right = x[None, :m], x[None, ::-1][:, :m]
+        np.testing.assert_array_equal(left, right)
+        np.testing.assert_array_equal(entropy_terms(left), entropy_terms(right))
+
 
 class TestTangent:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
