@@ -210,7 +210,14 @@ def _search(n, grid, value, slope, width):
     best point and neighbours; if the neighbour that the best point's
     slope points to has a slope of the other sign, _refine closes that
     step to width, each point solved by newton_rows(n, [a]) (a failed
-    solve gives nan, which stops it).
+    solve gives nan, which stops it). The nearest solved alphas on each
+    side of a point are its bracket's ends; where both roots are whole
+    halves on one side of 3/4 (the branch test of solver._ring_start),
+    the point starts from their linear interpolation in alpha, a secant
+    predictor: up to 100 pairs it then takes one or two Newton steps,
+    where the ring pattern took three or four. Otherwise it starts as
+    newton_solve does: a bracket across 3/4 would blend the flat and the
+    alternating layout.
 
     Returns None if no grid point solves, else (alpha, value, root,
     evaluations, bracket, unimodal): bracket is the grid step when no
@@ -237,8 +244,15 @@ def _search(n, grid, value, slope, width):
     s = dict(zip(near, slope(grid[list(near)], near_parts)))
     roots = {float(grid[k]): root for k, root in near.items()}
 
+    m = (n + 1) // 2
+
     def at(a):
-        ((rows, parts),) = newton_rows(n, [a])
+        lo, hi = max(b for b in roots if b < a), min(b for b in roots if b > a)
+        (h_lo, y_lo), (h_hi, y_hi) = roots[lo], roots[hi]
+        start = None
+        if h_lo == h_hi == m and (lo <= 0.75) == (hi <= 0.75):
+            start = (y_lo + (a - lo) / (hi - lo) * (y_hi - y_lo))[None]
+        ((rows, parts),) = newton_rows(n, [a], start=start)
         if not len(rows):
             return math.nan
         ((_, h, W),) = parts

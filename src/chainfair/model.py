@@ -151,7 +151,11 @@ def entropy_terms(X):
     """
     if X.strides[-1] < 0:
         return entropy_terms(X[..., ::-1])[..., ::-1]
-    return 0.0 - X * np.log(X, out=np.zeros_like(X), where=X > 0.0)
+    # the masked log's buffer takes the product and the negation too: beside
+    # it only the mask is allocated
+    t = np.log(X, out=np.zeros_like(X), where=X > 0.0)
+    t *= X
+    return np.subtract(0.0, t, out=t)
 
 
 def entropy(x) -> float:

@@ -19,7 +19,10 @@ that solve come back. Both start a long chain from the root of a short
 chain spliced into the ring pattern (_start_rows), and run the
 full-length loop (_newton_block) only on the rows where that start fails
 tol, which a short window chain with the same neighbourhoods shows
-(_widths holds its geometry).
+(_widths holds its geometry). newton_rows also takes whole start halves
+from its caller: a refinement solve of the searches starts from the two
+roots at its bracket's ends, interpolated, and runs the full-length loop
+from there; its root passes tol but is not newton_solve's bit for bit.
 
 A solved row travels as a part (rows, h, W): a spliced root as its
 window, whose bulk repeats the window's sites h-2 and h-1 by parity
@@ -593,29 +596,35 @@ def _start_rows(n, alphas, opts, widths):
     return parts, np.array(rest, dtype=int), y
 
 
-def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
+def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions(), start=None):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
     Yields (indices, parts) for consecutive blocks of alphas, in input
     order: the block's solved rows, and parts (rows, h, W) holding the
-    roots for alphas[rows], each bit for bit newton_solve's once unfolded
-    (_unfold); a failed row is left out. A block holds as many rows as fit
-    in _STACK_UNKNOWNS unknowns, a row counting its width (_widths), so
-    memory stays bounded however many alphas come in; the rows whose start
-    fails its window check (_start_rows) run the full-length loop at most
-    _STACK_UNKNOWNS // m at a time. The alphas are not checked here:
-    maximize_J, fit_alpha and sweep_J check each one where it enters.
+    roots for alphas[rows]; a failed row is left out. A block holds as
+    many rows as fit in _STACK_UNKNOWNS unknowns, a row counting its width
+    (_widths), so memory stays bounded however many alphas come in; the
+    rows whose start fails its window check (_start_rows) run the
+    full-length loop at most _STACK_UNKNOWNS // m at a time. Each root is
+    bit for bit newton_solve's once unfolded (_unfold), unless start is
+    given: an (R, m) array of whole start halves, one per alpha, which the
+    loop overwrites. Its rows skip _start_rows, run the full-length loop
+    from there and come back whole, h = m. The alphas are not checked
+    here: maximize_J, fit_alpha and sweep_J check each one where it enters.
     """
     alphas = list(alphas)
     m = (n + 1) // 2
-    widths = _widths(n, alphas)
-    step, start = max(1, _STACK_UNKNOWNS // m), 0
-    while start < len(alphas):
-        stop, total = start + 1, widths[start]
+    widths = [m] * len(alphas) if start is not None else _widths(n, alphas)
+    step, first = max(1, _STACK_UNKNOWNS // m), 0
+    while first < len(alphas):
+        stop, total = first + 1, widths[first]
         while stop < len(alphas) and total + widths[stop] <= _STACK_UNKNOWNS:
             total, stop = total + widths[stop], stop + 1
-        block = alphas[start:stop]
-        parts, rest, y = _start_rows(n, block, opts, widths[start:stop])
+        block = alphas[first:stop]
+        if start is None:
+            parts, rest, y = _start_rows(n, block, opts, widths[first:stop])
+        else:
+            parts, rest, y = [], np.arange(len(block)), start[first:stop]
         why = []
         for i in range(0, len(rest), step):
             why += _newton_block(n, [block[j] for j in rest[i : i + step].tolist()], opts, y[i : i + step])[1]
@@ -623,8 +632,8 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
         if ok:
             parts.append((rest[ok], m, y[ok]) if len(ok) < len(y) else (rest, m, y))
         solved = parts[0][0] if len(parts) == 1 else np.sort(np.concatenate([rest[:0]] + [p[0] for p in parts]))
-        yield start + solved, [(start + rows, h, W) for rows, h, W in parts]
-        start = stop
+        yield first + solved, [(first + rows, h, W) for rows, h, W in parts]
+        first = stop
 
 
 def _solve_part(params, opts):

@@ -17,12 +17,13 @@ from chainfair import (
     entropy,
     maximize_J,
     newton_solve,
+    residual,
     sweep_J,
 )
 from chainfair.model import entropy_terms
 from chainfair.solver import _unfold
 
-from patching import count_solves, force_failures, off_grid
+from patching import capture_roots, count_solves, force_failures, off_grid, refinement_solves
 from reference import jacobian_F
 from test_solver import WINDOW_ALPHAS, gtsv_sizes, tangent_halves, window_half
 
@@ -83,6 +84,15 @@ class TestJ:
         left, right = x[None, :m], x[None, ::-1][:, :m]
         np.testing.assert_array_equal(left, right)
         np.testing.assert_array_equal(entropy_terms(left), entropy_terms(right))
+
+    def test_terms_in_place_match_the_plain_expression(self):
+        # entropy_terms negates the product in the masked log's buffer; it
+        # must give the bits of 0.0 - X * log, +0.0 at 0 and 1 included
+        x = np.concatenate([newton_solve(ChainParams(10**4, 0.75)), [0.0, 1.0, 0.5]])
+        X = np.stack([x, np.random.default_rng(0).uniform(0.0, 1.0, len(x))])
+        for V in (X, X[0]):
+            plain = 0.0 - V * np.log(V, out=np.zeros_like(V), where=V > 0.0)
+            np.testing.assert_array_equal(entropy_terms(V).view(np.uint64), plain.view(np.uint64))
 
 
 class TestTangent:
@@ -385,7 +395,10 @@ class TestMaximizeJ:
     def test_scan_matches_pointwise_J_and_J_prime(self, monkeypatch, n):
         # the values _search keeps for the grid and the slopes it takes, as
         # maximize_J hands them over, against J and J' solved alpha by alpha;
-        # at 2000 and 5000 pairs spliced rows take the window
+        # at 2000 and 5000 pairs spliced rows take the window. A refinement
+        # point starts from its bracket's roots, not from newton_solve's
+        # start, so its slope is J' of its own root, which passes tol and
+        # lies near newton_solve's
         values, slopes = [], []
         real = fairness_module._search
 
@@ -397,18 +410,24 @@ class TestMaximizeJ:
 
             def logged_slope(alphas, parts):
                 out = slope(alphas, parts)
-                slopes.extend(zip(alphas, out))
+                slopes.append(list(zip(alphas, out)))
                 return out
 
             return real(n, grid, logged_value, logged_slope, width)
 
         monkeypatch.setattr(fairness_module, "_search", search)
+        roots = capture_roots(monkeypatch)
         maximize_J(n)
         # a block's values come part by part
         assert sorted(values[: len(GRID)]) == [(a, J(float(a), n)) for a in GRID]
-        assert len(slopes) >= 2
-        for a, s in slopes:
+        assert len(slopes[0]) >= 2
+        for a, s in slopes[0]:
             assert s == J_prime(float(a), n)
+        for ((a, s),) in slopes[1:]:
+            x = roots[float(a)]
+            assert s == J_prime(float(a), n, x)
+            assert residual(ChainParams(n, float(a)), x) <= 1e-12
+            assert np.max(np.abs(x - newton_solve(ChainParams(n, float(a))))) <= 1e-9
 
     def test_failed_scan_row_is_left_out(self, monkeypatch):
         ref = maximize_J(10)
@@ -508,6 +527,60 @@ class TestMaximizeJ:
             maximize_J(10)
 
 
+class TestRefinementStart:
+    """A refinement solve starts from its bracket's two roots, interpolated, where both are whole halves on one side
+    of 3/4; elsewhere from the ring pattern or a spliced root (solver._start_rows)."""
+
+    @pytest.mark.parametrize("n", [3, 10, 100])
+    def test_newton_steps_per_refinement_solve(self, monkeypatch, n):
+        # from the ring pattern each took 3 or 4 steps
+        solves = refinement_solves(monkeypatch)
+        res = maximize_J(n)
+        assert res.bracket <= 1e-4
+        assert solves and max(s.steps for s in solves) <= 2
+        assert all(s.solved and s.started for s in solves)
+
+    @pytest.mark.parametrize(
+        "n, first, target",
+        [
+            # the bracket [0.74, 0.76] straddles 3/4: flat and alternating
+            # layouts would blend
+            (10, 0.66, 0.7437),
+            # the bracket [0.30, 0.32] holds spliced roots, windows
+            (5000, 0.2, 0.3037),
+        ],
+    )
+    def test_other_brackets_start_as_newton_solve(self, monkeypatch, n, first, target):
+        starts = []
+        real = solver_module._start_rows
+
+        def start_rows(n, alphas, *args):
+            starts.extend(float(a) for a in alphas)
+            return real(n, alphas, *args)
+
+        monkeypatch.setattr(solver_module, "_start_rows", start_rows)
+        roots = capture_roots(monkeypatch)
+        solves = refinement_solves(monkeypatch)
+        # a parabola peaked at target puts the bracket between its two
+        # nearest grid points
+        grid = first + 0.02 * np.arange(10)
+        *_, bracket, _ = fairness_module._search(
+            n,
+            grid,
+            lambda alphas, h, W: -((np.asarray(alphas) - target) ** 2),
+            lambda alphas, parts: -2.0 * (np.asarray(alphas) - target),
+            1e-4,
+        )
+        assert bracket <= 1e-4
+        assert all(s.solved for s in solves)
+        for s in solves:
+            assert s.started == (n < 1024 and (s.lo <= 0.75) == (s.hi <= 0.75))
+            assert (s.alpha in starts) != s.started
+            if not s.started:
+                np.testing.assert_array_equal(roots[s.alpha], newton_solve(ChainParams(n, s.alpha)))
+        assert not solves[0].started
+
+
 class TestSweepJ:
     def test_values_match_pointwise(self):
         rows = sweep_J(5, [0.2, 0.5, 0.7])
@@ -582,21 +655,24 @@ class TestSweepJ:
 
 
 @pytest.mark.parametrize("n", [3, 50, 1024, 5000])
-def test_drivers_J_is_entropy_of_the_root_over_n(n):
+def test_drivers_J_is_entropy_of_the_root_over_n(monkeypatch, n):
     # the drivers take J as J does, with or without x: the entropy_terms
     # of a root's half summed by solver._chain_sums. Chains of 3 and 50
     # pairs are whole halves; chains of 1024 and 5000 pairs at 0.95 start
     # from a spliced root, summed on its window. Either sum is within
     # 1e-15 relative of the exactly summed terms
-    def check(a, val):
-        x = newton_solve(ChainParams(n, a))
+    def check(a, val, x):
         assert J(a, n, x) == val
         assert abs(val - math.fsum(entropy_terms(x)) / n) <= 1e-15 * val
-        if n >= 1024:
-            assert val == J(a, n)
 
     alphas = [0.3, 0.6826, 0.74, 0.76, 0.8, 0.95]
     for a, val in sweep_J(n, alphas):
-        check(a, val)
+        check(a, val, newton_solve(ChainParams(n, a)))
+        if n >= 1024:
+            assert val == J(a, n)
+    # alpha_hat's root is the search's own: a refinement point starts from
+    # its bracket's roots, so J there is newton_solve's up to its tol
+    roots = capture_roots(monkeypatch)
     res = maximize_J(n)
-    check(res.alpha_hat, res.J_value)
+    check(res.alpha_hat, res.J_value, roots[res.alpha_hat])
+    assert abs(res.J_value - J(res.alpha_hat, n)) <= 1e-12 * res.J_value

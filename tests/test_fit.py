@@ -19,7 +19,7 @@ from chainfair import (
     read_trace_csv,
 )
 
-from patching import count_solves, force_failures, off_grid
+from patching import count_solves, force_failures, off_grid, refinement_solves
 from test_solver import unfolded
 
 NS2_THREE_PAIRS = ThroughputTrace(rates=[1.55, 0.04, 1.55])
@@ -124,6 +124,19 @@ class TestFitAlpha:
     def test_round_trip_property(self, n, alpha):
         res = fit_alpha(model_trace(n, alpha))
         assert res.alpha_fit == pytest.approx(alpha, abs=1e-3)
+
+    def test_newton_steps_per_same_side_refinement_solve(self, monkeypatch):
+        # a refinement solve whose bracket lies on one side of 3/4 starts
+        # from its ends' roots: at most 3 Newton steps, where the ring
+        # pattern took 3.5 on average and up to 5; none fails
+        solves = refinement_solves(monkeypatch)
+        for n in range(3, 21):
+            for alpha in np.linspace(0.2, 0.95, 7):
+                fit_alpha(model_trace(n, alpha))
+        assert all(s.solved for s in solves)
+        same = [s for s in solves if (s.lo <= 0.75) == (s.hi <= 0.75)]
+        assert len(same) >= 0.9 * len(solves)
+        assert max(s.steps for s in same) <= 3
 
     def test_noisy_recovery_on_average(self):
         rng = np.random.default_rng(0)
