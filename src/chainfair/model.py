@@ -141,6 +141,9 @@ def ring_level(alpha):
     return 2.0 * alpha / (2.0 * alpha + 1.0 + math.sqrt(4.0 * alpha + 1.0))
 
 
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+
 def entropy_terms(X):
     """-x ln x entrywise, +0.0 at x = 0 and x = 1, unchecked: every entry must lie in [0, 1].
 
@@ -151,9 +154,11 @@ def entropy_terms(X):
     """
     if X.strides[-1] < 0:
         return entropy_terms(X[..., ::-1])[..., ::-1]
-    # the masked log's buffer takes the product and the negation too: beside
-    # it only the mask is allocated
-    t = np.log(X, out=np.zeros_like(X), where=X > 0.0)
+    # a 0 takes the log of the smallest subnormal, finite, and its product
+    # -0.0 negates to +0.0; every other entry keeps its own log. The one
+    # copy takes the log, the product and the negation in place
+    t = np.maximum(X, _SMALLEST_SUBNORMAL)
+    np.log(t, out=t)
     t *= X
     return np.subtract(0.0, t, out=t)
 

@@ -15,14 +15,15 @@ ends high, alternating inward, and a central defect when n is even.
 newton_rows runs that loop on many alphas at once, one row each, for the
 alpha scans of maximize_J, fit_alpha and sweep_J: the rows' tridiagonal
 systems are stacked into one LAPACK gtsv call per step, and only the rows
-that solve come back. Both start a long chain from the root of a short
-chain spliced into the ring pattern (_start_rows), and run the
-full-length loop (_newton_block) only on the rows where that start fails
-tol, which a short window chain with the same neighbourhoods shows
-(_widths holds its geometry). newton_rows also takes whole start halves
-from its caller: a refinement solve of the searches starts from the two
-roots at its bracket's ends, interpolated, and runs the full-length loop
-from there; its root passes tol but is not newton_solve's bit for bit.
+that solve come back. Both start a chain of at least 2 L(alpha) pairs
+from the root of a short chain of L(alpha) pairs (_splice_len) spliced
+into the ring pattern (_start_rows), and run the full-length loop
+(_newton_block) only on the rows where that start fails tol, which a
+short window chain with the same neighbourhoods shows (_widths holds its
+geometry). newton_rows also takes whole start halves from its caller: a
+refinement solve of the searches starts from the two roots at its
+bracket's ends, interpolated, and runs the full-length loop from there;
+its root passes tol but is not newton_solve's bit for bit.
 
 A solved row travels as a part (rows, h, W): a spliced root as its
 window, whose bulk repeats the window's sites h-2 and h-1 by parity
@@ -74,13 +75,13 @@ _NEWTON_MAX_ITER = 100
 # slower than 2^14 on a 2-core Xeon with 2 MB of L2 per core.
 _STACK_UNKNOWNS = 1 << 14
 # Clips of L(alpha), the length of the short chain whose root starts chains
-# of at least 8 L(alpha) pairs (see _start_rows). L(alpha) is the power of
-# two at or above 160/kappa, kappa the border layer's decay rate
-# (_border_rate): the splice takes the L/4 >= 40/kappa sites next to each
-# end and next to the centre from the short root, where the deviation from
-# the ring pattern has decayed by e^{-40} ~ 4e-18. Near alpha = 3/4, where
-# kappa -> 0, the upper clip holds; below 8 * 2^7 = 1024 pairs no chain is
-# spliced.
+# of at least 2 L(alpha) pairs (see _start_rows), so the short chain holds
+# at most half the pairs. L(alpha) is the power of two at or above
+# 160/kappa, kappa the border layer's decay rate (_border_rate): the splice
+# takes the L/4 >= 40/kappa sites next to each end and next to the centre
+# from the short root, where the deviation from the ring pattern has
+# decayed by e^{-40} ~ 4e-18. Near alpha = 3/4, where kappa -> 0, the upper
+# clip holds; below 2 * 2^7 = 256 pairs no chain is spliced.
 _SPLICE_MIN = 1 << 7
 _SPLICE_LEN = 1 << 13
 # The longest L(alpha) whose rows take the window chain in tangent_rows, so
@@ -90,7 +91,8 @@ _SPLICE_LEN = 1 << 13
 # (kappa L < 160) the window also cuts the border layer short: the window
 # tangent strayed from the full half's by up to 1.1e-12 x max |t| at
 # L = 2^12, 3.4e-12 at 2^13 and 3.8e-8 under the clip, against at most
-# 1.8e-13 at L <= 2^11.
+# 1.8e-13 at L <= 2^11. The window chain depends on n only through n % 4,
+# and these figures held on chains of 2 L(alpha) pairs as of 8 L(alpha).
 _TANGENT_SPLICE_LEN = 1 << 11
 
 
@@ -505,16 +507,19 @@ def _window_width(n, length):
 def _widths(n, alphas):
     """The unknowns of each alpha's part on a chain of n pairs, a list of ints.
 
-    Where n >= 8 L(alpha) (_splice_len), the window chain's w
-    (_window_width); on a long half its window is y[:h] ++ y[m - w + h:],
-    h = w // 2. Elsewhere m = ceil(n/2).
+    Where n >= 2 L(alpha) (_splice_len), the window chain's w
+    (_window_width), which is then below m; on a long half its window is
+    y[:h] ++ y[m - w + h:], h = w // 2. Elsewhere m = ceil(n/2). Where a
+    window fails tol, which at alpha = 3/4 it always does, the short chain
+    costs at most half a solve more, and the full-length loop starts from
+    the window spread (_start_rows).
     """
     m = (n + 1) // 2
     widths = [m] * len(alphas)
-    if n >= 8 * _SPLICE_MIN:
+    if n >= 2 * _SPLICE_MIN:
         for i, a in enumerate(alphas):
             length = _splice_len(a)
-            if n >= 8 * length:
+            if n >= 2 * length:
                 widths[i] = _window_width(n, length)
     return widths
 
@@ -553,7 +558,7 @@ def _start_rows(n, alphas, opts, widths):
     """Newton starts for a block of alphas, spliced near the ends of a long chain, and the rows they solve.
 
     Away from its ends a long chain sits on the ring pattern, up to border
-    layers that decay like e^{-kappa i}. So for n >= 8 L(alpha)
+    layers that decay like e^{-kappa i}. So for n >= 2 L(alpha)
     (_splice_len) the loop first runs on a chain of n' = L(alpha) + n % 4
     pairs only; the rows of one L share one stacked short _newton_block,
     so each row gets the arithmetic of its own solve. n' has the parity of

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,13 +87,25 @@ class TestJ:
         np.testing.assert_array_equal(entropy_terms(left), entropy_terms(right))
 
     def test_terms_in_place_match_the_plain_expression(self):
-        # entropy_terms negates the product in the masked log's buffer; it
-        # must give the bits of 0.0 - X * log, +0.0 at 0 and 1 included
+        # entropy_terms takes the log, product and negation in one buffer;
+        # it must give the bits of 0.0 - X * log, +0.0 at 0 and 1 included
         x = np.concatenate([newton_solve(ChainParams(10**4, 0.75)), [0.0, 1.0, 0.5]])
         X = np.stack([x, np.random.default_rng(0).uniform(0.0, 1.0, len(x))])
         for V in (X, X[0]):
             plain = 0.0 - V * np.log(V, out=np.zeros_like(V), where=V > 0.0)
             np.testing.assert_array_equal(entropy_terms(V).view(np.uint64), plain.view(np.uint64))
+
+    def test_terms_at_zero_one_and_the_smallest_subnormal(self):
+        # a 0 takes the log of the smallest subnormal, which a subnormal
+        # entry keeps as its own: +0.0 at 0 and 1, the subnormal's exact
+        # term, and no RuntimeWarning, forward and on a reversed view
+        x = np.array([0.0, 1.0, 5e-324, 0.5, 0.0, 1.0])
+        ref = np.array([0.0, 0.0, -(5e-324 * math.log(5e-324)), -(0.5 * math.log(0.5)), 0.0, 0.0])
+        assert ref[2] > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for V, want in ((x, ref), (x[::-1], ref[::-1]), (np.stack([x, x])[:, ::-1], np.stack([ref, ref])[:, ::-1])):
+                np.testing.assert_array_equal(entropy_terms(V).view(np.uint64), want.view(np.uint64))
 
 
 class TestTangent:
@@ -154,7 +167,9 @@ class TestJPrime:
 
     @pytest.mark.parametrize(
         "n, alpha",
-        [(n, a) for n in (1, 2, 3, 50, 1023) for a in (0.3, 0.6826, 0.75, 0.8, 0.95)]
+        [(n, a) for n in (1, 2, 3, 50, 255) for a in (0.3, 0.6826, 0.75, 0.8, 0.95)]
+        # just below 2 L(alpha) = 1024 pairs at 0.6826 and 0.8
+        + [(1023, a) for a in (0.6826, 0.75, 0.8)]
         + [(5000, 0.749), (20_000, 0.7499), (100_001, 0.75), (100_001, 0.7501)],
     )
     def test_full_half_slope_matches_the_exact_sum(self, monkeypatch, n, alpha):
@@ -238,7 +253,7 @@ class TestWindowSums:
         # the dot summed exactly: the einsum over the half strayed from it
         # by up to 8.6e-14 relative at 10^6 pairs, the window sum by 1.7e-16
         length = solver_module._splice_len(alpha)
-        for n in [8 * length + r for r in range(4)] + [65_537, 100_001, 10**6]:
+        for n in [k * length + r for k in (2, 8) for r in range(4)] + [65_537, 100_001, 10**6]:
             x = newton_solve(ChainParams(n, alpha))
             m = (n + 1) // 2
             _, halves = fairness_module._halves(alpha, n, x)
@@ -574,7 +589,7 @@ class TestRefinementStart:
         assert bracket <= 1e-4
         assert all(s.solved for s in solves)
         for s in solves:
-            assert s.started == (n < 1024 and (s.lo <= 0.75) == (s.hi <= 0.75))
+            assert s.started == (n < 2 * solver_module._SPLICE_MIN and (s.lo <= 0.75) == (s.hi <= 0.75))
             assert (s.alpha in starts) != s.started
             if not s.started:
                 np.testing.assert_array_equal(roots[s.alpha], newton_solve(ChainParams(n, s.alpha)))

@@ -18,6 +18,7 @@ from chainfair import (
     contraction_check,
     fixed_point_solve,
     jacobian_bands,
+    maximize_J,
     newton_solve,
     residual,
 )
@@ -320,12 +321,15 @@ class TestNewtonRows:
                 tracemalloc.stop()
             return top
 
-        # the reference block is one whose rows step at full length: the one
-        # holding 0.75, where a chain of 5000 pairs is too short to splice
-        per_block = _STACK_UNKNOWNS // ((n + 1) // 2)
-        first = 74 // per_block * per_block
-        assert alphas[74] == 0.75 and n < 8 * solver_module._splice_len(0.75)
-        one_block = peak(alphas[first : first + per_block])
+        # the reference block is a full one whose rows all step at full
+        # length: alphas in the band about 3/4 where L(alpha) = 2^13 and a
+        # chain of 5000 pairs is too short to splice
+        m = (n + 1) // 2
+        per_block = _STACK_UNKNOWNS // m
+        clipped = np.linspace(0.7499, 0.7501, per_block)
+        assert {solver_module._splice_len(a) for a in clipped} == {solver_module._SPLICE_LEN}
+        assert solver_module._widths(n, clipped) == [m] * per_block
+        one_block = peak(clipped)
         every_row = peak(alphas)
         # the peak is that of one block, not of all the rows at once
         assert every_row < 1.5 * one_block
@@ -441,9 +445,22 @@ def window_merits(monkeypatch):
     return seen
 
 
+def newton_steps(monkeypatch):
+    """Make solver._newton_step append (half length, alphas) of every call to the returned list."""
+    seen = []
+    real = solver_module._newton_step
+
+    def recording(alpha, z, g, k):
+        seen.append((g.shape[1], alpha[:, 0].tolist()))
+        return real(alpha, z, g, k)
+
+    monkeypatch.setattr(solver_module, "_newton_step", recording)
+    return seen
+
+
 class TestSplicedLongChains:
     @pytest.mark.parametrize("alpha", [1e-12, 0.3, 0.6826, 0.74, 0.75, 0.7505, 0.8, 0.95])
-    @pytest.mark.parametrize("n", [1024, 65_536, 65_537, 65_538, 65_539, 100_001])
+    @pytest.mark.parametrize("n", [255, 256, 1024, 65_536, 65_537, 65_538, 65_539, 100_001])
     def test_window_check_is_the_full_length_check(self, monkeypatch, n, alpha):
         # the window chain's max |G| is that of the whole spliced half, bit
         # for bit, and marks the row solved exactly when it passes tol
@@ -453,7 +470,7 @@ class TestSplicedLongChains:
         parts, rest, y = solver_module._start_rows(n, [alpha], SolveOptions(), widths)
         length = solver_module._splice_len(alpha)
         m, window = (n + 1) // 2, (length + n % 4 + 1) // 2 + 4
-        if n < 8 * length:
+        if n < 2 * length:
             assert seen == [] and not parts and widths == [m]
             return
         width, window_max = seen[-1]
@@ -486,33 +503,67 @@ class TestSplicedLongChains:
         # 1e-12 residual fixes the root only to about 1e-8
         assert np.max(np.abs(x - ref)) <= (1e-7 if alpha == 0.75 else 1e-11)
 
-    @pytest.mark.parametrize("n", [5000, 8 * solver_module._SPLICE_LEN - 1])
+    @pytest.mark.parametrize("n", [255, 5000, 2 * solver_module._SPLICE_LEN - 1, 8 * solver_module._SPLICE_LEN - 1])
     @pytest.mark.parametrize("alpha", [1e-3, 0.6826, 0.75, 0.8, 0.95])
     def test_shorter_chains_are_solved_whole(self, monkeypatch, n, alpha):
-        # a chain below 8 L(alpha) runs the full-length loop from the ring
-        # start; from 8 L(alpha) up a chain of L(alpha) + n % 4 pairs runs
-        # instead, where its spliced start passes the window check
+        # a chain below 2 L(alpha) runs the full-length loop from the ring
+        # start; from 2 L(alpha) up a chain of L(alpha) + n % 4 pairs runs
+        # first, and the full-length loop only where its spliced start
+        # fails the window check
         length = solver_module._splice_len(alpha)
         halves = newton_halves(monkeypatch)
         x = newton_solve(ChainParams(n, alpha))
-        if n < 8 * length:
+        if n < 2 * length:
             assert halves == [(n + 1) // 2]
             assert np.array_equal(x, full_solve(n, alpha)[0])
         else:
             # the spliced start passes the window check at every spliced
-            # cell here, so the full-length loop does not run
-            assert halves == [(length + n % 4 + 1) // 2]
+            # cell here but 3/4, where the deviation from the ring pattern
+            # decays like 1/i and no window of 2^13 pairs passes tol
+            assert halves == [(length + n % 4 + 1) // 2] + ([(n + 1) // 2] if alpha == 0.75 else [])
 
     @pytest.mark.parametrize("alpha", [1e-12, 1e-3, 0.5, 0.6826, 0.74, 0.7505, 0.8, 0.95])
-    def test_splice_threshold_is_eight_short_lengths(self, monkeypatch, alpha):
+    def test_splice_threshold_is_two_short_lengths(self, monkeypatch, alpha):
+        # at 2 L(alpha) the short chain holds half the pairs, and the
+        # window is still shorter than the half
         halves = newton_halves(monkeypatch)
         length = solver_module._splice_len(alpha)
-        for n in (8 * length - 1, 8 * length):
+        for n in (2 * length - 1, 2 * length):
             halves.clear()
             p = ChainParams(n, alpha)
             assert residual(p, newton_solve(p)) <= 1e-12
-            # at 8 L(alpha) the spliced start passes the window check
-            assert halves == ([(length + n % 4 + 1) // 2] if n == 8 * length else [(n + 1) // 2])
+            # at 2 L(alpha) the spliced start passes the window check
+            assert halves == ([(length + n % 4 + 1) // 2] if n == 2 * length else [(n + 1) // 2])
+
+    def test_spliced_rows_take_no_full_length_step(self, monkeypatch):
+        # a chain of 30000 pairs at 0.7501 (L = 2^13) splices at 2 L and
+        # its window passes; at 8 L it ran 6 full-length steps
+        n = 30_000
+        seen = newton_steps(monkeypatch)
+        newton_solve(ChainParams(n, 0.7501))
+        assert seen and {width for width, _ in seen} == {window_half(n, 0.7501) - 4}
+        # a scan of 2000 pairs: its 92 rows with L(alpha) <= 1000 splice,
+        # and every full-length step is on a row with a longer L(alpha);
+        # at 8 L 52 of those rows stepped at full length
+        seen.clear()
+        maximize_J(2000)
+        grid = np.linspace(0.01, 0.99, 99)
+        assert sum(solver_module._splice_len(a) <= 1000 for a in grid) == 92
+        full = [a for width, alphas in seen if width == 1000 for a in alphas]
+        assert full and min(solver_module._splice_len(a) for a in full) > 1000
+
+    def test_chains_below_two_short_lengths_step_from_the_ring(self, monkeypatch):
+        # 9000 pairs at 3/4 lie below 2 L(3/4) = 16384: the full-length loop
+        # runs from the ring start alone, 9 steps, as it did at 8 L
+        n, alpha = 9000, 0.75
+        seen = newton_steps(monkeypatch)
+        x = newton_solve(ChainParams(n, alpha))
+        steps = [width for width, _ in seen]
+        assert steps == [(n + 1) // 2] * 9
+        seen.clear()
+        ref, _ = full_solve(n, alpha)
+        assert [width for width, _ in seen] == steps
+        assert np.array_equal(x, ref)
 
     @pytest.mark.parametrize(
         ("alpha", "length"),
@@ -569,7 +620,7 @@ class TestSplicedLongChains:
         alphas = [0.95, 0.5, 0.74, 0.75, 0.6826, 0.3]
         refs = [newton_solve(ChainParams(n, a)) for a in alphas]
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", len(alphas) * ((n + 1) // 2))
-        lengths = {solver_module._splice_len(a) for a in alphas if n >= 8 * solver_module._splice_len(a)}
+        lengths = {solver_module._splice_len(a) for a in alphas if n >= 2 * solver_module._splice_len(a)}
         assert len(lengths) >= 3
         ((rows, parts),) = newton_rows(n, alphas)
         assert rows.tolist() == list(range(len(alphas)))
@@ -740,7 +791,7 @@ class TestWindowTangent:
         # tangent_rows reads the window back from the root by its own
         # condition, and takes it exactly where the window check passed
         length = solver_module._splice_len(alpha)
-        for n in [8 * length + r for r in range(4)] + [65_537, 10**6]:
+        for n in [k * length + r for k in (2, 8) for r in range(4)] + [65_537, 10**6]:
             parts, _, _ = solver_module._start_rows(n, [alpha], SolveOptions(), solver_module._widths(n, [alpha]))
             X = newton_solve(ChainParams(n, alpha))[None]
             seen = gtsv_sizes(monkeypatch)
@@ -779,7 +830,7 @@ class TestWindowTangent:
         # would stray by up to 3.4e-12 x max |t|, and by 3.8e-8 under the
         # 2^13 clip
         length = solver_module._splice_len(alpha)
-        for n in [8 * length + r for r in range(4)] + [65_536, 65_537, 100_000, 100_001, 10**6 - 1, 10**6]:
+        for n in [k * length + r for k in (2, 8) for r in range(4)] + [65_536, 65_537, 100_000, 100_001, 10**6 - 1, 10**6]:
             X = newton_solve(ChainParams(n, alpha))[None]
             seen = gtsv_sizes(monkeypatch)
             t = tangent_halves(n, [alpha], X)
@@ -800,7 +851,7 @@ class TestWindowTangent:
         # long enough to take the window
         length = solver_module._splice_len(alpha)
         h = 1e-6
-        for n in (8 * length, 8 * length + 2, 20_000):
+        for n in (2 * length, 2 * length + 2, 8 * length, 8 * length + 2, 20_000):
             x = newton_solve(ChainParams(n, alpha))
             seen = gtsv_sizes(monkeypatch)
             (t,) = solver_module._unfold((n + 1) // 2, tangent_halves(n, [alpha], x[None]), n)
