@@ -62,7 +62,8 @@ def main():
     write("optimal_alpha.csv", _csv([("n", "alpha_hat")] + rows))
     write("optimal_alpha.svg", line_chart(rows, title="Optimal alpha vs chain length", xlabel="n", ylabel="alpha_hat"))
 
-    alpha_hat = maximize_J(PROFILE_N).alpha_hat
+    # PROFILE_N is one of NS: its optimum is solved once
+    alpha_hat = dict(rows)[PROFILE_N]
     x = newton_solve(ChainParams(PROFILE_N, alpha_hat))
     rows = [(i, float(v)) for i, v in enumerate(x, start=1)]
     title = f"Emission probabilities, n={PROFILE_N}, alpha={alpha_hat:.4f}"

@@ -203,13 +203,14 @@ def _search(n, grid, value, slope, width):
 
     value(alphas, h, W) maps the roots of a part of newton_rows (W[i] for
     alphas[i]) to the objective, and slope(alphas, parts) maps parts whose
-    rows index alphas to its derivative at each alpha. The scan keeps each
-    solved grid value (a value that is not finite counts as failed) but
-    only the roots, rows (h, w) of parts, of the best point so far, its
-    solved neighbours and the last solved point. slope runs once, on the
-    best point and neighbours; if the neighbour that the best point's
-    slope points to has a slope of the other sign, _refine closes that
-    step to width, each point solved by newton_rows(n, [a]) (a failed
+    rows index alphas to its derivative at each alpha. The scan is one
+    table: each grid value, and the root, a row (h, w) of a part, of every
+    grid point whose value is finite (one that is not counts as failed and
+    never ends a bracket). The best point is the first maximum, and its
+    neighbours are the nearest finite points on each side. slope runs
+    once, on the best point and neighbours; if the neighbour that the best
+    point's slope points to has a slope of the other sign, _refine closes
+    that step to width, each point solved by newton_rows(n, [a]) (a failed
     solve gives nan, which stops it). The nearest solved alphas on each
     side of a point are its bracket's ends; where both roots are whole
     halves on one side of 3/4 (the branch test of solver._ring_start),
@@ -223,26 +224,19 @@ def _search(n, grid, value, slope, width):
     evaluations, bracket, unimodal): bracket is the grid step when no
     bracket forms, and unimodal says the solved values rise, then fall once.
     """
-    vals = np.full(len(grid), np.nan)
-    left = best = right = last = None  # (grid index, root)
-    for rows, parts in newton_rows(n, grid):
-        roots = {}
-        for part_rows, h, W in parts:
-            vals[part_rows] = value(grid[part_rows], h, W)
-            roots.update(zip(part_rows.tolist(), [(h, w) for w in W]))
-        for k in rows.tolist():
-            if -math.inf < vals[k] < math.inf:
-                if best is None or vals[k] > vals[best[0]]:
-                    left, best, right = last, (k, roots[k]), None
-                elif right is None:
-                    right = (k, roots[k])
-                last = (k, roots[k])
-    if best is None:
+    vals, roots = np.full(len(grid), np.nan), {}
+    for parts in newton_rows(n, grid):
+        for rows, h, W in parts:
+            vals[rows] = value(grid[rows], h, W)
+            roots.update(zip(grid[rows].tolist(), [(h, w) for w in W]))
+    ok = np.flatnonzero(np.isfinite(vals))
+    if not len(ok):
         return None
-    near = dict(row for row in (left, best, right) if row)
-    near_parts = [(np.array([i]), h, w[None]) for i, (h, w) in enumerate(near.values())]
-    s = dict(zip(near, slope(grid[list(near)], near_parts)))
-    roots = {float(grid[k]): root for k, root in near.items()}
+    roots = {a: roots[a] for a in grid[ok].tolist()}
+    p = int(np.argmax(vals[ok]))
+    near = ok[max(p - 1, 0) : p + 2]
+    parts = [(np.array([i]), h, w[None]) for i, (h, w) in enumerate(roots[a] for a in grid[near].tolist())]
+    s = dict(zip(near.tolist(), slope(grid[near], parts)))
 
     m = (n + 1) // 2
 
@@ -252,22 +246,21 @@ def _search(n, grid, value, slope, width):
         start = None
         if h_lo == h_hi == m and (lo <= 0.75) == (hi <= 0.75):
             start = (y_lo + (a - lo) / (hi - lo) * (y_hi - y_lo))[None]
-        ((rows, parts),) = newton_rows(n, [a], start=start)
-        if not len(rows):
+        (parts,) = newton_rows(n, [a], start=start)
+        if not parts:
             return math.nan
         ((_, h, W),) = parts
         roots[a] = h, W[0]
         return slope([a], parts)[0]
 
-    i = best[0]
-    j = right if s[i] > 0.0 else left
+    i = int(ok[p])
+    j = int(near[-1] if s[i] > 0.0 else near[0])
     alpha, bracket, evals = float(grid[i]), float(grid[1] - grid[0]), 0
-    if j and s[i] * s[j[0]] < 0.0:
-        a, b = sorted((i, j[0]))
+    if s[i] * s[j] < 0.0:
+        a, b = sorted((i, j))
         alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width)
     h, w = roots[alpha]
-    ok = np.isfinite(vals)
-    steps, p = np.diff(vals[ok]), np.count_nonzero(ok[:i])
+    steps = np.diff(vals[ok])
     unimodal = 0 < p < len(steps) and bool(np.all(steps[:p] > 0.0) and np.all(steps[p:] < 0.0))
     return alpha, float(value([alpha], h, w[None])[0]), (h, w), len(grid) + evals, bracket, unimodal
 
@@ -324,7 +317,7 @@ def sweep_J(n: int, alphas) -> list[tuple[float, float]]:
     alphas = [float(a) for a in alphas]
     valid = [i for i, a in enumerate(alphas) if 0.0 < a < 1.0]
     Js = np.full(len(alphas), np.nan)
-    for _, parts in newton_rows(n, [alphas[i] for i in valid]):
+    for parts in newton_rows(n, [alphas[i] for i in valid]):
         for rows, h, W in parts:
             Js[[valid[k] for k in rows]] = _J_values(n, h, W)
     return [(a, float(j)) for a, j in zip(alphas, Js)]

@@ -604,13 +604,14 @@ def _start_rows(n, alphas, opts, widths):
 def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions(), start=None):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
-    Yields (indices, parts) for consecutive blocks of alphas, in input
-    order: the block's solved rows, and parts (rows, h, W) holding the
-    roots for alphas[rows]; a failed row is left out. A block holds as
-    many rows as fit in _STACK_UNKNOWNS unknowns, a row counting its width
-    (_widths), so memory stays bounded however many alphas come in; the
-    rows whose start fails its window check (_start_rows) run the
-    full-length loop at most _STACK_UNKNOWNS // m at a time. Each root is
+    Yields a list of parts (rows, h, W) for each of consecutive blocks of
+    alphas, in input order: W[i] is the root for alphas[rows[i]], a
+    block's parts hold disjoint rows, and a failed row is left out, so a
+    block whose rows all fail yields no part. A block holds as many rows
+    as fit in _STACK_UNKNOWNS unknowns, a row counting its width (_widths),
+    so memory stays bounded however many alphas come in; the rows whose
+    start fails its window check (_start_rows) run the full-length loop at
+    most _STACK_UNKNOWNS // m at a time. Each root is
     bit for bit newton_solve's once unfolded (_unfold), unless start is
     given: an (R, m) array of whole start halves, one per alpha, which the
     loop overwrites. Its rows skip _start_rows, run the full-length loop
@@ -636,8 +637,7 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions(), start=None)
         ok = [k for k, reason in enumerate(why) if reason is None]
         if ok:
             parts.append((rest[ok], m, y[ok]) if len(ok) < len(y) else (rest, m, y))
-        solved = parts[0][0] if len(parts) == 1 else np.sort(np.concatenate([rest[:0]] + [p[0] for p in parts]))
-        yield first + solved, [(first + rows, h, W) for rows, h, W in parts]
+        yield [(first + rows, h, W) for rows, h, W in parts]
         first = stop
 
 

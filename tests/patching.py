@@ -3,9 +3,10 @@
 Each patches fairness.newton_rows, through which the searches of maximize_J
 and fit_alpha and the rows of sweep_J are solved, so a test can make a
 chosen alpha fail, count the serial solves of a maximization or fit, or
-keep the roots it solved. A refinement solve of the searches may carry a
-start, start= (the two roots at its bracket's ends interpolated), which
-the wrappers pass on.
+keep the roots it solved. newton_rows yields each block as a list of
+parts (rows, h, W), and the wrappers yield the same. A refinement solve of
+the searches may carry a start, start= (the two roots at its bracket's
+ends interpolated), which the wrappers pass on.
 """
 
 from dataclasses import dataclass
@@ -29,10 +30,9 @@ def force_failures(monkeypatch, bad):
 
     def rows(n, alphas, *args, **kwargs):
         alphas = list(alphas)
-        for indices, parts in real(n, alphas, *args, **kwargs):
+        for parts in real(n, alphas, *args, **kwargs):
             keep = [np.array([not fails(alphas[i]) for i in rows], dtype=bool) for rows, _, _ in parts]
-            parts = [(rows[k], h, W[k]) for (rows, h, W), k in zip(parts, keep) if k.any()]
-            yield indices[[not fails(alphas[i]) for i in indices]], parts
+            yield [(rows[k], h, W[k]) for (rows, h, W), k in zip(parts, keep) if k.any()]
 
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
 
@@ -70,10 +70,10 @@ def capture_roots(monkeypatch):
 
     def rows(n, alphas, *args, **kwargs):
         alphas = list(alphas)
-        for indices, parts in real(n, alphas, *args, **kwargs):
+        for parts in real(n, alphas, *args, **kwargs):
             for part_rows, h, W in parts:
                 roots.update(zip([float(alphas[i]) for i in part_rows], _unfold(h, W, n)))
-            yield indices, parts
+            yield parts
 
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
     return roots
@@ -111,7 +111,7 @@ def refinement_solves(monkeypatch):
             solved.clear()
         before = steps[0]
         out = list(real_rows(n, alphas, *args, **kwargs))
-        solved.extend(alphas[i] for indices, _ in out for i in indices.tolist())
+        solved.extend(alphas[i] for parts in out for rows, _, _ in parts for i in rows.tolist())
         if len(alphas) == 1:
             (a,) = alphas
             start = kwargs.get("start", args[1] if len(args) > 1 else None)

@@ -596,6 +596,100 @@ class TestRefinementStart:
         assert not solves[0].started
 
 
+class TestSearchChoice:
+    """_search on synthetic values and slopes: the best grid point is the first maximum of the finite values, its
+    neighbours and bracket ends are the nearest points with a finite value, and unimodal reads those same points."""
+
+    GRID = 0.30 + 0.02 * np.arange(10)
+
+    @staticmethod
+    def search(value, slope, n=10):
+        """_search over GRID with value(a) and slope(a) on arrays of alphas; returns its result and the slope calls."""
+        calls = []
+
+        def logged(alphas, parts):
+            calls.append([float(a) for a in alphas])
+            return slope(np.asarray(alphas, dtype=float))
+
+        found = fairness_module._search(
+            n, TestSearchChoice.GRID, lambda alphas, h, W: value(np.asarray(alphas, dtype=float)), logged, 1e-4
+        )
+        return found, calls
+
+    def test_first_of_tied_maxima_is_best(self):
+        # the maximum 2 at rows 2, 3 and 5; a zero slope forms no bracket
+        grid = self.GRID
+        table = dict(zip(grid.tolist(), [0.0, 1.0, 2.0, 2.0, 1.0, 2.0, 0.0, -1.0, -2.0, -3.0]))
+        found, calls = self.search(lambda a: np.array([table[b] for b in a.tolist()]), np.zeros_like)
+        alpha, J_value, _, evaluations, bracket, unimodal = found
+        assert alpha == grid[2] and J_value == 2.0
+        assert calls == [grid[1:4].tolist()]
+        assert evaluations == len(grid) and bracket == grid[1] - grid[0]
+        # a flat step is not a fall
+        assert not unimodal
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_row_without_a_finite_value_is_skipped(self, monkeypatch, bad):
+        # a parabola peaked at 0.37 whose row 0.36 has no finite value: the
+        # best point is 0.38, and its slope points past 0.36 to 0.34
+        grid = self.GRID
+        roots = capture_roots(monkeypatch)
+        starts = []
+        real = fairness_module.newton_rows
+
+        def rows(n, alphas, *args, **kwargs):
+            if kwargs.get("start") is not None:
+                # the solve overwrites its start
+                starts.append((float(alphas[0]), kwargs["start"].copy()))
+            return real(n, alphas, *args, **kwargs)
+
+        monkeypatch.setattr(fairness_module, "newton_rows", rows)
+        found, calls = self.search(
+            lambda a: np.where(a == grid[3], bad, -((a - 0.37) ** 2)), lambda a: -2.0 * (a - 0.37)
+        )
+        alpha, _, _, evaluations, bracket, unimodal = found
+        assert calls[0] == [grid[2], grid[4], grid[5]]
+        assert round(alpha, 6) == 0.370001 and bracket <= 1e-4
+        assert evaluations == len(grid) + 4 and len(starts) == 4
+        assert all(grid[2] < a < grid[4] for a, _ in starts)
+        # the first refinement solve, past 0.36, starts between the roots
+        # at 0.34 and 0.38, not at 0.36
+        (a, start), lo, hi = starts[0], float(grid[2]), float(grid[4])
+        y_lo, y_hi = roots[lo][:5], roots[hi][:5]
+        assert a > grid[3]
+        np.testing.assert_array_equal(start, (y_lo + (a - lo) / (hi - lo) * (y_hi - y_lo))[None])
+        assert unimodal
+
+    @pytest.mark.parametrize("bumped", [None, 0, 9])
+    def test_values_that_rise_again_are_not_unimodal(self, bumped):
+        # a parabola peaked at 0.371, with row 0 or row 9 raised just above
+        # its inner neighbour: the values fall before the rise, or rise
+        # again after the fall; the maximum stays where it was
+        grid = self.GRID
+
+        def value(a):
+            v = -((a - 0.371) ** 2)
+            if bumped is None:
+                return v
+            inner = grid[1] if bumped == 0 else grid[8]
+            return np.where(a == grid[bumped], -((inner - 0.371) ** 2) + 1e-6, v)
+
+        (alpha, _, _, evaluations, bracket, unimodal), _ = self.search(value, lambda a: -2.0 * (a - 0.371))
+        assert unimodal == (bumped is None)
+        assert abs(alpha - 0.371) < bracket <= 1e-4 and evaluations > len(grid)
+
+    def test_no_bracket_past_the_end_of_the_grid(self):
+        # peaked below the grid: the best point is the first, and its slope
+        # points off the grid, to no neighbour
+        (alpha, _, _, evaluations, bracket, unimodal), calls = self.search(
+            lambda a: -((a - 0.2) ** 2), lambda a: -2.0 * (a - 0.2)
+        )
+        grid = self.GRID
+        assert calls == [grid[:2].tolist()]
+        assert alpha == grid[0] and evaluations == len(grid) and bracket == grid[1] - grid[0]
+        assert not unimodal
+
+
 class TestSweepJ:
     def test_values_match_pointwise(self):
         rows = sweep_J(5, [0.2, 0.5, 0.7])

@@ -20,7 +20,7 @@ from chainfair import (
 )
 
 from patching import count_solves, force_failures, off_grid, refinement_solves
-from test_solver import unfolded
+from test_solver import block_rows, unfolded
 
 NS2_THREE_PAIRS = ThroughputTrace(rates=[1.55, 0.04, 1.55])
 
@@ -355,15 +355,14 @@ class TestModelRatios:
         # the batch behind fit_alpha's scan
         alphas = np.linspace(0.05, 0.99, 33)
         blocks = list(fairness_module.newton_rows(n, alphas))
-        rows = np.concatenate([r for r, _ in blocks])
-        assert rows.tolist() == list(range(33))
-        roots = unfolded(n, [part for _, parts in blocks for part in parts])
+        assert [i for parts in blocks for i in block_rows(parts)] == list(range(33))
+        roots = unfolded(n, [part for parts in blocks for part in parts])
         for i, a in enumerate(alphas):
             assert np.array_equal(roots[i], newton_solve(ChainParams(n, float(a))))
 
     def test_failed_rows_are_left_out(self, monkeypatch):
         force_failures(monkeypatch, {0.6})
-        ((rows, parts),) = fairness_module.newton_rows(5, [0.3, 0.6, 0.9])
-        assert rows.tolist() == [0, 2]
+        (parts,) = fairness_module.newton_rows(5, [0.3, 0.6, 0.9])
+        assert block_rows(parts) == [0, 2]
         roots = unfolded(5, parts)
         assert np.array_equal([roots[0], roots[2]], [newton_solve(ChainParams(5, a)) for a in (0.3, 0.9)])

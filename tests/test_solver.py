@@ -249,14 +249,27 @@ def unfolded(n, parts):
     return {i: x for rows, h, W in parts for i, x in zip(rows.tolist(), solver_module._unfold(h, W, n))}
 
 
+def block_rows(parts):
+    """The rows of a block's parts, sorted; the parts must hold disjoint rows."""
+    rows = sorted(i for part_rows, _, _ in parts for i in part_rows.tolist())
+    assert len(set(rows)) == len(rows)
+    return rows
+
+
 def all_rows(n, alphas, opts=SolveOptions()):
-    """Flatten newton_rows into each alpha's root, or None where its solve failed."""
-    out = [None] * len(alphas)
-    for rows, parts in newton_rows(n, alphas, opts):
-        roots = unfolded(n, parts)
-        assert sorted(roots) == rows.tolist()
-        for i in rows.tolist():
+    """Flatten newton_rows into each alpha's root, or None where its solve failed.
+
+    Each block's parts hold disjoint rows, and every row of a block comes
+    after every row of the blocks before it: the blocks are runs of
+    consecutive alphas, in input order.
+    """
+    out, last = [None] * len(alphas), -1
+    for parts in newton_rows(n, alphas, opts):
+        rows, roots = block_rows(parts), unfolded(n, parts)
+        assert not rows or rows[0] > last
+        for i in rows:
             out[i] = roots[i]
+        last = max(rows, default=last)
     return out
 
 
@@ -300,10 +313,10 @@ class TestNewtonRows:
         n, m = 5000, 2500
         alphas = np.linspace(0.01, 0.99, 99)
         blocks = list(newton_rows(n, alphas))
-        assert sum(len(rows) for rows, _ in blocks) == 99
-        unknowns = [sum(W.size for _, _, W in parts) for _, parts in blocks]
+        assert [i for parts in blocks for i in block_rows(parts)] == list(range(99))
+        unknowns = [sum(W.size for _, _, W in parts) for parts in blocks]
         assert max(unknowns) <= _STACK_UNKNOWNS
-        assert {W.shape[1] for _, parts in blocks for _, _, W in parts} > {m}
+        assert {W.shape[1] for parts in blocks for _, _, W in parts} > {m}
         assert len(blocks) > 1
         assert len(all_rows(10**6, [0.6])) == 1
 
@@ -622,8 +635,8 @@ class TestSplicedLongChains:
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", len(alphas) * ((n + 1) // 2))
         lengths = {solver_module._splice_len(a) for a in alphas if n >= 2 * solver_module._splice_len(a)}
         assert len(lengths) >= 3
-        ((rows, parts),) = newton_rows(n, alphas)
-        assert rows.tolist() == list(range(len(alphas)))
+        (parts,) = newton_rows(n, alphas)
+        assert block_rows(parts) == list(range(len(alphas)))
         roots = unfolded(n, parts)
         for i, ref in enumerate(refs):
             assert np.array_equal(roots[i], ref)
@@ -713,9 +726,9 @@ class TestSplicedLongChains:
             except ConvergenceError as err:
                 refs.append(err)
         monkeypatch.setattr(solver_module, "_STACK_UNKNOWNS", 1 << 20)
-        ((rows, parts),) = newton_rows(n, alphas, opts)
+        (parts,) = newton_rows(n, alphas, opts)
         solved = [i for i, ref in enumerate(refs) if not isinstance(ref, ConvergenceError)]
-        assert rows.tolist() == solved
+        assert block_rows(parts) == solved
         roots = unfolded(n, parts)
         for i in solved:
             assert np.array_equal(roots[i], refs[i])
