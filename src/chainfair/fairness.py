@@ -44,9 +44,10 @@ class OptResult:
     """Outcome of the one-dimensional maximization of J.
 
     evaluations counts the alphas at which the chain was solved (the scan's
-    99 and one per refinement step), bracket is the width of the last
-    interval known to hold the maximum, and alpha_hat is one of its ends.
-    unimodal says that the solved grid values of J rise and then fall once.
+    25 and one per refinement step), bracket is the width of the last
+    interval known to hold the maximum (the grid step 0.04 when no bracket
+    forms), and alpha_hat is one of its ends. unimodal says that the solved
+    grid values of J rise and then fall once.
     """
 
     alpha_hat: float
@@ -124,7 +125,7 @@ def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     return float(jp)
 
 
-def _refine(slope, lo, s_lo, hi, s_hi, width):
+def _refine(slope, lo, s_lo, hi, s_hi, width, failed=frozenset()):
     """Close the bracket [lo, hi] on a sign change of slope to at most width.
 
     s_lo and s_hi are slope(lo) and slope(hi), nonzero and of opposite
@@ -135,8 +136,10 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
     and held so near the midpoint that bisection from there would still
     finish within ceil(log2(w0/width)) + 1 evaluations; once that slack is
     spent the point is the midpoint. A point that rounds onto an end becomes
-    the midpoint; if that does too (the ends are adjacent floats), or at a
-    nan slope (a failed solve), the search stops with the bracket reached.
+    the midpoint, and one in failed (alphas whose solve is known to fail)
+    becomes the regula falsi point itself; if the point still is not inside
+    the bracket (the ends are adjacent floats), or at a nan slope (a failed
+    solve), the search stops with the bracket reached.
 
     Returns the end with the smaller |slope| (the closer one to the root
     where slope is near linear), the final bracket width and the number of
@@ -158,12 +161,13 @@ def _refine(slope, lo, s_lo, hi, s_hi, width):
     while hi - lo > width:
         w = hi - lo
         mid = lo + 0.5 * w
-        c = hi - s_hi * w / (s_hi - s_lo)
+        f = hi - s_hi * w / (s_hi - s_lo)
         nudge = 0.1 * w * w / w0
-        c = c + math.copysign(nudge, mid - c) if nudge < abs(mid - c) else mid
+        c = f + math.copysign(nudge, mid - f) if nudge < abs(mid - f) else mid
         slack = max(math.ldexp(aim, budget - evals - 1) - 0.5 * w, 0.0)
         c = min(max(c, mid - slack), mid + slack)
         c = c if lo < c < hi else mid
+        c = f if c in failed else c
         if not lo < c < hi:
             break
         s = float(slope(c))
@@ -211,14 +215,14 @@ def _search(n, grid, value, slope, width):
     once, on the best point and neighbours; if the neighbour that the best
     point's slope points to has a slope of the other sign, _refine closes
     that step to width, each point solved by newton_rows(n, [a]) (a failed
-    solve gives nan, which stops it). The nearest solved alphas on each
-    side of a point are its bracket's ends; where both roots are whole
-    halves on one side of 3/4 (the branch test of solver._ring_start),
-    the point starts from their linear interpolation in alpha, a secant
-    predictor: up to 100 pairs it then takes one or two Newton steps,
-    where the ring pattern took three or four. Otherwise it starts as
-    newton_solve does: a bracket across 3/4 would blend the flat and the
-    alternating layout.
+    solve gives nan, which stops it), never on a failed grid point inside
+    that step. The nearest solved alphas on each side of a point are its
+    bracket's ends; where both roots are whole halves on one side of 3/4
+    (the branch test of solver._ring_start), the point starts from their
+    linear interpolation in alpha, a secant predictor: up to 100 pairs it
+    then takes one or two Newton steps, where the ring pattern took three
+    or four. Otherwise it starts as newton_solve does: a bracket across 3/4
+    would blend the flat and the alternating layout.
 
     Returns None if no grid point solves, else (alpha, value, root,
     evaluations, bracket, unimodal): bracket is the grid step when no
@@ -232,6 +236,7 @@ def _search(n, grid, value, slope, width):
     ok = np.flatnonzero(np.isfinite(vals))
     if not len(ok):
         return None
+    failed = set(grid[~np.isfinite(vals)].tolist())
     roots = {a: roots[a] for a in grid[ok].tolist()}
     p = int(np.argmax(vals[ok]))
     near = ok[max(p - 1, 0) : p + 2]
@@ -258,24 +263,25 @@ def _search(n, grid, value, slope, width):
     alpha, bracket, evals = float(grid[i]), float(grid[1] - grid[0]), 0
     if s[i] * s[j] < 0.0:
         a, b = sorted((i, j))
-        alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width)
+        alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width, failed)
     h, w = roots[alpha]
     steps = np.diff(vals[ok])
     unimodal = 0 < p < len(steps) and bool(np.all(steps[:p] > 0.0) and np.all(steps[p:] < 0.0))
     return alpha, float(value([alpha], h, w[None])[0]), (h, w), len(grid) + evals, bracket, unimodal
 
 
-_GRID_LO = 0.01
-_GRID_HI = 0.99
-_GRID_POINTS = 99
+# step 0.04, with alpha = 3/4 exactly on it (index 18): no bracket spans
+# the flat and the alternating branch of the root
+_GRID = np.linspace(0.03, 0.99, 25)
 
 
 def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
-    """Maximize J over alpha in [0.01, 0.99] for a fixed chain length.
+    """Maximize J over alpha in [0.03, 0.99] for a fixed chain length.
 
-    _search scans J at 99 alphas as one batch and takes J' at the best of
-    them and its solved neighbours; where J' changes sign next to the best
-    point, _refine closes that step to tol_alpha. alpha_hat is the final
+    _search scans J at 25 alphas, 0.04 apart, as one batch and takes J' at
+    the best of them and its solved neighbours; where J' changes sign next
+    to the best point, _refine closes that step to tol_alpha, one step in
+    at most ceil(log2(0.04 / tol_alpha)) + 1 solves. alpha_hat is the final
     end with the smaller |J'|, and J_value is J there, so no solve follows.
     Failed grid solves are left out, and a failed refinement solve stops
     the search with the bracket reached; with no bracket the best grid
@@ -285,10 +291,9 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     check_real("tol_alpha", tol_alpha)
     if not tol_alpha > 0.0:
         raise DomainError(f"tol_alpha must be positive, got {tol_alpha!r}")
-    grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
     found = _search(
         n,
-        grid,
+        _GRID,
         lambda alphas, h, W: _J_values(n, h, W),
         lambda alphas, parts: _J_slopes(n, alphas, parts),
         tol_alpha,

@@ -29,7 +29,7 @@ from reference import jacobian_F
 from test_solver import WINDOW_ALPHAS, gtsv_sizes, tangent_halves, window_half
 
 
-GRID = np.linspace(0.01, 0.99, 99)
+GRID = fairness_module._GRID
 
 
 class TestJ:
@@ -359,6 +359,26 @@ class TestRefine:
     def test_exact_root_ends_the_search(self):
         assert fairness_module._refine(lambda a: 0.5 - a, 0.25, 0.25, 0.75, -0.25, 1e-4) == (0.5, 0.0, 1)
 
+    def test_failed_point_becomes_the_regula_falsi_point(self):
+        # a grid point whose scan solve failed is never a refinement point:
+        # where the point would be the midpoint 0.55 of [0.5, 0.6], the
+        # regula falsi point is taken
+        def refine(failed):
+            calls = []
+
+            def slope(a):
+                calls.append(a)
+                return 1.0 - 22.0 * (a - 0.5)
+
+            _, bracket, _ = fairness_module._refine(slope, 0.5, 1.0, 0.6, -1.2, 1e-4, failed)
+            assert bracket <= 1e-4
+            return calls
+
+        assert refine(frozenset())[0] == 0.55
+        calls = refine({0.55})
+        assert 0.55 not in calls
+        assert calls[0] == 0.6 - (-1.2) * (0.6 - 0.5) / (-1.2 - 1.0)
+
     def test_nan_slope_stops_the_search(self):
         best, bracket, evals = fairness_module._refine(lambda a: np.nan, 0.5, 2.0, 0.6, -1.0, 1e-4)
         assert (best, bracket, evals) == (0.6, pytest.approx(0.1), 1)
@@ -371,7 +391,7 @@ class TestMaximizeJ:
         assert res.alpha_hat == pytest.approx(0.5536, abs=2e-3)
         assert res.unimodal
         assert res.bracket <= 1e-4
-        assert res.evaluations > 99
+        assert res.evaluations > len(GRID)
 
     def test_value_consistent(self):
         res = maximize_J(5)
@@ -386,10 +406,25 @@ class TestMaximizeJ:
         assert res.bracket <= 1e-2
 
     def test_long_chain_grid_crosses_three_quarters(self):
-        # the 99-point scan lands on alpha = 0.75 exactly
+        # the scan lands on alpha = 0.75 exactly
         res = maximize_J(5000)
         assert res.unimodal
         assert 0.7445 <= res.alpha_hat <= 0.752
+
+    def test_scan_grid_holds_three_quarters(self):
+        # the cliff in J' and the branch test of solver._ring_start both sit
+        # at 3/4: with 3/4 on the grid, no bracket spans the two branches
+        assert GRID[18] == 0.75
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 50, 100, 101, 500, 1000, 2000, 5000, 20_000])
+    def test_within_tolerance_of_the_fine_optimum(self, n):
+        # the 25-point scan and its refinement, against a bracket closed to
+        # 1e-10; the solves per optimum stay at most 40
+        res, fine = maximize_J(n), maximize_J(n, tol_alpha=1e-10)
+        assert res.unimodal and fine.unimodal
+        assert abs(res.alpha_hat - fine.alpha_hat) <= 1e-4
+        if n <= 5000:
+            assert res.evaluations <= 40
 
     @pytest.mark.parametrize("kw", [{"n": 0}, {"n": 2.5}, {"n": 3, "tol_alpha": 0.0}])
     def test_domain(self, kw):
@@ -451,36 +486,39 @@ class TestMaximizeJ:
         assert res == ref and res.unimodal
 
     def test_failed_row_at_the_sign_change(self, monkeypatch):
-        # 0.55 and 0.56 bracket the optimum at n = 10; the bracket widens
+        # 0.55 and 0.59 bracket the optimum at n = 10; the bracket widens to
+        # [0.51, 0.59], whose midpoint 0.55 is never solved again
         ref = maximize_J(10)
-        force_failures(monkeypatch, {GRID[54]})
+        calls = count_solves(monkeypatch)
+        force_failures(monkeypatch, {GRID[13]})
         res = maximize_J(10)
+        assert calls and GRID[13] not in calls
         assert res.unimodal
         assert res.alpha_hat == pytest.approx(ref.alpha_hat, abs=2e-4)
         assert res.bracket <= 1e-4
 
     def test_best_solved_point_when_the_sign_test_fails(self, monkeypatch):
-        # only 0.2 and 0.3 solve, both left of the optimum: no sign change
-        force_failures(monkeypatch, set(GRID) - {GRID[19], GRID[29]})
+        # only 0.19 and 0.31 solve, both left of the optimum: no sign change
+        force_failures(monkeypatch, set(GRID) - {GRID[4], GRID[7]})
         res = maximize_J(10)
         assert not res.unimodal
-        assert res.alpha_hat == GRID[29]
-        assert res.J_value == J(float(GRID[29]), 10)
-        assert res.evaluations == 99
+        assert res.alpha_hat == GRID[7]
+        assert res.J_value == J(float(GRID[7]), 10)
+        assert res.evaluations == len(GRID)
 
     @pytest.mark.parametrize("n", [10, 100, 2000, 5000])
     def test_refinement_evaluations_capped(self, monkeypatch, n):
-        # the one-grid-step bracket closes within ceil(log2(0.01 / 1e-4)) + 1
-        # = 8 solves, and none follows (was 10 and a final J(alpha_hat))
+        # the one-grid-step bracket closes within ceil(log2(0.04 / 1e-4)) + 1
+        # = 10 solves, and none follows
         calls = count_solves(monkeypatch)
         res = maximize_J(n)
         assert res.unimodal and res.bracket <= 1e-4
-        assert len(calls) <= 8
-        assert res.evaluations == 99 + len(calls)
+        assert len(calls) <= 10
+        assert res.evaluations == len(GRID) + len(calls)
 
     @pytest.mark.parametrize("n", [100, 2000])
     def test_slopes_only_near_the_best_grid_point(self, monkeypatch, n):
-        # the scan took J' on all 99 rows, though only the two at the sign
+        # the scan took J' on all its rows, though only the two at the sign
         # change were ever used
         rows = []
         real = fairness_module.tangent_rows
@@ -492,7 +530,7 @@ class TestMaximizeJ:
         monkeypatch.setattr(fairness_module, "tangent_rows", tangent)
         res = maximize_J(n)
         assert res.unimodal
-        assert sum(rows) <= 3 + (res.evaluations - 99)
+        assert sum(rows) <= 3 + (res.evaluations - len(GRID))
 
     def test_failed_refinement_solve_keeps_the_bracket(self, monkeypatch):
         # every refinement point fails: the search stops at the scan's
@@ -500,10 +538,10 @@ class TestMaximizeJ:
         force_failures(monkeypatch, off_grid(GRID))
         res = maximize_J(10)
         assert res.unimodal
-        assert res.alpha_hat in (GRID[54], GRID[55])
-        assert res.bracket == pytest.approx(GRID[55] - GRID[54])
+        assert res.alpha_hat in (GRID[13], GRID[14])
+        assert res.bracket == pytest.approx(GRID[14] - GRID[13])
         assert res.J_value == J(float(res.alpha_hat), 10)
-        assert res.evaluations == 100
+        assert res.evaluations == len(GRID) + 1
 
     def test_failed_solve_midway_keeps_the_narrower_bracket(self, monkeypatch):
         # the first refinement point solves, the rest fail
@@ -513,8 +551,8 @@ class TestMaximizeJ:
         force_failures(monkeypatch, off_grid([*GRID, first]))
         res = maximize_J(10)
         assert res.unimodal
-        assert res.evaluations == 101
-        assert res.bracket < GRID[55] - GRID[54]
+        assert res.evaluations == len(GRID) + 2
+        assert res.bracket < GRID[14] - GRID[13]
         assert res.alpha_hat == pytest.approx(ref.alpha_hat, abs=res.bracket)
 
     @pytest.mark.parametrize("n, tol_alpha", [(10, 1e-12), (4, 1e-10), (19, 1e-10)])
@@ -524,7 +562,7 @@ class TestMaximizeJ:
         calls = count_solves(monkeypatch)
         res = maximize_J(n, tol_alpha=tol_alpha)
         assert len(calls) == len(set(calls))
-        assert res.evaluations == 99 + len(calls)
+        assert res.evaluations == len(GRID) + len(calls)
 
     @pytest.mark.parametrize("tol_alpha", [1e-16, 1e-300, 1e-310, 5e-324])
     def test_tolerance_below_float_spacing_returns(self, monkeypatch, tol_alpha):
@@ -548,11 +586,13 @@ class TestRefinementStart:
 
     @pytest.mark.parametrize("n", [3, 10, 100])
     def test_newton_steps_per_refinement_solve(self, monkeypatch, n):
-        # from the ring pattern each took 3 or 4 steps
+        # from the ring pattern each took 3 or 4 steps; at 100 pairs the
+        # first point, between two roots a 0.04 grid step apart, takes 3
         solves = refinement_solves(monkeypatch)
         res = maximize_J(n)
         assert res.bracket <= 1e-4
-        assert solves and max(s.steps for s in solves) <= 2
+        assert solves and solves[0].steps <= (3 if n == 100 else 2)
+        assert all(s.steps <= 2 for s in solves[1:])
         assert all(s.solved and s.started for s in solves)
 
     @pytest.mark.parametrize(

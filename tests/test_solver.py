@@ -555,13 +555,12 @@ class TestSplicedLongChains:
         seen = newton_steps(monkeypatch)
         newton_solve(ChainParams(n, 0.7501))
         assert seen and {width for width, _ in seen} == {window_half(n, 0.7501) - 4}
-        # a scan of 2000 pairs: its 92 rows with L(alpha) <= 1000 splice,
-        # and every full-length step is on a row with a longer L(alpha);
-        # at 8 L 52 of those rows stepped at full length
+        # a scan of 2000 pairs: its 23 rows with L(alpha) <= 1000 splice,
+        # and every full-length step is on a row with a longer L(alpha)
         seen.clear()
         maximize_J(2000)
-        grid = np.linspace(0.01, 0.99, 99)
-        assert sum(solver_module._splice_len(a) <= 1000 for a in grid) == 92
+        grid = fairness_module._GRID
+        assert sum(solver_module._splice_len(a) <= 1000 for a in grid) == 23
         full = [a for width, alphas in seen if width == 1000 for a in alphas]
         assert full and min(solver_module._splice_len(a) for a in full) > 1000
 
