@@ -26,7 +26,7 @@ from .errors import ConvergenceError, DomainError
 from .model import ChainParams, check_count, check_real, check_vector, entropy_terms, grad_entropy_rows
 # apply_F, jacobian_bands and newton_solve are not called here; the benchmark's tracer wraps these bindings
 from .solver import apply_F, jacobian_bands, newton_solve  # noqa: F401
-from .solver import SolveOptions, _chain_sums, _solve_part, _spliced_windows, newton_rows, tangent_rows
+from .solver import _chain_sums, _solve_part, _spliced_windows, newton_rows, tangent_rows
 
 
 def __getattr__(name):
@@ -45,9 +45,11 @@ class OptResult:
 
     evaluations counts the alphas at which the chain was solved (the scan's
     25 and one per refinement step), bracket is the width of the last
-    interval known to hold the maximum (the grid step 0.04 when no bracket
-    forms), and alpha_hat is one of its ends. unimodal says that the solved
-    grid values of J rise and then fall once.
+    interval where J' of the search's roots changes sign (the grid step
+    0.04 when no bracket forms), and alpha_hat is one of its ends. Those
+    roots pass tol 1e-12, which can move J' by about 1e-12, so the optimum
+    can lie further out than a bracket that narrow. unimodal says that the
+    solved grid values of J rise and then fall once.
     """
 
     alpha_hat: float
@@ -87,7 +89,7 @@ def J(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     is within 4e-16 relative of the exactly summed terms (n up to 10^6).
     """
     if x is None:
-        return float(_J_values(n, *_solve_part(ChainParams(n, alpha), SolveOptions()))[0])
+        return float(_J_values(n, *_solve_part(ChainParams(n, alpha)))[0])
     _, halves = _halves(alpha, n, x)
     # min and max copy nothing and fail at a nan
     if not all(W.min() >= 0.0 and W.max() <= 1.0 for _, W in halves):
@@ -113,7 +115,7 @@ def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     newton_solve never returns such a root.
     """
     if x is None:
-        part = _solve_part(ChainParams(n, alpha), SolveOptions())
+        part = _solve_part(ChainParams(n, alpha))
     else:
         _, halves = _halves(alpha, n, x)
         if not all(W.min() > 0.0 and W.max() <= 1.0 for _, W in halves):
@@ -214,15 +216,10 @@ def _search(n, grid, value, slope, width):
     neighbours are the nearest finite points on each side. slope runs
     once, on the best point and neighbours; if the neighbour that the best
     point's slope points to has a slope of the other sign, _refine closes
-    that step to width, each point solved by newton_rows(n, [a]) (a failed
-    solve gives nan, which stops it), never on a failed grid point inside
-    that step. The nearest solved alphas on each side of a point are its
-    bracket's ends; where both roots are whole halves on one side of 3/4
-    (the branch test of solver._ring_start), the point starts from their
-    linear interpolation in alpha, a secant predictor: up to 100 pairs it
-    then takes one or two Newton steps, where the ring pattern took three
-    or four. Otherwise it starts as newton_solve does: a bracket across 3/4
-    would blend the flat and the alternating layout.
+    that step to width, never on a failed grid point inside that step.
+    Each point is solved by solver._solve_part with its bracket's ends, the
+    nearest solved alphas on each side and their roots, from which that
+    solve picks its start; a ConvergenceError gives nan, which stops it.
 
     Returns None if no grid point solves, else (alpha, value, root,
     evaluations, bracket, unimodal): bracket is the grid step when no
@@ -243,20 +240,14 @@ def _search(n, grid, value, slope, width):
     parts = [(np.array([i]), h, w[None]) for i, (h, w) in enumerate(roots[a] for a in grid[near].tolist())]
     s = dict(zip(near.tolist(), slope(grid[near], parts)))
 
-    m = (n + 1) // 2
-
     def at(a):
         lo, hi = max(b for b in roots if b < a), min(b for b in roots if b > a)
-        (h_lo, y_lo), (h_hi, y_hi) = roots[lo], roots[hi]
-        start = None
-        if h_lo == h_hi == m and (lo <= 0.75) == (hi <= 0.75):
-            start = (y_lo + (a - lo) / (hi - lo) * (y_hi - y_lo))[None]
-        (parts,) = newton_rows(n, [a], start=start)
-        if not parts:
+        try:
+            h, W = _solve_part(ChainParams(n, a), bracket=((lo, roots[lo]), (hi, roots[hi])))
+        except ConvergenceError:
             return math.nan
-        ((_, h, W),) = parts
         roots[a] = h, W[0]
-        return slope([a], parts)[0]
+        return slope([a], [(np.zeros(1, dtype=int), h, W)])[0]
 
     i = int(ok[p])
     j = int(near[-1] if s[i] > 0.0 else near[0])

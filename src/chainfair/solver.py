@@ -20,10 +20,10 @@ from the root of a short chain of L(alpha) pairs (_splice_len) spliced
 into the ring pattern (_start_rows), and run the full-length loop
 (_newton_block) only on the rows where that start fails tol, which a
 short window chain with the same neighbourhoods shows (_widths holds its
-geometry). newton_rows also takes whole start halves from its caller: a
-refinement solve of the searches starts from the two roots at its
-bracket's ends, interpolated, and runs the full-length loop from there;
-its root passes tol but is not newton_solve's bit for bit.
+geometry). _solve_part, the one-alpha solve of newton_solve, J, J' and
+the searches, may start a refinement point from its bracket's two roots
+instead, interpolated, and run the full-length loop from there: that
+root passes tol but is not newton_solve's bit for bit.
 
 A solved row travels as a part (rows, h, W): a spliced root as its
 window, whose bulk repeats the window's sites h-2 and h-1 by parity
@@ -342,13 +342,14 @@ def _chain_sums(n, h, V):
     """Sums over mirror-symmetric chains of per-site values given on one half, a part (h, V) of one row per chain.
 
     A window is summed with weight 1 + (m - w)/2 at its sites h-2 and h-1,
-    which the bulk repeats (_spread); the half's sum is doubled, and an odd
+    which the bulk repeats (_spread), taken as a float: numpy 1.x makes an
+    int past int64 an object. The half's sum is doubled, and an odd
     chain's centre, in both halves, comes off once.
     """
     m = (n + 1) // 2
     s = 2.0 * V.sum(axis=1)
     if h < m:
-        s += (m - V.shape[1]) * (V[:, h - 2] + V[:, h - 1])
+        s += float(m - V.shape[1]) * (V[:, h - 2] + V[:, h - 1])
     return s - V[:, -1] if n % 2 else s
 
 
@@ -575,7 +576,8 @@ def _start_rows(n, alphas, opts, widths):
     Where that passes tol the full-length loop would return the start
     without a step: the window is the root. Returns the parts (rows, h, W)
     of those windows, the indices of the other rows and only their
-    (R', m) start halves, the ring pattern or the window spread.
+    (R', m) start halves, the ring pattern or the window spread: None if
+    every row splices, as numpy shapes no half past about 2^62 sites.
     """
     m = (n + 1) // 2
     parts, failed, rest = [], [], [i for i, w in enumerate(widths) if w == m]
@@ -595,13 +597,13 @@ def _start_rows(n, alphas, opts, widths):
             failed.append((rows[~ok], h, window[~ok]))
             rest += rows[~ok].tolist()
     rest = sorted(rest)
-    y = _ring_rows([alphas[i] for i in rest], m)
+    y = _ring_rows([alphas[i] for i in rest], m) if rest else None
     for rows, h, window in failed:
         y[np.searchsorted(rest, rows)] = _spread(np.empty((len(rows), m)), h, window)
     return parts, np.array(rest, dtype=int), y
 
 
-def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions(), start=None):
+def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions()):
     """newton_solve for every alpha of a scan, solved a block of rows at a time.
 
     Yields a list of parts (rows, h, W) for each of consecutive blocks of
@@ -611,26 +613,20 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions(), start=None)
     as fit in _STACK_UNKNOWNS unknowns, a row counting its width (_widths),
     so memory stays bounded however many alphas come in; the rows whose
     start fails its window check (_start_rows) run the full-length loop at
-    most _STACK_UNKNOWNS // m at a time. Each root is
-    bit for bit newton_solve's once unfolded (_unfold), unless start is
-    given: an (R, m) array of whole start halves, one per alpha, which the
-    loop overwrites. Its rows skip _start_rows, run the full-length loop
-    from there and come back whole, h = m. The alphas are not checked
+    most _STACK_UNKNOWNS // m at a time. Each root is bit for bit
+    newton_solve's once unfolded (_unfold). The alphas are not checked
     here: maximize_J, fit_alpha and sweep_J check each one where it enters.
     """
     alphas = list(alphas)
     m = (n + 1) // 2
-    widths = [m] * len(alphas) if start is not None else _widths(n, alphas)
+    widths = _widths(n, alphas)
     step, first = max(1, _STACK_UNKNOWNS // m), 0
     while first < len(alphas):
         stop, total = first + 1, widths[first]
         while stop < len(alphas) and total + widths[stop] <= _STACK_UNKNOWNS:
             total, stop = total + widths[stop], stop + 1
         block = alphas[first:stop]
-        if start is None:
-            parts, rest, y = _start_rows(n, block, opts, widths[first:stop])
-        else:
-            parts, rest, y = [], np.arange(len(block)), start[first:stop]
+        parts, rest, y = _start_rows(n, block, opts, widths[first:stop])
         why = []
         for i in range(0, len(rest), step):
             why += _newton_block(n, [block[j] for j in rest[i : i + step].tolist()], opts, y[i : i + step])[1]
@@ -641,14 +637,26 @@ def newton_rows(n: int, alphas, opts: SolveOptions = SolveOptions(), start=None)
         first = stop
 
 
-def _solve_part(params, opts):
-    """newton_solve's root as a part (h, W) of one row (newton_rows), or its ConvergenceError."""
+def _solve_part(params, opts=SolveOptions(), bracket=()):
+    """newton_solve's root as a part (h, W) of one row (newton_rows), or its ConvergenceError.
+
+    bracket, for a refinement point of the searches, holds its bracket's
+    ends as (alpha, (h, y)). Where both are whole halves on one side of
+    3/4 (_ring_start's branch test), the solve starts from their linear
+    interpolation in alpha; elsewhere as newton_solve does, since across
+    3/4 that would blend the flat and the alternating layout.
+    """
     check_instance("params", params, ChainParams)
     check_instance("opts", opts, SolveOptions)
     n, alpha = params.n, params.alpha
-    parts, _, y = _start_rows(n, [alpha], opts, _widths(n, [alpha]))
-    if parts:
-        return parts[0][1:]
+    ends = [(a, y) for a, (h, y) in bracket if h == (n + 1) // 2]
+    if len(ends) == 2 and (ends[0][0] <= 0.75) == (ends[1][0] <= 0.75):
+        (lo, y_lo), (hi, y_hi) = ends
+        y = (y_lo + (alpha - lo) / (hi - lo) * (y_hi - y_lo))[None]
+    else:
+        parts, _, y = _start_rows(n, [alpha], opts, _widths(n, [alpha]))
+        if parts:
+            return parts[0][1:]
     y, (why,) = _newton_block(n, [alpha], opts, y)
     if why is not None:
         (x,) = _unfold(y.shape[1], y, n)

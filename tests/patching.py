@@ -1,12 +1,13 @@
 """Monkeypatch helpers that force solves to fail, count them or record them.
 
-Each patches fairness.newton_rows, through which the searches of maximize_J
-and fit_alpha and the rows of sweep_J are solved, so a test can make a
+Each patches the two seams through which fairness solves: newton_rows, the
+batch behind the scans of maximize_J and fit_alpha and the rows of
+sweep_J, and _solve_part, the one-alpha solve behind each refinement point
+of the searches and behind J and J_prime without x. So a test can make a
 chosen alpha fail, count the serial solves of a maximization or fit, or
-keep the roots it solved. newton_rows yields each block as a list of
-parts (rows, h, W), and the wrappers yield the same. A refinement solve of
-the searches may carry a start, start= (the two roots at its bracket's
-ends interpolated), which the wrappers pass on.
+keep the roots it solved. newton_rows yields each block as a list of parts
+(rows, h, W), and _solve_part returns one part (h, W) or raises
+ConvergenceError; the wrappers do the same.
 """
 
 from dataclasses import dataclass
@@ -15,26 +16,34 @@ import numpy as np
 
 import chainfair.fairness as fairness_module
 import chainfair.solver as solver_module
+from chainfair import ConvergenceError
 from chainfair.solver import _unfold
 
 
 def force_failures(monkeypatch, bad):
     """Make the solves of maximize_J, fit_alpha and sweep_J fail for the alphas in bad.
 
-    bad is a set of alphas or a predicate on alpha. The scans' batches and
-    the refinements' one-alpha solves both go through newton_rows; a forced
-    row is left out of its block and its part, as a failed one is.
+    bad is a set of alphas or a predicate on alpha. A forced row of a scan
+    is left out of its block and its part, as a failed one is; a forced
+    one-alpha solve raises ConvergenceError, as a failed one does.
     """
     fails = bad if callable(bad) else bad.__contains__
-    real = fairness_module.newton_rows
+    real_rows, real_part = fairness_module.newton_rows, fairness_module._solve_part
 
-    def rows(n, alphas, *args, **kwargs):
+    def rows(n, alphas, *args):
         alphas = list(alphas)
-        for parts in real(n, alphas, *args, **kwargs):
+        for parts in real_rows(n, alphas, *args):
             keep = [np.array([not fails(alphas[i]) for i in rows], dtype=bool) for rows, _, _ in parts]
             yield [(rows[k], h, W[k]) for (rows, h, W), k in zip(parts, keep) if k.any()]
 
+    def part(params, *args, **kwargs):
+        found = real_part(params, *args, **kwargs)
+        if fails(params.alpha):
+            raise ConvergenceError(f"forced failure (alpha={params.alpha})")
+        return found
+
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
+    monkeypatch.setattr(fairness_module, "_solve_part", part)
 
 
 def off_grid(grid):
@@ -44,45 +53,49 @@ def off_grid(grid):
 
 
 def count_solves(monkeypatch, cap=None):
-    """Count the one-alpha newton_rows calls of the searches: their serial solves.
+    """Count the one-alpha solves through fairness._solve_part: the serial solves of the searches.
 
     With a cap, the solve after the cap-th raises AssertionError, so that a
     search that never ends fails instead of hanging.
     """
     calls = []
-    real = fairness_module.newton_rows
+    real = fairness_module._solve_part
 
-    def rows(n, alphas, *args, **kwargs):
-        alphas = list(alphas)
-        if len(alphas) == 1:
-            calls.append(alphas[0])
-            assert cap is None or len(calls) <= cap, f"more than {cap} serial solves"
-        return real(n, alphas, *args, **kwargs)
+    def part(params, *args, **kwargs):
+        calls.append(params.alpha)
+        assert cap is None or len(calls) <= cap, f"more than {cap} serial solves"
+        return real(params, *args, **kwargs)
 
-    monkeypatch.setattr(fairness_module, "newton_rows", rows)
+    monkeypatch.setattr(fairness_module, "_solve_part", part)
     return calls
 
 
 def capture_roots(monkeypatch):
-    """Keep the root of every row solved through newton_rows, unfolded, by alpha: the search's own roots."""
+    """Keep the root of every alpha solved through newton_rows or _solve_part, unfolded, by alpha: the search's own roots."""
     roots = {}
-    real = fairness_module.newton_rows
+    real_rows, real_part = fairness_module.newton_rows, fairness_module._solve_part
 
-    def rows(n, alphas, *args, **kwargs):
+    def rows(n, alphas, *args):
         alphas = list(alphas)
-        for parts in real(n, alphas, *args, **kwargs):
+        for parts in real_rows(n, alphas, *args):
             for part_rows, h, W in parts:
                 roots.update(zip([float(alphas[i]) for i in part_rows], _unfold(h, W, n)))
             yield parts
 
+    def part(params, *args, **kwargs):
+        h, W = real_part(params, *args, **kwargs)
+        (roots[float(params.alpha)],) = _unfold(h, W, params.n)
+        return h, W
+
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
+    monkeypatch.setattr(fairness_module, "_solve_part", part)
     return roots
 
 
 @dataclass
 class RefinementSolve:
     """One serial solve of a search: its alpha, the nearest alphas solved before it in its search on each side
-    (its bracket's ends), the Newton steps it took, whether it solved and whether it carried a start."""
+    (its bracket's ends), the Newton steps it took, whether it solved and whether it started from its bracket."""
 
     alpha: float
     lo: float
@@ -93,32 +106,44 @@ class RefinementSolve:
 
 
 def refinement_solves(monkeypatch):
-    """Record the one-alpha newton_rows calls of the searches as RefinementSolve, in order.
+    """Record the one-alpha solves through fairness._solve_part as RefinementSolve, in order.
 
-    Steps are counted as calls of solver._newton_step during the solve. A
-    call of more alphas is a search's scan and starts a new search.
+    Steps are counted as calls of solver._newton_step during the solve; a
+    solve started from its bracket when solver._start_rows did not run
+    during it. A scan, through newton_rows, starts a new search.
     """
-    solves, solved, steps = [], [], [0]
-    real_rows, real_step = fairness_module.newton_rows, solver_module._newton_step
+    solves, solved, steps, starts = [], [], [0], [0]
+    real_rows, real_part = fairness_module.newton_rows, fairness_module._solve_part
+    real_step, real_start = solver_module._newton_step, solver_module._start_rows
 
     def step(*args):
         steps[0] += 1
         return real_step(*args)
 
-    def rows(n, alphas, *args, **kwargs):
+    def start_rows(*args):
+        starts[0] += 1
+        return real_start(*args)
+
+    def rows(n, alphas, *args):
         alphas = [float(a) for a in alphas]
-        if len(alphas) > 1:
-            solved.clear()
-        before = steps[0]
-        out = list(real_rows(n, alphas, *args, **kwargs))
+        solved.clear()
+        out = list(real_rows(n, alphas, *args))
         solved.extend(alphas[i] for parts in out for rows, _, _ in parts for i in rows.tolist())
-        if len(alphas) == 1:
-            (a,) = alphas
-            start = kwargs.get("start", args[1] if len(args) > 1 else None)
-            lo, hi = max(b for b in solved if b < a), min(b for b in solved if b > a)
-            solves.append(RefinementSolve(a, lo, hi, steps[0] - before, a in solved, start is not None))
         return iter(out)
 
+    def part(params, *args, **kwargs):
+        a = float(params.alpha)
+        lo, hi = max(b for b in solved if b < a), min(b for b in solved if b > a)
+        before, first, found = steps[0], starts[0], None
+        try:
+            found = real_part(params, *args, **kwargs)
+        finally:
+            solves.append(RefinementSolve(a, lo, hi, steps[0] - before, found is not None, starts[0] == first))
+        solved.append(a)
+        return found
+
     monkeypatch.setattr(solver_module, "_newton_step", step)
+    monkeypatch.setattr(solver_module, "_start_rows", start_rows)
     monkeypatch.setattr(fairness_module, "newton_rows", rows)
+    monkeypatch.setattr(fairness_module, "_solve_part", part)
     return solves

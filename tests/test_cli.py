@@ -429,6 +429,15 @@ class TestSweepCommand:
     def test_bad_grid(self, capsys):
         assert main(["sweep", "--n", "4", "--points", "1"]) == 2
 
+    def test_chain_past_int64(self, capsys):
+        # exited 1 with numpy's ValueError for the empty start of 10^30 pairs
+        code, out, err = run(
+            capsys, ["sweep", "--n", str(10**30), "--alpha-min", "0.3", "--alpha-max", "0.6", "--points", "4"]
+        )
+        rows = parse_csv(out)
+        assert code == 0 and err == "" and len(rows) == 5
+        assert all(0.3 < float(j) < 0.4 for _, j in rows[1:])
+
 
 class TestRingCommand:
     def test_value(self, capsys):

@@ -323,6 +323,25 @@ class TestWindowSums:
             assert J(alpha, n, x) == pytest.approx(entropy(x) / n, rel=1e-14, abs=0.0)
 
 
+class TestChainsPastInt64:
+    """Chains too long for numpy to shape one half, every row spliced: solved and valued on windows alone."""
+
+    @pytest.mark.parametrize("n", [2**62, 2**62 + 1, 10**30])
+    def test_J_and_J_prime(self, n):
+        # numpy refused the empty (0, m) start of the rows left to the
+        # full-length loop: ValueError, though the one row spliced. The
+        # border layers' share of 10^18 pairs is below rounding
+        assert J(0.5, n) == pytest.approx(J(0.5, 10**18), rel=1e-12)
+        assert J_prime(0.5, n) == pytest.approx(J_prime(0.5, 10**18), rel=1e-12)
+
+    def test_sweep(self):
+        alphas = [0.3, 0.5, 0.8]
+        rows = sweep_J(10**30, alphas)
+        assert [a for a, _ in rows] == alphas
+        for (_, big), (_, ref) in zip(rows, sweep_J(10**18, alphas)):
+            assert big == pytest.approx(ref, rel=1e-12)
+
+
 class TestRefine:
     @pytest.mark.parametrize(
         "shape",
@@ -675,15 +694,20 @@ class TestSearchChoice:
         grid = self.GRID
         roots = capture_roots(monkeypatch)
         starts = []
-        real = fairness_module.newton_rows
+        real_part, real_block = fairness_module._solve_part, solver_module._newton_block
 
-        def rows(n, alphas, *args, **kwargs):
-            if kwargs.get("start") is not None:
-                # the solve overwrites its start
-                starts.append((float(alphas[0]), kwargs["start"].copy()))
-            return real(n, alphas, *args, **kwargs)
+        def part(params, *args, **kwargs):
+            starts.append(None)
+            return real_part(params, *args, **kwargs)
 
-        monkeypatch.setattr(fairness_module, "newton_rows", rows)
+        def block(n, alphas, opts, y):
+            if starts and starts[-1] is None:
+                # the first start half of a refinement solve, which the loop overwrites
+                starts[-1] = (float(alphas[0]), y.copy())
+            return real_block(n, alphas, opts, y)
+
+        monkeypatch.setattr(fairness_module, "_solve_part", part)
+        monkeypatch.setattr(solver_module, "_newton_block", block)
         found, calls = self.search(
             lambda a: np.where(a == grid[3], bad, -((a - 0.37) ** 2)), lambda a: -2.0 * (a - 0.37)
         )

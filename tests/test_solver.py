@@ -307,6 +307,39 @@ class TestNewtonRows:
             mixed += 0 < sum(x is not None for x in rows) < len(rows)
         assert mixed >= 3
 
+    @pytest.mark.parametrize(
+        "how, reason",
+        [("singular", "hit a singular Jacobian"), ("stalled", "line search failed")],
+        ids=["singular", "stalled"],
+    )
+    def test_forced_exit_leaves_one_row(self, monkeypatch, how, reason):
+        # neither exit of the loop is taken on the model's own rows, so one
+        # is forced on the row of 0.5 through its Newton step: a nan step
+        # flagged singular, as solve_tridiagonal_rows flags one, or the step
+        # reversed, uphill, where no step length passes the Armijo test
+        n, alphas, forced = 10, [0.3, 0.5, 0.7], 0.5
+        ref = all_rows(n, alphas)
+        real = solver_module._newton_step
+
+        def step(alpha, z, g, k):
+            delta, singular = real(alpha, z, g, k)
+            hit = alpha[:, 0] == forced
+            if how == "singular":
+                delta[hit], singular = np.nan, singular | hit
+            else:
+                delta[hit] *= -1.0
+            return delta, singular
+
+        monkeypatch.setattr(solver_module, "_newton_step", step)
+        rows = all_rows(n, alphas)
+        assert rows[1] is None
+        assert np.array_equal(rows[0], ref[0]) and np.array_equal(rows[2], ref[2])
+        p = ChainParams(n, forced)
+        with pytest.raises(ConvergenceError, match=f"^newton_solve {reason} ") as info:
+            newton_solve(p)
+        err = info.value
+        assert len(err.last) == n and err.residual == residual(p, err.last)
+
     def test_blocks_respect_the_stack_cap(self):
         # a row counts its window chain's w unknowns where the chain
         # splices, its half's m elsewhere
