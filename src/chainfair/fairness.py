@@ -44,12 +44,18 @@ class OptResult:
     """Outcome of the one-dimensional maximization of J.
 
     evaluations counts the alphas at which the chain was solved (the scan's
-    25 and one per refinement step), bracket is the width of the last
+    25 and one per refinement step: 2-5 below 215 pairs, 4-5 from 215 to
+    5000 and 1, the seed, from 16,800), bracket is the width of the last
     interval where J' of the search's roots changes sign (the grid step
     0.04 when no bracket forms), and alpha_hat is one of its ends. Those
     roots pass tol 1e-12, which can move J' by about 1e-12, so the optimum
     can lie further out than a bracket that narrow. unimodal says that the
     solved grid values of J rise and then fall once.
+
+    From 16,800 pairs the seed 3/4 - (s*/n)^2, s* = 168, is within the
+    default tol_alpha of 3/4 and has J' > 0, so it alone closes the bracket
+    and is alpha_hat: a table of n^2 (3/4 - alpha_hat) there needs
+    tol_alpha=1e-10.
     """
 
     alpha_hat: float
@@ -127,7 +133,13 @@ def J_prime(alpha: float, n: int, x: np.ndarray | None = None) -> float:
     return float(jp)
 
 
-def _refine(slope, lo, s_lo, hi, s_hi, width, failed=frozenset()):
+# s* of the critical chain: from a few thousand pairs up the optimum of J
+# sits near s = n sqrt(3/4 - alpha) = 168 (ROADMAP item 8), and _search
+# seeds a bracket that ends at 3/4 there, at v_star = s*/n
+_S_STAR = 168.0
+
+
+def _refine(slope, lo, s_lo, hi, s_hi, width, failed=frozenset(), v_star=None):
     """Close the bracket [lo, hi] on a sign change of slope to at most width.
 
     s_lo and s_hi are slope(lo) and slope(hi), nonzero and of opposite
@@ -142,6 +154,19 @@ def _refine(slope, lo, s_lo, hi, s_hi, width, failed=frozenset()):
     becomes the regula falsi point itself; if the point still is not inside
     the bracket (the ends are adjacent floats), or at a nan slope (a failed
     solve), the search stops with the bracket reached.
+
+    A bracket whose upper end is exactly 3/4 is where J' falls off a cliff
+    (from about -0.3 to -1 over the last 10/n^2 below 3/4), so a regula
+    falsi point in alpha lands next to lo. With v_star given (else that
+    bracket is closed as any other), its points are first seeds
+    3/4 - v^2, v = min(sqrt(3/4 - lo)/2, v_star), for as long as the upper
+    end stays 3/4: a seed whose slope has lo's sign becomes lo, and the
+    next seed halves v; the first other one becomes hi, a finite end below
+    the cliff. From there every regula falsi point is taken in
+    u = 1/sqrt(3/4 - alpha), in which J' ~ A - B u near the optimum, and
+    the rest is as above. Seeds count against the same budget: one whose
+    slope has lo's sign at least quarters the bracket, and the one other
+    seed spends at most the evaluation of slack.
 
     Returns the end with the smaller |slope| (the closer one to the root
     where slope is near linear), the final bracket width and the number of
@@ -159,17 +184,27 @@ def _refine(slope, lo, s_lo, hi, s_hi, width, failed=frozenset()):
     # worst-case bracket a few ulps over it and cost one more evaluation
     aim = width * (1.0 - 1e-9)
     s_lo, s_hi = float(s_lo), float(s_hi)
+    cliff = v_star is not None and hi == 0.75
     evals = 0
     while hi - lo > width:
         w = hi - lo
         mid = lo + 0.5 * w
-        f = hi - s_hi * w / (s_hi - s_lo)
-        nudge = 0.1 * w * w / w0
-        c = f + math.copysign(nudge, mid - f) if nudge < abs(mid - f) else mid
-        slack = max(math.ldexp(aim, budget - evals - 1) - 0.5 * w, 0.0)
-        c = min(max(c, mid - slack), mid + slack)
-        c = c if lo < c < hi else mid
-        c = f if c in failed else c
+        if cliff and hi == 0.75:
+            # a seed, s = n sqrt(3/4 - c) = min(s(lo)/2, s*) for v_star = s*/n
+            c = 0.75 - min(0.5 * math.sqrt(0.75 - lo), v_star) ** 2
+        else:
+            if cliff:
+                # the regula falsi point in u = 1/sqrt(3/4 - alpha), mapped back
+                u_lo, u_hi = (0.75 - lo) ** -0.5, (0.75 - hi) ** -0.5
+                f = 0.75 - (u_hi - s_hi * (u_hi - u_lo) / (s_hi - s_lo)) ** -2
+            else:
+                f = hi - s_hi * w / (s_hi - s_lo)
+            nudge = 0.1 * w * w / w0
+            c = f + math.copysign(nudge, mid - f) if nudge < abs(mid - f) else mid
+            slack = max(math.ldexp(aim, budget - evals - 1) - 0.5 * w, 0.0)
+            c = min(max(c, mid - slack), mid + slack)
+            c = c if lo < c < hi else mid
+            c = f if c in failed else c
         if not lo < c < hi:
             break
         s = float(slope(c))
@@ -216,7 +251,8 @@ def _search(n, grid, value, slope, width):
     neighbours are the nearest finite points on each side. slope runs
     once, on the best point and neighbours; if the neighbour that the best
     point's slope points to has a slope of the other sign, _refine closes
-    that step to width, never on a failed grid point inside that step.
+    that step to width, never on a failed grid point inside that step, and
+    seeds a step that ends at 3/4 at v_star = s*/n (_S_STAR).
     Each point is solved by solver._solve_part with its bracket's ends, the
     nearest solved alphas on each side and their roots, from which that
     solve picks its start; a ConvergenceError gives nan, which stops it.
@@ -254,7 +290,7 @@ def _search(n, grid, value, slope, width):
     alpha, bracket, evals = float(grid[i]), float(grid[1] - grid[0]), 0
     if s[i] * s[j] < 0.0:
         a, b = sorted((i, j))
-        alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width, failed)
+        alpha, bracket, evals = _refine(at, float(grid[a]), s[a], float(grid[b]), s[b], width, failed, _S_STAR / n)
     h, w = roots[alpha]
     steps = np.diff(vals[ok])
     unimodal = 0 < p < len(steps) and bool(np.all(steps[:p] > 0.0) and np.all(steps[p:] < 0.0))
@@ -272,11 +308,16 @@ def maximize_J(n: int, tol_alpha: float = 1e-4) -> OptResult:
     _search scans J at 25 alphas, 0.04 apart, as one batch and takes J' at
     the best of them and its solved neighbours; where J' changes sign next
     to the best point, _refine closes that step to tol_alpha, one step in
-    at most ceil(log2(0.04 / tol_alpha)) + 1 solves. alpha_hat is the final
-    end with the smaller |J'|, and J_value is J there, so no solve follows.
-    Failed grid solves are left out, and a failed refinement solve stops
-    the search with the bracket reached; with no bracket the best grid
-    point is returned. If no grid point solves, ConvergenceError.
+    at most ceil(log2(0.04 / tol_alpha)) + 1 solves. From 215 pairs that
+    step is [0.71, 0.75], next to the cliff of J' at 3/4: it is seeded at
+    s = n sqrt(3/4 - alpha) = min(s(0.71)/2, 168), halving s while J' > 0,
+    and closed in u = 1/sqrt(3/4 - alpha), in 1-5 solves at the default
+    tol_alpha and 4-12 at 1e-10. alpha_hat is the final end with
+    the smaller |J'|, and J_value is J there, so no solve follows. Failed
+    grid solves are left out, and a failed refinement solve stops the
+    search with the bracket reached; with no bracket the best grid point
+    is returned. If no grid point solves, ConvergenceError. A chain too
+    long for numpy to hold the half of its row at 3/4 raises DomainError.
     """
     check_count("n", n)
     check_real("tol_alpha", tol_alpha)

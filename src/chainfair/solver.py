@@ -224,10 +224,22 @@ def _ring_start(alpha):
     return hi, lo
 
 
+def _rows(r, m):
+    """An uninitialized (r, m) array, or DomainError where numpy cannot shape rows of m sites.
+
+    Past about 2^60 sites a row's bytes pass numpy's size limit, and numpy
+    raises an untyped ValueError: such a chain is too long to hold whole.
+    """
+    try:
+        return np.empty((r, m))
+    except ValueError:
+        raise DomainError(f"a chain too long to hold: numpy cannot shape a row of {m} sites") from None
+
+
 def _ring_rows(alphas, m):
     """(R, m) mirror halves holding the ring pattern hi, lo, hi, ... of each alpha."""
     levels = np.array([_ring_start(a) for a in alphas]).reshape(-1, 2)
-    y = np.empty((len(alphas), m))
+    y = _rows(len(alphas), m)
     y[:, 0::2] = levels[:, :1]
     y[:, 1::2] = levels[:, 1:]
     return y
@@ -332,7 +344,7 @@ def _spread(y, h, W):
 def _unfold(h, W, n):
     """The whole chains of a part (h, W): each half spread (_spread), x_{n+1-i} = x_i."""
     m = (n + 1) // 2
-    x = np.empty((len(W), n))
+    x = _rows(len(W), n)
     for y in (x[:, :m], x[:, ::-1][:, :m]):
         _spread(y, h, W)
     return x
@@ -391,7 +403,7 @@ def tangent_rows(n, alphas, parts):
                 out.append((rows[ok], h, W[ok], _tangent(a[rows[ok]], z[ok], kw)))
             rows, W = rows[~ok], W[~ok]
         if len(rows):
-            full.append((rows, W if h == m else _spread(np.empty((len(W), m)), h, W)))
+            full.append((rows, W if h == m else _spread(_rows(len(W), m), h, W)))
     if full:
         rows, y = full[0] if len(full) == 1 else (np.concatenate(c) for c in zip(*full))
         out.append((rows, m, y, _tangent(a[rows], _pad(y, k), k)))

@@ -99,6 +99,14 @@ class TestExitCodes:
         assert code == 3
         assert "residual" in err
 
+    @pytest.mark.parametrize("argv", [["solve", "--alpha", "0.5"], ["optimize"]])
+    def test_chain_too_long_to_hold_is_a_usage_error(self, capsys, argv):
+        # exited 1 with a traceback: numpy could not shape the whole chain
+        # (solve) or the half of the scan's row at 3/4 (optimize)
+        code, out, err = run(capsys, [*argv, "--n", str(10**30)])
+        assert code == 2 and out == ""
+        assert "too long" in err and "Traceback" not in err
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, ["fit", "--input", "/nonexistent/trace.csv"])
         assert code == 2

@@ -324,7 +324,8 @@ class TestWindowSums:
 
 
 class TestChainsPastInt64:
-    """Chains too long for numpy to shape one half, every row spliced: solved and valued on windows alone."""
+    """Chains too long for numpy to shape one half: solved and valued on windows alone where every row splices, else
+    DomainError."""
 
     @pytest.mark.parametrize("n", [2**62, 2**62 + 1, 10**30])
     def test_J_and_J_prime(self, n):
@@ -333,6 +334,24 @@ class TestChainsPastInt64:
         # border layers' share of 10^18 pairs is below rounding
         assert J(0.5, n) == pytest.approx(J(0.5, 10**18), rel=1e-12)
         assert J_prime(0.5, n) == pytest.approx(J_prime(0.5, 10**18), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: newton_solve(ChainParams(10**30, 0.5)),
+            lambda: newton_solve(ChainParams(2**62, 0.5)),
+            lambda: maximize_J(10**30),
+            lambda: J(0.75, 10**30),
+            lambda: J_prime(0.75, 10**30),
+        ],
+        ids=["newton_solve", "newton_solve-2^62", "maximize_J", "J-3/4", "J_prime-3/4"],
+    )
+    def test_whole_chain_or_half_refused(self, call):
+        # numpy's untyped ValueError ("Maximum allowed dimension exceeded",
+        # "array is too big") where the result or a row at 3/4, whose
+        # window never passes, needs the whole chain or half
+        with pytest.raises(DomainError, match="too long"):
+            call()
 
     def test_sweep(self):
         alphas = [0.3, 0.5, 0.8]
@@ -397,6 +416,48 @@ class TestRefine:
         calls = refine({0.55})
         assert 0.55 not in calls
         assert calls[0] == 0.6 - (-1.2) * (0.6 - 0.5) / (-1.2 - 1.0)
+
+    def test_bracket_at_the_cliff_closed_in_u(self):
+        # J' ~ A - B/s with s = n sqrt(3/4 - alpha), zero at s = 120, and -1
+        # at 3/4 itself, as at 2000 pairs: the regula falsi points in alpha
+        # land next to 0.71 and bisection takes the whole budget
+        n, lo, hi = 2000, 0.71, 0.75
+
+        def slope(a):
+            calls.append(a)
+            return 0.05 * (1.0 - 120.0 / (n * math.sqrt(0.75 - a))) if a < 0.75 else -1.0
+
+        root = 0.75 - (120.0 / n) ** 2
+        for v_star, most in [(None, 10), (168.0 / n, 4)]:
+            calls = []
+            best, bracket, evals = fairness_module._refine(slope, lo, slope(lo), hi, slope(hi), 1e-4, v_star=v_star)
+            assert bracket <= 1e-4 and abs(best - root) <= bracket
+            assert evals == len(calls) - 2 <= most
+        # the first seed, s = 168, becomes the lower end; the next, s = 84,
+        # the upper one
+        assert calls[2:4] == [0.75 - (168.0 / n) ** 2, 0.75 - (84.0 / n) ** 2]
+
+    @pytest.mark.parametrize("v_star", [1e-6, 1e-3, 0.02, 1.0])
+    @pytest.mark.parametrize("root", [0.7137, 0.749, 0.74999999])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda d: -d, lambda d: -np.tanh(d / 1e-6), lambda d: -1.0 if d > 0.0 else 1.0],
+        ids=["linear", "steep", "step"],
+    )
+    def test_cliff_bracket_closes_within_the_budget(self, shape, root, v_star):
+        # seeds at 3/4 - v^2 and points taken in u = 1/sqrt(3/4 - alpha),
+        # on slopes that are not linear in u, with seeds on either side of
+        # the root: the bisection budget still bounds the evaluations
+        def slope(a):
+            calls.append(a)
+            return shape(a - root)
+
+        calls, lo, hi, width = [], 0.71, 0.75, 1e-7
+        best, bracket, evals = fairness_module._refine(
+            slope, lo, shape(lo - root), hi, shape(hi - root), width, v_star=v_star
+        )
+        assert bracket <= width and abs(best - root) <= bracket
+        assert evals == len(calls) <= np.ceil(np.log2((hi - lo) / width)) + 1
 
     def test_nan_slope_stops_the_search(self):
         best, bracket, evals = fairness_module._refine(lambda a: np.nan, 0.5, 2.0, 0.6, -1.0, 1e-4)
@@ -525,15 +586,45 @@ class TestMaximizeJ:
         assert res.J_value == J(float(GRID[7]), 10)
         assert res.evaluations == len(GRID)
 
-    @pytest.mark.parametrize("n", [10, 100, 2000, 5000])
+    @pytest.mark.parametrize("n", [10, 100, 500, 1000, 2000, 5000, 20_000, 100_000])
     def test_refinement_evaluations_capped(self, monkeypatch, n):
         # the one-grid-step bracket closes within ceil(log2(0.04 / 1e-4)) + 1
-        # = 10 solves, and none follows
+        # = 10 solves, and none follows. From 215 pairs the bracket is
+        # [0.71, 0.75], which took all 10 from 370 pairs before it was
+        # seeded below the cliff at 3/4 and closed in u = 1/sqrt(3/4 - alpha)
         calls = count_solves(monkeypatch)
         res = maximize_J(n)
         assert res.unimodal and res.bracket <= 1e-4
-        assert len(calls) <= 10
+        assert len(calls) <= (10 if n < 500 else 6 if n <= 5000 else 4)
         assert res.evaluations == len(GRID) + len(calls)
+
+    def test_optimum_at_a_hundred_thousand_pairs(self):
+        # the seed 3/4 - (s*/n)^2 alone closes the bracket to 2.8e-6 here,
+        # where the bisection's 0.7499 lay 1e-4 from the optimum
+        fine = maximize_J(100_000, tol_alpha=1e-10)
+        assert abs(maximize_J(100_000).alpha_hat - fine.alpha_hat) <= 1e-6
+        assert fine.bracket <= 1e-10
+
+    def test_evaluations_at_a_million_pairs_to_1e_10(self):
+        # 56: the scan's 25 and 31 refinement solves
+        res = maximize_J(10**6, tol_alpha=1e-10)
+        assert res.bracket <= 1e-10
+        assert res.evaluations <= 35
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first seed", "second seed"])
+    def test_failed_seed_keeps_the_bracket(self, monkeypatch, first):
+        # at 2000 pairs the first seed, s = 168, has J' > 0 and the second,
+        # s = 84, J' < 0; a failed one stops the search with the bracket
+        # reached, [0.71, 0.75] or [first seed, 0.75]
+        seed = 0.75 - (168 / 2000) ** 2
+        force_failures(monkeypatch, off_grid(GRID) if first else off_grid([*GRID, seed]))
+        res = maximize_J(2000)
+        lo = GRID[17] if first else seed
+        assert res.unimodal
+        assert res.alpha_hat == lo
+        assert res.bracket == 0.75 - lo
+        assert res.evaluations == len(GRID) + (1 if first else 2)
+        assert res.J_value == J(float(lo), 2000)
 
     @pytest.mark.parametrize("n", [100, 2000])
     def test_slopes_only_near_the_best_grid_point(self, monkeypatch, n):

@@ -155,6 +155,22 @@ class TestFitAlpha:
         res = fit_alpha(NS2_THREE_PAIRS)
         assert res.sse == pytest.approx(float(np.sum(res.residuals**2)), rel=1e-12)
 
+    @pytest.mark.parametrize("n, alpha", [(5, 0.748), (20, 0.746), (300, 0.749), (2000, 0.744)])
+    def test_grid_ending_at_three_quarters(self, monkeypatch, n, alpha):
+        # the last grid step [0.742, 0.75] ends at 3/4, where the search
+        # seeds its bracket below the cliff and closes it in u
+        ends = []
+        real = fairness_module._refine
+
+        def refine(slope, lo, s_lo, hi, *args):
+            ends.append(hi)
+            return real(slope, lo, s_lo, hi, *args)
+
+        monkeypatch.setattr(fairness_module, "_refine", refine)
+        res = fit_alpha(model_trace(n, alpha), bounds=(0.5, 0.75))
+        assert ends == [0.75]
+        assert res.alpha_fit == pytest.approx(alpha, abs=1e-3)
+
     def test_alpha_within_bounds(self):
         res = fit_alpha(model_trace(4, 0.5), bounds=(0.4, 0.6))
         assert 0.4 <= res.alpha_fit <= 0.6
